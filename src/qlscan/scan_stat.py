@@ -46,12 +46,14 @@ too thin a grid.
 
 For AR models the quasi-likelihood is exactly quadratic, so sub-sample
 estimates are constrained least squares and every k can be processed
-from cumulative sufficient statistics.  The scan exploits that (orders
-p <= 4) and falls back to the generic warm-started optimizer per k for
-ill-conditioned or boundary cases; both paths land on the same optima,
-which a test pins down.  ARCH scans take the generic exact path: a
-left-to-right warm-started pass over T_k, a right-to-left pass over
-the complements, then the per-k algebra above.
+from cumulative sufficient statistics.  The exact scan exploits that
+(orders p <= 4) and falls back to a cold multi-start optimizer for the
+k whose least-squares system is ill-conditioned or whose solution
+leaves the domain; both paths land on the same optima, which a test
+pins down.  ARCH scans take the generic exact path: every prefix T_k
+and every complement is climbed from th_full (with a cold multi-start
+retry when that climb fails to converge), so no window depends on its
+neighbours, then the per-k algebra above.
 
 GARCH windows use a different sub-sample estimator by default.  A
 window of a few hundred observations cannot pin down three GARCH
@@ -97,11 +99,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .critical_values import CriticalTable
 from .likelihood import loglik
 from .models import (
+    DomainError,
     ModelFamily,
     ModelSpec,
     ScanError,
@@ -167,10 +169,11 @@ def _fgf(info: InfoMatrices) -> NDArray[np.float64] | None:
     if not info.g_invertible:
         return None
     try:
-        factor = cho_factor(info.g_hat, lower=True)
-    except LinAlgError:
+        chol = np.linalg.cholesky(info.g_hat)
+    except np.linalg.LinAlgError:
         return None
-    out = info.f_hat @ cho_solve(factor, info.f_hat)
+    # G = L L', so G^(-1) F is two triangular solves.
+    out = info.f_hat @ np.linalg.solve(chol.T, np.linalg.solve(chol, info.f_hat))
     return (out + out.T) / 2.0
 
 
@@ -625,7 +628,9 @@ def scan(
     Raises
     ------
     ScanError
-        If estimation fails on more than 10% of the candidate set.
+        If estimation fails on more than 10% of the candidate set, or
+        the fits or the linear algebra break down numerically (for
+        example on values near 1e150, whose squares overflow).
     CalibrationRequiredError
         If the table lacks an entry for (d, alpha).
     """
@@ -648,10 +653,19 @@ def scan(
     table = table or CriticalTable.builtin()
     # Fail early if the table cannot cover the decision.
     table.lookup(spec.d, alpha)
-    if (
-        window_estimator == "exact"
-        and spec.family is ModelFamily.AR
-        and spec.p <= _AR_FAST_MAX_ORDER
-    ):
-        return _scan_ar_fast(spec, series, window, alpha, table, opts)
-    return _scan_generic(spec, series, window, alpha, table, opts, window_estimator)
+    try:
+        if (
+            window_estimator == "exact"
+            and spec.family is ModelFamily.AR
+            and spec.p <= _AR_FAST_MAX_ORDER
+        ):
+            return _scan_ar_fast(spec, series, window, alpha, table, opts)
+        return _scan_generic(
+            spec, series, window, alpha, table, opts, window_estimator
+        )
+    except (np.linalg.LinAlgError, DomainError) as exc:
+        # Inputs were validated above, so these come from overflow or
+        # loss of precision inside the fits and the linear algebra.
+        raise ScanError(
+            f"numerical breakdown in the scan ({type(exc).__name__}: {exc})"
+        ) from exc

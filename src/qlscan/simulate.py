@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
 from .models import (
     DomainError,
@@ -84,6 +83,10 @@ class SimPlan:
 def _ar_chunks(
     plan: SimPlan, eps: NDArray[np.float64], split: int
 ) -> NDArray[np.float64]:
+    # Imported here so that only AR simulation pays scipy's start-up
+    # cost; lfilter keeps simulated AR paths bit-identical.
+    from scipy.signal import lfilter, lfiltic
+
     zi = np.zeros(plan.spec.p)
     chunks = [(plan.theta0, eps[:split])]
     if plan.theta1 is not None:

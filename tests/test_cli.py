@@ -7,10 +7,16 @@ these tests exercise the full file round trip.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qlscan
 from qlscan import CriticalTable, ModelFamily, SimPlan, calibrate, generate, scan
 from qlscan.cli import main, make_spec, read_series
 from qlscan.models import SeriesParseError, ShapeError
@@ -244,3 +250,56 @@ class TestMakeSpec:
     def test_order_guard(self):
         with pytest.raises(ShapeError):
             make_spec("garch", 2)
+
+
+class TestScipyFreeStartup:
+    """``import qlscan`` and ``qlscan test`` run on numpy and click alone.
+
+    scipy's import costs more than the whole of a typical ``qlscan test``
+    call, so it is kept off that path; only AR simulation loads it.
+    """
+
+    # Blocks scipy before anything else is imported, then runs the CLI.
+    NO_SCIPY_MAIN = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from qlscan.cli import main; main(sys.argv[1:])"
+    )
+
+    @staticmethod
+    def _python(code, *args):
+        env = dict(os.environ)
+        src = str(Path(qlscan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code, *args], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("model, theta, n", [
+        ("ar", (0.5,), 600),
+        ("arch", (1.0, 0.3), 300),
+        ("garch", (1.0, 0.4, 0.3), 800),
+    ])
+    def test_test_command_without_scipy(self, tmp_path, model, theta, n):
+        spec = make_spec(model, 1)
+        path = tmp_path / f"{model}.txt"
+        data = generate(SimPlan(spec=spec, n=n, theta0=theta, seed=23)).data
+        path.write_text("".join(f"{v:.17g}\n" for v in data))
+        res = scan(spec, read_series(str(path)))
+
+        proc = self._python(self.NO_SCIPY_MAIN, "test", str(path), "--model", model)
+        assert proc.returncode == (2 if res.reject else 0), proc.stderr
+        assert f"Q         {res.q_max:.6g}\n" in proc.stdout
+        assert f"argmax_k  {res.argmax_k}\n" in proc.stdout
+        decision = "reject" if res.reject else "fail_to_reject"
+        assert f"decision  {decision}\n" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self._python(
+            "import sys, qlscan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from qlscan import (
     ModelFamily,
     ScanError,
     ScanWindow,
+    SeriesSegment,
     SimPlan,
     generate,
     run_experiment,
@@ -84,6 +85,22 @@ class TestRunExperiment:
         # 1 failure out of 4 is above 5%: the experiment aborts.
         with pytest.raises(ExperimentError):
             run_experiment(small_config(ar1_spec, reps=4))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_breakdown_is_flagged(self, ar1_spec, monkeypatch):
+        real_generate = experiments_module.generate
+
+        def overflowing(plan):
+            series = real_generate(plan)
+            if plan.seed == (9000, 1):
+                return SeriesSegment.full(series.data * 1e150)
+            return series
+
+        monkeypatch.setattr(experiments_module, "generate", overflowing)
+        report = run_experiment(small_config(ar1_spec, reps=21))
+        assert report.n_flagged == 1
+        bad = report.records[1]
+        assert bad.q is None and "numerical breakdown" in bad.error
 
     def test_custom_window_and_alpha(self, ar1_spec):
         plan = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,))

@@ -16,12 +16,16 @@ from numpy.testing import assert_allclose
 
 from qlscan import (
     DomainError,
+    InfoMatrices,
     ModelSpec,
     SeriesSegment,
+    info_matrices,
     loglik,
     qhat_t,
     volatility_path,
 )
+from qlscan.likelihood import _garch_states
+from qlscan.scan_stat import _fgf
 from conftest import THETA0, make_series, theta_near
 
 
@@ -226,3 +230,64 @@ class TestValidation:
     def test_hessian_is_symmetric(self, garch_spec, garch_series):
         ev = loglik(garch_spec, THETA0["garch"], garch_series)
         assert_allclose(ev.hessian, ev.hessian.T)
+
+
+def garch_states_loop(x2, beta, order):
+    """s/u/w by the sequential recursion, one Python step at a time."""
+    n = len(x2)
+    s, u, w = [0.0] * n, [0.0] * n, [0.0] * n
+    for t in range(1, n):
+        s[t] = beta * s[t - 1] + x2[t - 1]
+        u[t] = beta * u[t - 1] + s[t - 1]
+        w[t] = beta * w[t - 1] + 2.0 * u[t - 1]
+    return [np.array(v) for v in (s, u, w)[: order + 1]]
+
+
+def garch_states_lfilter(x2, beta, order):
+    """s/u/w through scipy's direct-form IIR filter."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+
+    def shifted(inp):
+        out = np.zeros_like(inp)
+        out[1:] = lfilter([1.0], [1.0, -beta], inp[:-1])
+        return out
+
+    s = shifted(x2)
+    u = shifted(s)
+    w = shifted(2.0 * u)
+    return [s, u, w][: order + 1]
+
+
+class TestGarchStateRecursions:
+    """The numpy doubling scan against two independent evaluations."""
+
+    LENGTHS = (1, 2, 3, 63, 64, 65, 1000, 20000)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 0.5, 0.98])
+    def test_matches_loop_and_lfilter(self, beta, order):
+        rng = np.random.default_rng(17)
+        for n in self.LENGTHS:
+            x2 = rng.standard_normal(n) ** 2
+            got = [v for v in _garch_states(x2, beta, order) if v is not None]
+            assert len(got) == order + 1
+            for ref in (garch_states_loop(x2.tolist(), beta, order),
+                        garch_states_lfilter(x2, beta, order)):
+                for g, r in zip(got, ref):
+                    assert_allclose(g, r, rtol=1e-13, atol=0.0)
+
+
+class TestFgf:
+    def test_matches_explicit_inverse(self, all_specs):
+        for name, spec in all_specs.items():
+            series = make_series(spec, 300, THETA0[name], seed=(41, 0))
+            info = info_matrices(spec, series, np.asarray(THETA0[name]))
+            f, g = info.f_hat, info.g_hat
+            assert_allclose(_fgf(info), f @ np.linalg.inv(g) @ f, rtol=1e-12)
+
+    def test_indefinite_g_contributes_nothing(self):
+        # Well conditioned, so the condition test passes, but not
+        # positive definite: the Cholesky factorisation must refuse it.
+        info = InfoMatrices(g_hat=np.diag([1.0, -1.0]), f_hat=np.eye(2),
+                            cond_g=1.0, g_invertible=True)
+        assert _fgf(info) is None

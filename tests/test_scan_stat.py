@@ -20,6 +20,7 @@ from numpy.testing import assert_allclose
 from qlscan import (
     CalibrationRequiredError,
     CriticalTable,
+    DomainError,
     EstimateResult,
     ModelFamily,
     ModelSpec,
@@ -309,6 +310,24 @@ class TestMissingPolicy:
         window = ScanWindow(n=150, v_n=40)
         with pytest.raises(ScanError):
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
+
+
+class TestNumericBreakdown:
+    """Overflowing data surfaces as ScanError, never as a raw exception."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, cause", [
+        ("ar", np.linalg.LinAlgError),
+        ("arch", DomainError),
+        ("garch", np.linalg.LinAlgError),
+    ])
+    def test_huge_values_raise_scan_error(self, all_specs, name, cause):
+        spec = all_specs[name]
+        series = make_series(spec, 500, THETA0[name], seed=(405, 0))
+        huge = SeriesSegment.full(series.data * 1e150)
+        with pytest.raises(ScanError, match="numerical breakdown") as exc_info:
+            scan(spec, huge)
+        assert isinstance(exc_info.value.__cause__, cause)
 
 
 class TestMonteCarloRates:

@@ -46,6 +46,10 @@ b_t = (2 X_t^2 / h_t - 1) / h_t^2,
 
     dq_t/dtheta_i      = a_t * dh_i
     d2q_t/dtheta_i d_j = b_t * dh_i * dh_j + a_t * d2h_ij.
+
+Sums over a window accumulate in float64 with numpy's own reductions,
+whatever the window length, so results do not depend on the platform's
+extended-precision type.
 """
 
 from __future__ import annotations
@@ -61,22 +65,21 @@ from .models import (
     ModelSpec,
     SeriesSegment,
     in_domain,
+    in_domain_rows,
 )
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike, NDArray
 
-__all__ = ["LikelihoodEval", "VolatilityPath", "loglik", "qhat_t", "volatility_path"]
-
-# Above this many summands, reductions accumulate in the widest native
-# float type to keep round-off below the tolerances used by the tests.
-_WIDE_SUM_THRESHOLD = 10_000
-
-
-def _reduce(arr: NDArray[np.float64], axis: int = 0) -> np.ndarray:
-    if arr.shape[axis] >= _WIDE_SUM_THRESHOLD:
-        return arr.sum(axis=axis, dtype=np.longdouble).astype(np.float64)
-    return arr.sum(axis=axis)
+__all__ = [
+    "LikelihoodEval",
+    "VolatilityPath",
+    "loglik",
+    "loglik_rows",
+    "qhat_t",
+    "volatility_path",
+    "window_mask",
+]
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,9 @@ def _ar_lag_matrix(x: NDArray[np.float64], p: int, end: int) -> NDArray[np.float
     return np.stack(cols, axis=1)
 
 
-def _first_order_filter(x: NDArray[np.float64], beta: float) -> NDArray[np.float64]:
+def _first_order_filter(
+    x: NDArray[np.float64], beta: float | NDArray[np.float64]
+) -> NDArray[np.float64]:
     """y[0] = x[0], y[t] = beta * y[t-1] + x[t], by a log-step doubling scan.
 
     After the pass with shift s, y[t] holds the sum of beta^j x[t-j] over
@@ -129,30 +134,46 @@ def _first_order_filter(x: NDArray[np.float64], beta: float) -> NDArray[np.float
     ones would add nothing.  The s/u/w inputs are nonnegative and the
     default domain keeps 0 <= beta < 1, so every partial sum adds
     nonnegative terms and the result agrees with the loop to a few ulps.
+
+    A beta of shape (R,) filters R rows at once, one coefficient per
+    row, along the last axis (``x`` of shape (n,) is shared by every
+    row); passes then stop once the largest |beta|^s, hence every row's
+    coefficient, underflows.
     """
-    y = x.copy()
-    shift, coef = 1, beta
-    while shift < y.size and coef != 0.0:
-        y[shift:] += coef * y[:-shift]
+    if np.ndim(beta) == 0:
+        coef: float | NDArray[np.float64] = float(beta)
+        top = abs(coef)
+        y = x.copy()
+    else:
+        coef = np.asarray(beta, dtype=float)
+        top = float(np.max(np.abs(coef)))
+        y = np.array(np.broadcast_to(x, (coef.size, x.shape[-1])))
+    y_t = y.T  # time along axis 0, so a per-row coef broadcasts
+    shift = 1
+    while shift < y_t.shape[0] and top != 0.0:
+        y_t[shift:] += coef * y_t[:-shift]
         shift *= 2
-        coef *= coef
+        coef = coef * coef
+        top *= top
     return y
 
 
 def _garch_states(
-    x2: NDArray[np.float64], beta: float, order: int
+    x2: NDArray[np.float64], beta: float | NDArray[np.float64], order: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None]:
     """Run the s/u/w recursions over t = 1..len(x2).
 
     ``order`` controls how many derivative states are produced: 0 gives
-    only s, 1 adds u, 2 adds w.
+    only s, 1 adds u, 2 adds w.  A beta of shape (R,) gives states of
+    shape (R, len(x2)), one row per coefficient.
     """
 
     def shifted(inp: NDArray[np.float64]) -> NDArray[np.float64]:
         # state_{t+1} = beta * state_t + inp_t with state_1 = 0.
-        out = np.empty_like(inp)
-        out[:1] = 0.0
-        out[1:] = _first_order_filter(inp[:-1], beta)
+        filtered = _first_order_filter(inp[..., :-1], beta)
+        out = np.empty(filtered.shape[:-1] + (filtered.shape[-1] + 1,))
+        out[..., :1] = 0.0
+        out[..., 1:] = filtered
         return out
 
     s = shifted(x2)
@@ -331,12 +352,12 @@ def loglik(
     q, dq, d2q, _ = _eval_window(
         spec, arr, segment.data, segment.start, segment.end, order=order
     )
-    value = -0.5 * float(_reduce(q))
+    value = -0.5 * float(q.sum())
     gradient = hessian = None
     if order >= 1:
-        gradient = -0.5 * _reduce(dq)
+        gradient = -0.5 * dq.sum(axis=0)
     if order >= 2:
-        hessian = -0.5 * _reduce(d2q)
+        hessian = -0.5 * d2q.sum(axis=0)
         hessian = (hessian + hessian.T) / 2.0
     return LikelihoodEval(
         value=value,
@@ -345,3 +366,132 @@ def loglik(
         per_t_grads=dq if keep_per_t_grads else None,
         per_t_hessians=d2q if keep_per_t_hessians else None,
     )
+
+
+def _row_sum(
+    w: NDArray[np.float64], u: NDArray[np.float64], v: NDArray[np.float64] | None = None
+) -> NDArray[np.float64]:
+    """Per-row sum over t of w[r, t] * u * v.
+
+    ``u`` and ``v`` are (T,) when shared by all rows, (R, 1) when
+    constant in t, or (R, T); constant factors are pulled out of the sum.
+    No BLAS product is used: its rounding depends on how many rows a call
+    holds, so a window's result would depend on which other windows are
+    still being iterated.
+    """
+    if v is not None:
+        if u.ndim == 2 and u.shape[1] == 1:
+            return _row_sum(w, v) * u[:, 0]
+        if v.ndim == 2 and v.shape[1] == 1:
+            return _row_sum(w, u) * v[:, 0]
+        u = u * v
+    if u.ndim == 1:
+        return np.einsum("rt,t->r", w, u)
+    if u.shape[1] == 1:
+        return w.sum(axis=1) * u[:, 0]
+    return np.einsum("rt,rt->r", w, u)
+
+
+def window_mask(
+    starts: NDArray[np.int64], ends: NDArray[np.int64], n: int
+) -> NDArray[np.float64]:
+    """(R, n) 0/1 weights over t = 1..n; row r selects {starts[r]..ends[r]}."""
+    t = np.arange(1, n + 1)
+    return ((t >= starts[:, None]) & (t <= ends[:, None])).astype(float)
+
+
+def loglik_rows(
+    spec: ModelSpec,
+    thetas: NDArray[np.float64],
+    data: NDArray[np.float64],
+    mask: NDArray[np.float64],
+    *,
+    order: int = 2,
+) -> tuple[
+    NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None
+]:
+    """``loglik`` for many windows of one series, one parameter row each.
+
+    Row r evaluates L(T_r, thetas[r]), where row r of the (R, T) ``mask``
+    holds the 0/1 weights of the window T_r over t = 1..T
+    (``window_mask``; T may stop at the last window end).  Because q_t
+    never depends on the window (module docstring), every window is a
+    masked sum of per-observation terms on t = 1..T: q_t, a_t dh_t and
+    b_t dh_t dh_t' + a_t d2h_t.  The s/u/w recursions run once per row
+    for GARCH and are shared by all rows for ARCH and AR.
+
+    Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
+    beyond ``order`` are None.  Sums are float64, like ``loglik``'s, but
+    accumulate in a different order, so rows agree with ``loglik`` to
+    round-off rather than bit for bit.
+
+    Raises
+    ------
+    DomainError
+        If any row is outside the feasible domain.
+    """
+    if not np.all(in_domain_rows(spec, thetas)):
+        raise DomainError("a parameter row lies outside the feasible domain")
+    rows, d = thetas.shape
+    end = mask.shape[1]
+    # Each branch leaves q and, by order, the masked coefficients ma =
+    # mask * a_t and mb = mask * b_t, the dh factors and the nonzero d2h,
+    # shaped as _row_sum takes them.
+    ma = mb = None
+    d2h: dict[tuple[int, int], NDArray[np.float64]] = {}
+    if spec.family is ModelFamily.AR:
+        # q_t = r_t^2: a_t = -2 r_t, b_t = 2, dh = the lag columns, d2h = 0.
+        lags = _ar_lag_matrix(data, spec.p, end)
+        resid = data[:end] - np.einsum("rp,tp->rt", thetas, lags)
+        q = resid * resid
+        if order >= 1:
+            ma = resid * (-2.0 * mask)
+        if order >= 2:
+            mb = 2.0 * mask
+        dh = [lags[:, i] for i in range(d)]
+    else:
+        garch = spec.family is ModelFamily.GARCH
+        alpha0, alpha1 = thetas[:, :1], thetas[:, 1:2]
+        x2 = data[:end] ** 2
+        s, u, w = _garch_states(x2, thetas[:, 2] if garch else 0.0, order if garch else 0)
+        one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
+        h = alpha1 * s
+        h += alpha0 / one_minus_beta
+        z_over_h = x2 / h
+        q = np.log(h)
+        q += z_over_h
+        if order >= 1:
+            ma = 1.0 - z_over_h
+            ma /= h
+            ma *= mask
+        if order >= 2:
+            mb = z_over_h
+            mb *= 2.0
+            mb -= 1.0
+            mb /= h
+            mb /= h
+            mb *= mask
+        dh = [1.0 / one_minus_beta, s]
+        if garch and order >= 1:
+            assert u is not None
+            dh.append(alpha0 / one_minus_beta**2 + alpha1 * u)
+        if garch and order >= 2:
+            assert u is not None and w is not None
+            d2h[0, 2] = 1.0 / one_minus_beta**2
+            d2h[1, 2] = u
+            d2h[2, 2] = 2.0 * alpha0 / one_minus_beta**3 + alpha1 * w
+
+    value = -0.5 * np.einsum("rt,rt->r", mask, q)
+    gradient = hessian = None
+    if ma is not None:
+        gradient = -0.5 * np.stack([_row_sum(ma, dh[i]) for i in range(d)], axis=1)
+    if mb is not None:
+        assert ma is not None
+        hessian = np.empty((rows, d, d))
+        for i in range(d):
+            for j in range(i, d):
+                hij = _row_sum(mb, dh[i], dh[j])
+                if (i, j) in d2h:
+                    hij = hij + _row_sum(ma, d2h[i, j])
+                hessian[:, i, j] = hessian[:, j, i] = -0.5 * hij
+    return value, gradient, hessian

@@ -47,6 +47,7 @@ __all__ = [
     "default_window",
     "garch_spec",
     "in_domain",
+    "in_domain_rows",
 ]
 
 # Feasibility slack absorbing floating-point round-off from projections.
@@ -232,15 +233,20 @@ def in_domain(spec: ModelSpec, theta: ArrayLike) -> bool:
     decided with a small absolute slack so that points produced by a
     floating-point projection onto the boundary test as feasible.
     """
-    arr = spec.check_theta(theta)
+    return bool(in_domain_rows(spec, spec.check_theta(theta)))
+
+
+def in_domain_rows(spec: ModelSpec, thetas: NDArray[np.float64]) -> NDArray[np.bool_]:
+    """``in_domain`` for every row of a (..., d) stack of parameters."""
     lo, hi = spec.domain.as_arrays()
     tol = DOMAIN_ATOL
-    if np.any(arr < lo - tol) or np.any(arr > hi + tol):
-        return False
+    inside = np.all((thetas >= lo - tol) & (thetas <= hi + tol), axis=-1)
     c = 1.0 - spec.domain.margin
     if spec.family is ModelFamily.AR:
-        return bool(np.sum(np.abs(arr)) <= c + tol)
-    return bool(np.sum(arr[1:]) <= c + tol)
+        stat = np.sum(np.abs(thetas), axis=-1)
+    else:
+        stat = np.sum(thetas[..., 1:], axis=-1)
+    return inside & (stat <= c + tol)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,13 @@ from cumulative sufficient statistics.  The exact scan exploits that
 k whose least-squares system is ill-conditioned or whose solution
 leaves the domain; both paths land on the same optima, which a test
 pins down.  ARCH scans take the generic exact path: every prefix T_k
-and every complement is climbed from th_full (with a cold multi-start
-retry when that climb fails to converge), so no window depends on its
-neighbours, then the per-k algebra above.
+and every complement is climbed from th_full, so no window depends on
+its neighbours, then the per-k algebra above.  All windows are climbed
+together in one batched projected-Newton pass over a stack of parameter
+rows (``qmle.estimate_windows``), which takes the same steps as one
+warm ``estimate`` call per window; a window the batch leaves
+unconverged is refitted by the scalar optimizer, with a cold
+multi-start retry if that climb fails as well.
 
 GARCH windows use a different sub-sample estimator by default.  A
 window of a few hundred observations cannot pin down three GARCH
@@ -112,8 +116,9 @@ from .models import (
     ShapeError,
     default_window,
     in_domain,
+    in_domain_rows,
 )
-from .qmle import EstimateResult, OptimOptions, estimate
+from .qmle import EstimateResult, OptimOptions, estimate, estimate_windows
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -409,27 +414,23 @@ def _exact_window_estimates(
     under the null.  Anchoring at the full-sample estimate keeps every
     window in the basin the test's limit theory tracks, and makes each
     window's result independent of scan order.
+
+    Since no window depends on another, all of them are climbed in one
+    batched projected-Newton pass (``estimate_windows``).  A window the
+    batch leaves unconverged is refitted by the scalar optimizer,
+    warm and then, if that fails too, cold (``_estimate_with_retry``).
     """
     nk = ks.size
-    d = theta_full.shape[0]
-    theta_l = np.empty((nk, d))
-    theta_r = np.empty((nk, d))
-    ok_l = np.zeros(nk, dtype=bool)
-    ok_r = np.zeros(nk, dtype=bool)
-    for i, k in enumerate(ks):
-        res = _estimate_with_retry(
-            spec, SeriesSegment.prefix(data, int(k)), theta_full, opts
-        )
-        theta_l[i] = res.theta_hat
-        ok_l[i] = res.converged
-    for i in range(nk - 1, -1, -1):
-        k = int(ks[i])
-        res = _estimate_with_retry(
-            spec, SeriesSegment.suffix(data, k), theta_full, opts
-        )
-        theta_r[i] = res.theta_hat
-        ok_r[i] = res.converged
-    return theta_l, ok_l, theta_r, ok_r
+    n = data.shape[0]
+    starts = np.concatenate((np.ones(nk, dtype=np.int64), ks + 1))
+    ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
+    theta, ok = estimate_windows(spec, data, starts, ends, theta_full, opts)
+    for r in np.flatnonzero(~ok):
+        segment = SeriesSegment(data, int(starts[r]), int(ends[r]))
+        res = _estimate_with_retry(spec, segment, theta_full, opts)
+        theta[r] = res.theta_hat
+        ok[r] = res.converged
+    return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
 
 
 def _one_step_deltas(
@@ -543,12 +544,7 @@ def _scan_ar_fast(
             theta[good] = np.clip(theta[good], lo1, hi1)
             fallback = ~good
         else:
-            inside = good.copy()
-            ok_rows = np.flatnonzero(good)
-            for r in ok_rows:
-                if not in_domain(spec, theta[r]):
-                    inside[r] = False
-            fallback = ~inside
+            fallback = ~(good & in_domain_rows(spec, theta))
         for r in np.flatnonzero(fallback):
             res = estimate(spec, segments(r), opts=opts)
             theta[r] = res.theta_hat

@@ -24,6 +24,7 @@ from qlscan import (
     garch_spec,
     in_domain,
 )
+from qlscan.models import in_domain_rows
 
 
 class TestModelSpec:
@@ -100,6 +101,47 @@ class TestInDomain:
         # Points a hair outside from round-off still count as feasible.
         assert in_domain(ar1_spec, [0.98 + 1e-13])
         assert not in_domain(ar1_spec, [0.98 + 1e-9])
+
+
+def in_domain_loop(spec, theta):
+    """The scalar membership rule written out: box with slack, then the
+    stationarity sum with slack."""
+    lo, hi = spec.domain.as_arrays()
+    tol = 1e-12
+    if any(t < a - tol or t > b + tol for t, a, b in zip(theta, lo, hi)):
+        return False
+    c = 1.0 - spec.domain.margin
+    if spec.family is ModelFamily.AR:
+        return sum(abs(t) for t in theta) <= c + tol
+    return sum(theta[1:]) <= c + tol
+
+
+class TestInDomainRows:
+    @pytest.mark.parametrize("spec", [ar_spec(3), arch_spec(), garch_spec()])
+    def test_matches_the_scalar_rule_row_by_row(self, spec):
+        # Rows spread over the box and beyond it, plus rows put exactly
+        # on, just inside and just outside each face, so the slack decides.
+        rng = np.random.default_rng(5)
+        lo, hi = spec.domain.as_arrays()
+        rows = [lo + (hi - lo) * rng.uniform(-0.1, 1.1, size=(400, spec.d))]
+        c = 1.0 - spec.domain.margin
+        base = lo + (hi - lo) * rng.uniform(0.0, 1.0, size=(200, spec.d))
+        for shift in (-1e-9, -1e-13, 0.0, 1e-13, 1e-9):
+            for j in range(spec.d):
+                for edge in (lo, hi):
+                    pts = base.copy()
+                    pts[:, j] = edge[j] + shift
+                    rows.append(pts)
+            face = base.copy()
+            if spec.family is ModelFamily.AR:
+                face *= ((c + shift) / np.abs(face).sum(axis=1))[:, None]
+            else:
+                face[:, 1:] *= ((c + shift) / face[:, 1:].sum(axis=1))[:, None]
+            rows.append(face)
+        thetas = np.concatenate(rows)
+        want = [in_domain_loop(spec, theta.tolist()) for theta in thetas]
+        np.testing.assert_array_equal(in_domain_rows(spec, thetas), want)
+        assert 0 < sum(want) < len(want)
 
 
 class TestSeriesSegment:

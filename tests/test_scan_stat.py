@@ -24,18 +24,21 @@ from qlscan import (
     EstimateResult,
     ModelFamily,
     ModelSpec,
+    OptimOptions,
     ScanError,
     ScanWindow,
     SeriesSegment,
     ShapeError,
     decide,
+    default_window,
     estimate,
     loglik,
     scan,
     sigma_hat,
 )
 from qlscan import scan_stat as scan_stat_module
-from qlscan.scan_stat import _scan_generic
+from qlscan.qmle import estimate_windows
+from qlscan.scan_stat import _exact_window_estimates, _scan_generic
 from conftest import THETA0, make_series
 
 
@@ -276,9 +279,19 @@ class TestMissingPolicy:
 
     def _patched_scan(self, monkeypatch, arch_spec, series, window, fail_fraction):
         real = scan_stat_module._estimate_with_retry
+        real_batch = scan_stat_module.estimate_windows
         ks = window.indices
         n_fail = int(np.ceil(fail_fraction * ks.size))
         bad_ks = set(int(k) for k in ks[:n_fail])
+
+        def flaky_batch(spec, data, starts, ends, init, opts):
+            # The targeted prefixes leave the batch unconverged, so they
+            # reach the scalar retry below.
+            theta, converged = real_batch(spec, data, starts, ends, init, opts)
+            for r, (start, end) in enumerate(zip(starts, ends)):
+                if start == 1 and int(end) in bad_ks:
+                    converged[r] = False
+            return theta, converged
 
         def flaky(spec, segment, init, opts):
             res = real(spec, segment, init, opts)
@@ -294,6 +307,7 @@ class TestMissingPolicy:
                 )
             return res
 
+        monkeypatch.setattr(scan_stat_module, "estimate_windows", flaky_batch)
         monkeypatch.setattr(scan_stat_module, "_estimate_with_retry", flaky)
         return scan(arch_spec, series, window=window, window_estimator="exact")
 
@@ -310,6 +324,109 @@ class TestMissingPolicy:
         window = ScanWindow(n=150, v_n=40)
         with pytest.raises(ScanError):
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
+
+
+def _scalar_window_fits(spec, data, ks, theta_full, opts):
+    """Per-window scalar fits, prefixes then suffixes, as the scan once ran them."""
+    fits = {"l": [], "r": []}
+    for k in ks:
+        for side, segment in (("l", SeriesSegment.prefix(data, int(k))),
+                              ("r", SeriesSegment.suffix(data, int(k)))):
+            fits[side].append(scan_stat_module._estimate_with_retry(
+                spec, segment, theta_full, opts))
+    return tuple(
+        np.array([getattr(res, attr) for res in fits[side]])
+        for side in ("l", "r") for attr in ("theta_hat", "converged")
+    )
+
+
+class TestWindowBatch:
+    """Batched exact window fits against one scalar optimizer call per window."""
+
+    @pytest.mark.parametrize("name, n, v_n, theta0, seed", [
+        ("arch", 300, None, THETA0["arch"], (420, 0)),
+        ("arch", 500, None, THETA0["arch"], (421, 0)),
+        ("garch", 300, 130, THETA0["garch"], (422, 0)),
+        # No ARCH effect: most window optima sit on the alpha_1 = 0 bound.
+        ("arch", 400, None, (1.0, 0.0), (423, 0)),
+    ])
+    def test_batch_matches_scalar_fits(self, all_specs, name, n, v_n, theta0, seed):
+        spec = all_specs[name]
+        series = make_series(spec, n, theta0, seed=seed)
+        window = ScanWindow(n=n, v_n=v_n) if v_n else default_window(spec, n)
+        ks = window.indices
+        theta_full = estimate(spec, series).theta_hat
+        starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
+        ends = np.concatenate((ks, np.full(ks.size, n)))
+        _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
+        assert batch_ok.all()  # so the comparison below tests the batch itself
+        got = _exact_window_estimates(spec, series.data, ks, theta_full, None)
+        want = _scalar_window_fits(spec, series.data, ks, theta_full, None)
+        for side in (0, 2):
+            assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
+            np.testing.assert_array_equal(got[side + 1], want[side + 1])
+        if theta0[1] == 0.0:
+            on_bound = np.count_nonzero(got[0][:, 1] == 0.0) + np.count_nonzero(
+                got[2][:, 1] == 0.0)
+            assert on_bound > ks.size
+
+    def test_stalled_window_is_handed_back_unconverged(self, garch_spec, garch_series):
+        # Near its optimum this window finds no step that passes the Armijo
+        # test, so its batch climb stops short of the stopping rule; the
+        # batch must return it unconverged (it used to crash evaluating an
+        # empty set of rows), and the scalar fit then converges.
+        theta_full = estimate(garch_spec, garch_series).theta_hat
+        theta, ok = estimate_windows(garch_spec, garch_series.data, np.array([1]),
+                                     np.array([329]), theta_full)
+        assert not ok[0]
+        res = estimate(garch_spec, SeriesSegment.prefix(garch_series.data, 329),
+                       init=theta_full)
+        assert res.converged
+        assert_allclose(theta[0], res.theta_hat, rtol=0.0, atol=1e-6)
+
+    # max_iter=1 leaves every batch row unconverged; max_iter=4 about 1 in 8.
+    @pytest.mark.parametrize("max_iter", [1, 4])
+    def test_unconverged_rows_fall_back_to_scalar_fits(self, monkeypatch, arch_spec,
+                                                       max_iter):
+        opts = OptimOptions(max_iter=max_iter)
+        series = make_series(arch_spec, 150, THETA0["arch"], seed=(425, 0))
+        window = ScanWindow(n=150, v_n=40)
+        ks = window.indices
+        theta_full = estimate(arch_spec, series).theta_hat
+        calls = []
+        real = scan_stat_module._estimate_with_retry
+
+        def counting(spec, segment, init, opts):
+            calls.append(segment)
+            return real(spec, segment, init, opts)
+
+        monkeypatch.setattr(scan_stat_module, "_estimate_with_retry", counting)
+        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full, opts)
+        assert 0 < len(calls) <= 2 * ks.size
+        want = _scalar_window_fits(arch_spec, series.data, ks, theta_full, opts)
+        for side in (0, 2):
+            assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
+            np.testing.assert_array_equal(got[side + 1], want[side + 1])
+
+        # The whole scan under the same options, with and without the batch.
+        def run():
+            try:
+                res = scan(arch_spec, series, window=window, opts=opts)
+            except ScanError as exc:
+                return str(exc)
+            return res.q1, res.q2
+
+        batched = run()
+        monkeypatch.setattr(
+            scan_stat_module, "estimate_windows",
+            lambda spec, data, starts, ends, init, opts: (
+                np.zeros((starts.size, spec.d)), np.zeros(starts.size, dtype=bool)),
+        )
+        scalar = run()
+        if isinstance(scalar, str):
+            assert batched == scalar
+        else:
+            assert_allclose(batched, scalar, rtol=1e-6, atol=1e-9)
 
 
 class TestNumericBreakdown:

@@ -134,19 +134,24 @@ def _project_box_l1(
     hi: NDArray[np.float64],
     c: float,
 ) -> NDArray[np.float64]:
-    """Project onto {lo <= y <= hi, sum|y| <= c} when every box spans zero.
+    """Project onto {lo <= y <= hi, sum|y| <= c} exactly.
 
-    The projection never flips a sign, so it reduces to the half-space
-    case on magnitudes: |y_i| = clip(|x_i| - mu, 0, cap_i) with cap_i the
-    box edge on x_i's side.
+    Each y_i keeps one sign s_i: the box's sign when it excludes zero,
+    else x_i's (flipping a sign never brings y closer).  In magnitudes
+    the problem is then the half-space case: |y_i| = clip(s_i x_i - mu,
+    a_i, b_i), with [a_i, b_i] the box seen on s_i's side (0 to the box
+    edge when the box spans zero) and mu > 0 fixed by sum == c.
     """
     y = np.clip(x, lo, hi)
     if float(np.sum(np.abs(y))) <= c:
         return y
-    caps = np.where(x >= 0.0, hi, -lo)
-    mags = np.abs(x)
-    mu = _clipped_sum_root(mags, np.zeros_like(mags), caps, c)
-    return np.where(x >= 0.0, 1.0, -1.0) * np.clip(mags - mu, 0.0, caps)
+    s = np.where(hi <= 0.0, -1.0, 1.0)
+    spans = (lo < 0.0) & (hi > 0.0)
+    s[spans] = np.where(x[spans] >= 0.0, 1.0, -1.0)
+    a = np.where(s > 0.0, np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
+    b = np.where(s > 0.0, hi, -lo)
+    mu = _clipped_sum_root(s * x, a, b, c)
+    return s * np.clip(s * x - mu, a, b)
 
 
 def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
@@ -154,10 +159,9 @@ def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
 
     The feasible set is a box intersected with one stationarity
     constraint (l1 ball for AR, half-space on the summed coordinates for
-    ARCH/GARCH), so the projection has an exact single-multiplier form;
-    no iterative scheme is needed.  AR(1) short-circuits to a clamp.
-    Custom AR domains whose boxes exclude zero fall back to Dykstra's
-    alternating projections.
+    ARCH/GARCH), so the projection has an exact single-multiplier form
+    for every box, sign-restricted AR boxes included; no iterative
+    scheme is needed.  AR(1) short-circuits to a clamp.
     """
     y = spec.check_theta(theta)
     lo, hi = spec.domain.as_arrays()
@@ -166,47 +170,13 @@ def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
     if spec.family is ModelFamily.AR and spec.p == 1:
         return np.clip(y, max(lo[0], -c), min(hi[0], c))
 
-    if spec.family is not ModelFamily.AR:
-        x = _project_box_halfspace(y, lo, hi, c)
-    elif np.all(lo < 0.0) and np.all(hi > 0.0):
+    if spec.family is ModelFamily.AR:
         x = _project_box_l1(y, lo, hi, c)
     else:
-        x = _dykstra_box_l1(y, lo, hi, c)
+        x = _project_box_halfspace(y, lo, hi, c)
     if not in_domain(spec, x):
         raise DomainError("projection failed; the feasible set may be empty")
     return x
-
-
-def _dykstra_box_l1(
-    y: NDArray[np.float64],
-    lo: NDArray[np.float64],
-    hi: NDArray[np.float64],
-    c: float,
-) -> NDArray[np.float64]:
-    """Alternating-projection fallback for sign-restricted AR boxes."""
-
-    def proj_l1(v: NDArray[np.float64]) -> NDArray[np.float64]:
-        if np.sum(np.abs(v)) <= c:
-            return v.copy()
-        mags = np.sort(np.abs(v))[::-1]
-        csum = np.cumsum(mags)
-        idx = np.arange(1, v.size + 1)
-        rho = np.max(idx[mags - (csum - c) / idx > 0])
-        lam = (csum[rho - 1] - c) / rho
-        return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
-
-    x = y.copy()
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    for _ in range(200):
-        x_prev = x
-        xb = np.clip(x + p_corr, lo, hi)
-        p_corr = x + p_corr - xb
-        x = proj_l1(xb + q_corr)
-        q_corr = xb + q_corr - x
-        if np.max(np.abs(x - x_prev)) < 1e-14:
-            break
-    return np.clip(x, lo, hi)
 
 
 def _radical_inverse(i: int, base: int) -> float:

@@ -44,20 +44,23 @@ missing k are excluded from the maxima, and a scan with more than 10%
 of Pi_n missing raises ScanError rather than returning a maximum over
 too thin a grid.
 
-For AR models the quasi-likelihood is exactly quadratic, so sub-sample
-estimates are constrained least squares and every k can be processed
-from cumulative sufficient statistics.  The exact scan exploits that
-(orders p <= 4) and falls back to a cold multi-start optimizer for the
-k whose least-squares system is ill-conditioned or whose solution
-leaves the domain; both paths land on the same optima, which a test
-pins down.  ARCH scans take the generic exact path: every prefix T_k
-and every complement is climbed from th_full, so no window depends on
-its neighbours, then the per-k algebra above.  All windows are climbed
-together in one batched projected-Newton pass over a stack of parameter
-rows (``qmle.estimate_windows``), which takes the same steps as one
-warm ``estimate`` call per window; a window the batch leaves
+Every scan runs one pipeline: the full-sample fit, one derivative pass
+at th_full and its cumulative sums, the side deltas, then the
+quadratic forms.  Only the side deltas depend on the window estimator.
+In exact mode every prefix T_k and every complement is climbed from
+th_full, so no window depends on its neighbours.  All windows are
+climbed together in one batched projected-Newton pass over a stack of
+parameter rows (``qmle.estimate_windows``), which takes the same steps
+as one warm ``estimate`` call per window; a window the batch leaves
 unconverged is refitted by the scalar optimizer, with a cold
-multi-start retry if that climb fails as well.
+multi-start retry if that climb fails as well.  For AR models the
+quasi-likelihood is exactly quadratic, so window estimates are
+constrained least squares, solved in closed form for every k at once
+from cumulative sums of lags lags' and X_t lags, at any order.  Only
+the windows whose least-squares system is ill-conditioned or whose
+solution leaves the domain go through the batch; the quasi-likelihood
+is concave, so that warm climb reaches the same optimum as a cold one,
+and a test checks the closed form against per-window optimizer fits.
 
 GARCH windows use a different sub-sample estimator by default.  A
 window of a few hundred observations cannot pin down three GARCH
@@ -115,7 +118,6 @@ from .models import (
     SeriesSegment,
     ShapeError,
     default_window,
-    in_domain,
     in_domain_rows,
 )
 from .qmle import EstimateResult, OptimOptions, estimate, estimate_windows
@@ -129,11 +131,12 @@ __all__ = ["InfoMatrices", "ScanResult", "decide", "info_matrices", "scan", "sig
 
 COND_MAX = 1e12
 
-# Largest AR order handled by the cumulative-statistics fast path; the
-# fourth-moment prefix tensor is O(p^4 n) memory.
-_AR_FAST_MAX_ORDER = 4
-
 _MISSING_FRACTION = 0.10
+
+
+def _invertible(cond: NDArray[np.float64] | float) -> NDArray[np.bool_] | bool:
+    """The invertibility test: a finite condition number of at most COND_MAX."""
+    return np.isfinite(cond) & (cond <= COND_MAX)
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def info_matrices(
         g_hat=g,
         f_hat=f,
         cond_g=cond,
-        g_invertible=bool(np.isfinite(cond) and cond <= COND_MAX),
+        g_invertible=bool(_invertible(cond)),
     )
 
 
@@ -332,7 +335,7 @@ def _estimate_with_retry(
     return res
 
 
-def _scan_generic(
+def _scan_pipeline(
     spec: ModelSpec,
     series: SeriesSegment,
     window: ScanWindow,
@@ -416,21 +419,69 @@ def _exact_window_estimates(
     window's result independent of scan order.
 
     Since no window depends on another, all of them are climbed in one
-    batched projected-Newton pass (``estimate_windows``).  A window the
-    batch leaves unconverged is refitted by the scalar optimizer,
-    warm and then, if that fails too, cold (``_estimate_with_retry``).
+    batched projected-Newton pass (``estimate_windows``).  AR windows
+    first take the closed form (``_ar_window_least_squares``), and only
+    the rows it cannot settle enter the batch; the AR quasi-likelihood
+    is concave, so a warm climb reaches the same optimum as a cold one.
+    A window the batch leaves unconverged is refitted by the scalar
+    optimizer, warm and then, if that fails too, cold
+    (``_estimate_with_retry``).
     """
     nk = ks.size
     n = data.shape[0]
     starts = np.concatenate((np.ones(nk, dtype=np.int64), ks + 1))
     ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
-    theta, ok = estimate_windows(spec, data, starts, ends, theta_full, opts)
+    if spec.family is ModelFamily.AR:
+        theta, ok = _ar_window_least_squares(spec, data, ks)
+        rows = np.flatnonzero(~ok)
+        if rows.size:
+            theta[rows], ok[rows] = estimate_windows(
+                spec, data, starts[rows], ends[rows], theta_full, opts
+            )
+    else:
+        theta, ok = estimate_windows(spec, data, starts, ends, theta_full, opts)
     for r in np.flatnonzero(~ok):
         segment = SeriesSegment(data, int(starts[r]), int(ends[r]))
         res = _estimate_with_retry(spec, segment, theta_full, opts)
         theta[r] = res.theta_hat
         ok[r] = res.converged
     return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
+
+
+def _ar_window_least_squares(
+    spec: ModelSpec, data: NDArray[np.float64], ks: NDArray[np.int64]
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Closed-form AR estimates for every prefix T_k, then every suffix.
+
+    The AR quasi-likelihood is -1/2 times a residual sum of squares, so
+    a window's interior optimum solves the normal equations A theta = b
+    with A and b the window's sums of lags lags' and X_t lags.  Those
+    are differences of cumulative sums, since the truncated lags do not
+    depend on the window.  Returns (theta (2 |ks|, p), settled mask).
+    For p = 1 the constrained optimum is the vertex clamped into the
+    interval; for p > 1 a solution outside the domain is not the
+    constrained optimum, so that row, like any whose system fails the
+    condition test, comes back unsettled for the optimizer.
+    """
+    n = data.shape[0]
+    p = spec.p
+    padded = np.concatenate((np.zeros(p), data))
+    lags = np.stack([padded[p - j : p - j + n] for j in range(1, p + 1)], axis=1)
+    a = np.cumsum(np.einsum("ti,tj->tij", lags, lags), axis=0)
+    b = np.cumsum(data[:, None] * lags, axis=0)
+    idx = ks - 1
+    a_w = np.concatenate((a[idx], a[-1] - a[idx]))
+    b_w = np.concatenate((b[idx], b[-1] - b[idx]))
+    theta = np.zeros((a_w.shape[0], p))
+    with np.errstate(all="ignore"):
+        ok = _invertible(np.linalg.cond(a_w))
+    if np.any(ok):
+        theta[ok] = np.linalg.solve(a_w[ok], b_w[ok][..., None])[..., 0]
+    if p == 1:
+        lo, hi = spec.domain.as_arrays()
+        c = 1.0 - spec.domain.margin
+        return np.clip(theta, max(lo[0], -c), min(hi[0], c)), ok
+    return theta, ok & in_domain_rows(spec, theta)
 
 
 def _one_step_deltas(
@@ -447,7 +498,7 @@ def _one_step_deltas(
     (module docstring).
     """
     cond = np.linalg.cond(f_full)
-    if not (np.isfinite(cond) and cond <= COND_MAX):
+    if not _invertible(cond):
         raise ScanError(
             f"full-sample mean hessian is numerically singular (cond={cond:.3g})"
         )
@@ -461,138 +512,17 @@ def _one_step_deltas(
     return dl, ok_l, dr, ok_r
 
 
-def _ar_prefix_stats(data: NDArray[np.float64], p: int):
-    """Cumulative sufficient statistics for every prefix of the sample.
-
-    Index [t-1] of each output covers observations 1..t.  Suffix values
-    follow by subtracting from the final entry, since the truncated AR
-    residuals do not depend on the window split.
-    """
-    n = data.shape[0]
-    padded = np.concatenate((np.zeros(p), data))
-    lags = np.stack([padded[p - j : p - j + n] for j in range(1, p + 1)], axis=1)
-    x = data
-    outer = np.einsum("ti,tj->tij", lags, lags)
-    a = np.cumsum(outer, axis=0)
-    b = np.cumsum(x[:, None] * lags, axis=0)
-    m2 = np.cumsum(x[:, None, None] ** 2 * outer, axis=0)
-    m3 = np.cumsum(x[:, None, None, None] * np.einsum("ti,tj,tl->tijl", lags, lags, lags), axis=0)
-    m4 = np.cumsum(np.einsum("tij,tab->tijab", outer, np.einsum("ta,tb->tab", lags, lags)), axis=0)
-    return a, b, m2, m3, m4
-
-
-def _ar_g_hat(
-    a: NDArray[np.float64],
-    m2: NDArray[np.float64],
-    m3: NDArray[np.float64],
-    m4: NDArray[np.float64],
-    theta: NDArray[np.float64],
-    card: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Batched G for AR: (4/card) * sum (X_t - phi'lags)^2 lags lags'."""
-    term2 = np.einsum("kijl,kl->kij", m3, theta)
-    term3 = np.einsum("kijab,ka,kb->kij", m4, theta, theta)
-    g = 4.0 * (m2 - 2.0 * term2 + term3) / card[:, None, None]
-    return (g + np.swapaxes(g, 1, 2)) / 2.0
-
-
 def _batched_fgf(
     f: NDArray[np.float64], g: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """F G^(-1) F and an invertibility mask for stacked matrices."""
-    cond = np.linalg.cond(g)
-    ok = np.isfinite(cond) & (cond <= COND_MAX)
+    ok = _invertible(np.linalg.cond(g))
     out = np.zeros_like(f)
     if np.any(ok):
         sol = np.linalg.solve(g[ok], f[ok])
         prod = f[ok] @ sol
         out[ok] = (prod + np.swapaxes(prod, 1, 2)) / 2.0
     return out, ok
-
-
-def _scan_ar_fast(
-    spec: ModelSpec,
-    series: SeriesSegment,
-    window: ScanWindow,
-    alpha: float,
-    table: CriticalTable,
-    opts: OptimOptions | None,
-) -> ScanResult:
-    ks = window.indices
-    n = series.n
-    data = series.data
-    p = spec.p
-    lo, hi = spec.domain.as_arrays()
-    c = 1.0 - spec.domain.margin
-
-    a, b, m2, m3, m4 = _ar_prefix_stats(data, p)
-    idx = ks - 1
-
-    def solve_block(a_blk, b_blk, segments):
-        """Constrained least squares per row, optimizer fallback when needed."""
-        nk = a_blk.shape[0]
-        theta = np.zeros((nk, p))
-        ok = np.ones(nk, dtype=bool)
-        with np.errstate(all="ignore"):
-            cond = np.linalg.cond(a_blk)
-        good = np.isfinite(cond) & (cond <= COND_MAX)
-        if np.any(good):
-            theta[good] = np.linalg.solve(a_blk[good], b_blk[good][..., None])[..., 0]
-        if p == 1:
-            # Concave parabola: the constrained optimum is the clamped vertex.
-            lo1, hi1 = max(lo[0], -c), min(hi[0], c)
-            theta[good] = np.clip(theta[good], lo1, hi1)
-            fallback = ~good
-        else:
-            fallback = ~(good & in_domain_rows(spec, theta))
-        for r in np.flatnonzero(fallback):
-            res = estimate(spec, segments(r), opts=opts)
-            theta[r] = res.theta_hat
-            ok[r] = res.converged
-        return theta, ok
-
-    a_l, b_l = a[idx], b[idx]
-    a_r, b_r = a[-1] - a[idx], b[-1] - b[idx]
-    theta_l, ok_l = solve_block(
-        a_l, b_l, lambda r: SeriesSegment.prefix(data, int(ks[r]))
-    )
-    theta_r, ok_r = solve_block(
-        a_r, b_r, lambda r: SeriesSegment.suffix(data, int(ks[r]))
-    )
-
-    cond_full = float(np.linalg.cond(a[-1]))
-    if np.isfinite(cond_full) and cond_full <= COND_MAX:
-        theta_full = np.linalg.solve(a[-1], b[-1])
-        if p == 1:
-            theta_full = np.clip(theta_full, max(lo[0], -c), min(hi[0], c))
-        elif not in_domain(spec, theta_full):
-            theta_full = estimate(spec, series, opts=opts).theta_hat
-    else:
-        theta_full = estimate(spec, series, opts=opts).theta_hat
-
-    card_l = ks.astype(float)
-    card_r = (n - ks).astype(float)
-    f_l = 2.0 * a_l / card_l[:, None, None]
-    f_r = 2.0 * a_r / card_r[:, None, None]
-    # Residuals inside G use the full-sample fit on both sides, matching
-    # the generic path's evaluation point (module docstring).
-    th_eval = np.broadcast_to(theta_full, theta_l.shape)
-    g_l = _ar_g_hat(a_l, m2[idx], m3[idx], m4[idx], th_eval, card_l)
-    g_r = _ar_g_hat(
-        a_r, m2[-1] - m2[idx], m3[-1] - m3[idx], m4[-1] - m4[idx], th_eval, card_r
-    )
-    fgf_l, _ = _batched_fgf(f_l, g_l)
-    fgf_r, _ = _batched_fgf(f_r, g_r)
-    sigma = (card_l / n)[:, None, None] * fgf_l + (card_r / n)[:, None, None] * fgf_r
-
-    dl = theta_l - theta_full
-    dr = theta_r - theta_full
-    q1 = (card_l**2 / n) * np.einsum("ki,kij,kj->k", dl, sigma, dl)
-    q2 = (card_r**2 / n) * np.einsum("ki,kij,kj->k", dr, sigma, dr)
-    bad = ~(ok_l & ok_r)
-    q1[bad] = np.nan
-    q2[bad] = np.nan
-    return _finalize(spec, window, ks, q1, q2, theta_full, alpha, table)
 
 
 def scan(
@@ -650,13 +580,7 @@ def scan(
     # Fail early if the table cannot cover the decision.
     table.lookup(spec.d, alpha)
     try:
-        if (
-            window_estimator == "exact"
-            and spec.family is ModelFamily.AR
-            and spec.p <= _AR_FAST_MAX_ORDER
-        ):
-            return _scan_ar_fast(spec, series, window, alpha, table, opts)
-        return _scan_generic(
+        return _scan_pipeline(
             spec, series, window, alpha, table, opts, window_estimator
         )
     except (np.linalg.LinAlgError, DomainError) as exc:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from qlscan import (
     ModelFamily,
     ModelSpec,
     OptimOptions,
+    ParamDomain,
     SeriesSegment,
     SizingError,
     estimate,
@@ -173,3 +177,64 @@ class TestProjection:
             )
             assert in_domain(spec, cand)
             assert np.linalg.norm(raw_arr - cand) >= dist - 1e-9
+
+
+def _ar_box_spec(lower, upper):
+    return ModelSpec(
+        family=ModelFamily.AR, p=len(lower),
+        domain=ParamDomain(lower=tuple(lower), upper=tuple(upper)),
+    )
+
+
+def _reference_projection(spec, x):
+    """Nearest feasible point by a general-purpose solver.
+
+    The l1 ball is the polytope {s'y <= c for every sign vector s}, so the
+    projection is a smooth quadratic programme over the box.
+    """
+    lo, hi = spec.domain.as_arrays()
+    c = 1.0 - spec.domain.margin
+    signs = np.array(list(product((-1.0, 1.0), repeat=spec.d)))
+    res = minimize(
+        lambda y: 0.5 * float((y - x) @ (y - x)), np.clip(x, lo, hi),
+        jac=lambda y: y - x, method="SLSQP", bounds=list(zip(lo, hi)),
+        constraints=[{"type": "ineq", "fun": lambda y: c - signs @ y,
+                      "jac": lambda y: -signs}],
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    return res.x
+
+
+class TestSignRestrictedProjection:
+    """AR boxes that exclude zero in some coordinate."""
+
+    def test_known_projections(self):
+        spec = _ar_box_spec((0.0, -0.5), (0.9, -0.05))
+        assert_allclose(project_to_domain(spec, [1.129, -1.324]), [0.48, -0.5],
+                        atol=1e-12)
+        spec = _ar_box_spec((0.1, 0.1), (0.9, 0.9))
+        assert_allclose(project_to_domain(spec, [2.0, -1.0]), [0.88, 0.1],
+                        atol=1e-12)
+
+    @given(
+        st.integers(2, 3).flatmap(lambda d: st.tuples(
+            st.lists(st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)),
+                     min_size=d, max_size=d),
+            st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+        ))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_projection_is_nearest_feasible(self, case):
+        bounds, raw = case
+        lower = [min(u, v) for u, v in bounds]
+        upper = [max(u, v) for u, v in bounds]
+        assume(all(hi - lo >= 1e-3 for lo, hi in zip(lower, upper)))
+        # Smallest |y_i| the box allows; their sum must fit in the l1 ball.
+        floor = sum(max(lo, -hi, 0.0) for lo, hi in zip(lower, upper))
+        assume(floor <= 0.98 - 1e-3)
+        spec = _ar_box_spec(lower, upper)
+        x = np.asarray(raw)
+        proj = project_to_domain(spec, x)
+        assert in_domain(spec, proj)
+        ref = _reference_projection(spec, x)
+        assert np.linalg.norm(proj - x) <= np.linalg.norm(ref - x) + 1e-9

@@ -38,8 +38,13 @@ from qlscan import (
 )
 from qlscan import scan_stat as scan_stat_module
 from qlscan.qmle import estimate_windows
-from qlscan.scan_stat import _exact_window_estimates, _scan_generic
+from qlscan.scan_stat import _ar_window_least_squares, _exact_window_estimates
 from conftest import THETA0, make_series
+
+AR_SPECS = {
+    "ar2": ModelSpec(family=ModelFamily.AR, p=2),
+    "ar3": ModelSpec(family=ModelFamily.AR, p=3),
+}
 
 
 def one_step_scan_replica(spec, series, window):
@@ -96,38 +101,31 @@ class TestOneStepReplica:
 
 
 class TestExactModeAlgebra:
-    def test_single_k_hand_assembly(self, arch_spec):
+    # AR(3) windows take the closed form, checked here against the
+    # optimizer's window fits.
+    @pytest.mark.parametrize("name, theta0", [
+        ("arch", THETA0["arch"]), ("ar3", (0.3, 0.2, 0.1)),
+    ], ids=["arch", "ar3"])
+    def test_single_k_hand_assembly(self, all_specs, name, theta0):
         # Assemble q1[k], q2[k] at one split from public pieces only.
-        series = make_series(arch_spec, 300, THETA0["arch"], seed=(401, 0))
+        spec = {**all_specs, **AR_SPECS}[name]
+        series = make_series(spec, 300, theta0, seed=(401, 0))
         window = ScanWindow(n=300, v_n=60)
-        res = scan(arch_spec, series, window=window, window_estimator="exact")
+        res = scan(spec, series, window=window, window_estimator="exact")
         k = 150
         i = int(np.flatnonzero(window.indices == k)[0])
-        full = estimate(arch_spec, series)
-        left = estimate(arch_spec, SeriesSegment.prefix(series.data, k),
+        full = estimate(spec, series)
+        left = estimate(spec, SeriesSegment.prefix(series.data, k),
                         init=full.theta_hat)
-        right = estimate(arch_spec, SeriesSegment.suffix(series.data, k),
+        right = estimate(spec, SeriesSegment.suffix(series.data, k),
                          init=full.theta_hat)
-        sigma = sigma_hat(arch_spec, series, k, left, right,
+        sigma = sigma_hat(spec, series, k, left, right,
                           theta_eval=full.theta_hat)
         dl = left.theta_hat - full.theta_hat
         dr = right.theta_hat - full.theta_hat
         n = series.n
         assert_allclose(res.q1[i], (k**2 / n) * dl @ sigma @ dl, rtol=1e-6)
         assert_allclose(res.q2[i], ((n - k) ** 2 / n) * dr @ sigma @ dr, rtol=1e-6)
-
-    def test_ar_fast_path_equals_generic(self, ar1_spec):
-        series = make_series(ar1_spec, 200, THETA0["ar"], seed=(402, 0))
-        window = ScanWindow(n=200, v_n=28)
-        table = CriticalTable.builtin()
-        fast = scan(ar1_spec, series, window=window, window_estimator="exact")
-        generic = _scan_generic(
-            ar1_spec, SeriesSegment.full(series.data), window, 0.05, table,
-            None, "exact",
-        )
-        assert_allclose(fast.q1, generic.q1, rtol=1e-6, atol=1e-9)
-        assert_allclose(fast.q2, generic.q2, rtol=1e-6, atol=1e-9)
-        assert fast.argmax_k == generic.argmax_k
 
     def test_warm_equals_cold_brute_force(self, arch_spec):
         # The scan warm-starts each window at the full-sample fit; a
@@ -349,9 +347,16 @@ class TestWindowBatch:
         ("garch", 300, 130, THETA0["garch"], (422, 0)),
         # No ARCH effect: most window optima sit on the alpha_1 = 0 bound.
         ("arch", 400, None, (1.0, 0.0), (423, 0)),
+        # AR windows take the closed form.  Near the unit root some AR(1)
+        # vertices lie past the bound and are clamped; near the AR(2)
+        # stationarity face many solutions leave the domain and fall back
+        # to the batch.
+        ("ar3", 300, None, (0.3, 0.2, 0.1), (426, 0)),
+        ("ar2", 400, None, (0.9, 0.05), (424, 0)),
+        ("ar", 300, None, (0.95,), (428, 0)),
     ])
     def test_batch_matches_scalar_fits(self, all_specs, name, n, v_n, theta0, seed):
-        spec = all_specs[name]
+        spec = {**all_specs, **AR_SPECS}[name]
         series = make_series(spec, n, theta0, seed=seed)
         window = ScanWindow(n=n, v_n=v_n) if v_n else default_window(spec, n)
         ks = window.indices
@@ -365,7 +370,12 @@ class TestWindowBatch:
         for side in (0, 2):
             assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
             np.testing.assert_array_equal(got[side + 1], want[side + 1])
-        if theta0[1] == 0.0:
+        if name == "ar2":
+            _, settled = _ar_window_least_squares(spec, series.data, ks)
+            assert not settled.all()
+        if name == "ar":
+            assert np.any(got[0] >= 0.98 - 1e-12) or np.any(got[2] >= 0.98 - 1e-12)
+        if name == "arch" and theta0[1] == 0.0:
             on_bound = np.count_nonzero(got[0][:, 1] == 0.0) + np.count_nonzero(
                 got[2][:, 1] == 0.0)
             assert on_bound > ks.size

@@ -16,6 +16,7 @@ table file for every command that takes ``--table``.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -27,31 +28,18 @@ from .experiments import ExperimentConfig, ExperimentError, run_experiment
 from .models import (
     CalibrationRequiredError,
     DomainError,
-    ModelSpec,
     ScanError,
-    ScanWindow,
     SeriesParseError,
     SeriesSegment,
     ShapeError,
     SizingError,
-    ar_spec,
-    arch_spec,
-    default_window,
-    garch_spec,
+    make_spec,
+    scan_window,
 )
 from .scan_stat import scan
 from .simulate import SimPlan, generate
 
 _FAMILIES = ("ar", "arch", "garch")
-
-
-def make_spec(model: str, order: int) -> ModelSpec:
-    """Build the ModelSpec for a CLI model name."""
-    if model == "ar":
-        return ar_spec(order)
-    if order != 1:
-        raise ShapeError(f"--order applies to AR only (got --model {model})")
-    return arch_spec() if model == "arch" else garch_spec()
 
 
 def read_series(path: str | Path) -> SeriesSegment:
@@ -87,12 +75,6 @@ def _load_table(table_path: str | None) -> CriticalTable:
     if table_path is None:
         return CriticalTable.builtin()
     return CriticalTable.load(table_path)
-
-
-def _window(spec: ModelSpec, n: int, vn: int | None) -> ScanWindow:
-    if vn is None:
-        return default_window(spec, n)
-    return ScanWindow(n=n, v_n=vn)
 
 
 _model_opt = click.option(
@@ -133,7 +115,7 @@ def cmd_test(series_file: str, model: str, order: int, alpha: float,
     """
     spec = make_spec(model, order)
     series = read_series(series_file)
-    res = scan(spec, series, window=_window(spec, series.n, vn), alpha=alpha,
+    res = scan(spec, series, window=scan_window(spec, series.n, vn), alpha=alpha,
                table=_load_table(table_path))
     click.echo(f"n         {series.n}")
     click.echo(f"d         {spec.d}")
@@ -161,7 +143,7 @@ def cmd_scan_curve(series_file: str, model: str, order: int, alpha: float,
     """Write the per-k scan statistics of SERIES_FILE to a file."""
     spec = make_spec(model, order)
     series = read_series(series_file)
-    res = scan(spec, series, window=_window(spec, series.n, vn), alpha=alpha,
+    res = scan(spec, series, window=scan_window(spec, series.n, vn), alpha=alpha,
                table=_load_table(table_path))
     res.save(out)
     click.echo(f"wrote {res.ks.size} rows to {out}")
@@ -256,10 +238,7 @@ def cmd_experiment(config_path: str | None, model: str | None, order: int,
     if config_path is not None:
         config = ExperimentConfig.from_file(config_path)
         if table_path is not None:
-            config = ExperimentConfig(
-                plan=config.plan, replications=config.replications,
-                alpha=config.alpha, v_n=config.v_n,
-                base_seed=config.base_seed, table=_load_table(table_path))
+            config = replace(config, table=_load_table(table_path))
     else:
         missing = [name for name, val in
                    (("--model", model), ("--n", n), ("--theta", theta),

@@ -24,16 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .critical_values import CriticalTable
-from .models import (
-    ModelFamily,
-    ModelSpec,
-    ScanError,
-    ScanWindow,
-    ar_spec,
-    arch_spec,
-    default_window,
-    garch_spec,
-)
+from .models import ModelFamily, ModelSpec, ScanError, make_spec, scan_window
 from .scan_stat import scan
 from .simulate import DEFAULT_BURN_IN, SimPlan, generate
 
@@ -78,7 +69,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> ExperimentConfig:
         """Parse a plain-text key=value experiment description.
 
-        Recognised keys: ``model`` (ar|arch|garch), ``order`` (AR only),
+        Recognised keys: ``model`` (ar|arch|garch), ``order`` (AR only:
+        ARCH/GARCH raise ``ShapeError`` unless it is 1),
         ``n``, ``theta0``, ``theta1``, ``break`` (comma-separated values
         for the thetas), ``reps``, ``alpha``, ``vn``, ``base_seed``,
         ``burn_in``.  Lines starting with ``#`` and blank lines are
@@ -105,15 +97,7 @@ class ExperimentConfig:
         for required in ("model", "n", "theta0", "reps"):
             if required not in kv:
                 raise ValueError(f"{path}: missing required key {required!r}")
-        family = kv["model"].lower()
-        if family == "ar":
-            spec = ar_spec(int(kv.get("order", "1")))
-        elif family == "arch":
-            spec = arch_spec()
-        elif family == "garch":
-            spec = garch_spec()
-        else:
-            raise ValueError(f"{path}: unknown model {kv['model']!r}")
+        spec = make_spec(kv["model"].lower(), int(kv.get("order", "1")))
         theta0 = tuple(float(v) for v in kv["theta0"].split(","))
         theta1 = (
             tuple(float(v) for v in kv["theta1"].split(","))
@@ -179,7 +163,7 @@ class ExperimentReport:
                 f"theta1        {', '.join(f'{v:g}' for v in plan.theta1)}"
                 f" (break after k={plan.break_index})"
             )
-        window = _window_for(cfg)
+        window = scan_window(spec, plan.n, cfg.v_n)
         lines += [
             f"alpha         {cfg.alpha:g}",
             f"v_n           {window.v_n}",
@@ -214,13 +198,6 @@ def _spec_label(spec: ModelSpec) -> str:
     return "ARCH(1)" if spec.family is ModelFamily.ARCH else "GARCH(1,1)"
 
 
-def _window_for(config: ExperimentConfig) -> ScanWindow:
-    n = config.plan.n
-    if config.v_n is None:
-        return default_window(config.plan.spec, n)
-    return ScanWindow(n=n, v_n=config.v_n)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run all replications and aggregate the rejection rate.
 
@@ -234,7 +211,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     table = config.table or CriticalTable.builtin()
     spec = config.plan.spec
     c_alpha = table.lookup(spec.d, config.alpha)
-    window = _window_for(config)
+    window = scan_window(spec, config.plan.n, config.v_n)
     t0 = time.perf_counter()
     records: list[RepRecord] = []
     n_reject = 0

@@ -47,6 +47,12 @@ b_t = (2 X_t^2 / h_t - 1) / h_t^2,
     dq_t/dtheta_i      = a_t * dh_i
     d2q_t/dtheta_i d_j = b_t * dh_i * dh_j + a_t * d2h_ij.
 
+AR takes the same form with f_t in place of h_t: a_t = -2 (X_t - f_t),
+b_t = 2 and d2f = 0.  One kernel (``_terms``) computes these terms for
+each family once, on t = 1..end for a stack of parameter rows.  No term
+depends on the window, so ``loglik``, ``qhat_t`` and ``volatility_path``
+slice one row to their window and ``loglik_rows`` takes masked sums.
+
 Sums over a window accumulate in float64 with numpy's own reductions,
 whatever the window length, so results do not depend on the platform's
 extended-precision type.
@@ -116,11 +122,10 @@ class LikelihoodEval:
     per_t_hessians: NDArray[np.float64] | None = None
 
 
-def _ar_lag_matrix(x: NDArray[np.float64], p: int, end: int) -> NDArray[np.float64]:
-    """Rows t = 1..end of (X_{t-1}, ..., X_{t-p}) with zero pre-sample."""
+def _ar_lags(x: NDArray[np.float64], p: int, end: int) -> NDArray[np.float64]:
+    """(p, end) lags: row k-1 holds X_{t-k} on t = 1..end, zero pre-sample."""
     padded = np.concatenate((np.zeros(p), x[:end]))
-    cols = [padded[p - k : p - k + end] for k in range(1, p + 1)]
-    return np.stack(cols, axis=1)
+    return np.stack([padded[p - k : p - k + end] for k in range(1, p + 1)])
 
 
 def _first_order_filter(
@@ -186,6 +191,94 @@ def _garch_states(
     return s, u, w
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """Per-observation terms on t = 1..end for R parameter rows.
+
+    ``m`` is the moment theta enters (f_t for AR, h_t otherwise), so
+    dq_t = a_t dm_t and d2q_t = b_t dm_t dm_t' + a_t d2m_t.  ``m``,
+    ``q``, ``a`` (order >= 1) and ``b`` (order >= 2) are (R, end).
+    ``dm`` lists the d entries of dm_t (order >= 1), ``d2m`` the nonzero
+    (i, j), i <= j, of d2m_t (order >= 2); such an entry may also be
+    (end,) when shared by every row, or (R, 1) when constant in t.
+    """
+
+    m: NDArray[np.float64]
+    q: NDArray[np.float64]
+    a: NDArray[np.float64] | None
+    b: NDArray[np.float64] | None
+    dm: list[NDArray[np.float64]]
+    d2m: dict[tuple[int, int], NDArray[np.float64]]
+
+
+def _terms(
+    spec: ModelSpec,
+    thetas: NDArray[np.float64],
+    data: NDArray[np.float64],
+    end: int,
+    order: int,
+) -> _Terms:
+    """Each family's per-observation terms, up to derivative ``order``."""
+    rows = thetas.shape[0]
+    if spec.family is ModelFamily.AR:
+        lags = _ar_lags(data, spec.p, end)
+        f = np.einsum("rp,pt->rt", thetas, lags)
+        resid = data[:end] - f
+        a = b = None
+        if order >= 1:
+            q = resid * resid
+            a = resid
+            a *= -2.0
+        else:
+            # Line searches evaluate many rows at order 0: square in place.
+            q = np.square(resid, out=resid)
+        if order >= 2:
+            b = np.full(f.shape, 2.0)
+        return _Terms(m=f, q=q, a=a, b=b, dm=list(lags) if order >= 1 else [], d2m={})
+
+    # ARCH(1) and GARCH(1,1): f = 0, h from the truncated representation.
+    garch = spec.family is ModelFamily.GARCH
+    alpha0, alpha1 = thetas[:, :1], thetas[:, 1:2]
+    x2 = data[:end] ** 2
+    # One row takes the filter's scalar path; its (end,) states serve that row.
+    beta = (thetas[:, 2] if rows > 1 else thetas[0, 2]) if garch else 0.0
+    s, u, w = _garch_states(x2, beta, order if garch else 0)
+    one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
+    h = alpha1 * s
+    h += alpha0 / one_minus_beta
+    z_over_h = x2 / h
+    q = np.log(h)
+    q += z_over_h
+    a = b = None
+    dm: list[NDArray[np.float64]] = []
+    d2m: dict[tuple[int, int], NDArray[np.float64]] = {}
+    if order >= 1:
+        a = 1.0 - z_over_h
+        a /= h
+        dm = [1.0 / one_minus_beta, s]
+        if garch:
+            assert u is not None
+            dm.append(alpha0 / one_minus_beta**2 + alpha1 * u)
+    if order >= 2:
+        b = z_over_h
+        b *= 2.0
+        b -= 1.0
+        b /= h
+        b /= h
+        if garch:
+            assert u is not None and w is not None
+            d2m[0, 2] = 1.0 / one_minus_beta**2
+            d2m[1, 2] = u
+            d2m[2, 2] = 2.0 * alpha0 / one_minus_beta**3 + alpha1 * w
+    return _Terms(m=h, q=q, a=a, b=b, dm=dm, d2m=d2m)
+
+
+def _on_window(entry: NDArray[np.float64], sl: slice) -> NDArray[np.float64] | float:
+    """A one-row kernel entry on the window ``sl``; a scalar if constant in t."""
+    row = entry[0] if entry.ndim == 2 else entry
+    return row[sl] if row.size > 1 else row[0]
+
+
 def _eval_window(
     spec: ModelSpec,
     theta: NDArray[np.float64],
@@ -193,86 +286,31 @@ def _eval_window(
     start: int,
     end: int,
     order: int,
-    want_path: bool = False,
 ):
-    """Core evaluation shared by loglik, qhat_t, and volatility_path.
+    """Per-observation q, dq and d2q of one theta on t = start..end.
 
-    Returns (q, dq, d2q, path) where q is (m,), dq is (m, d), d2q is
-    (m, d, d), m = end - start + 1; entries beyond ``order`` are None.
+    Returns (q (m,), dq (m, d), d2q (m, d, d)), m = end - start + 1;
+    entries beyond ``order`` are None.
     """
+    terms = _terms(spec, theta[None, :], data, end, order)
     sl = slice(start - 1, end)
-    m = end - start + 1
-    d = spec.d
-
-    if spec.family is ModelFamily.AR:
-        lags = _ar_lag_matrix(data, spec.p, end)[sl]
-        f = lags @ theta
-        r = data[sl] - f
-        q = r * r
-        dq = d2q = None
-        if order >= 1:
-            dq = -2.0 * r[:, None] * lags
-        if order >= 2:
-            d2q = 2.0 * np.einsum("ti,tj->tij", lags, lags)
-        path = None
-        if want_path:
-            path = VolatilityPath(
-                f_hat=f,
-                h_hat=np.ones(m),
-                dh=np.zeros((d, m)),
-                d2h=np.zeros((d, d, m)),
-            )
-        return q, dq, d2q, path
-
-    # ARCH(1) and GARCH(1,1): f = 0, h from the truncated representation.
-    alpha0, alpha1 = theta[0], theta[1]
-    beta = theta[2] if spec.family is ModelFamily.GARCH else 0.0
-    x2 = data[:end] ** 2
-    s, u, w = _garch_states(x2, beta, order if spec.family is ModelFamily.GARCH else 0)
-
-    one_minus_beta = 1.0 - beta
-    h_full = alpha0 / one_minus_beta + alpha1 * s
-    h = h_full[sl]
-    z = x2[sl]
-    q = z / h + np.log(h)
-
+    q = terms.q[0, sl]
     dq = d2q = None
-    dh_rows: list[NDArray[np.float64]] | None = None
-    if order >= 1 or want_path:
-        dh_rows = [np.full(m, 1.0 / one_minus_beta), s[sl]]
-        if spec.family is ModelFamily.GARCH:
-            assert u is not None
-            dh_rows.append(alpha0 / one_minus_beta**2 + alpha1 * u[sl])
     if order >= 1:
-        assert dh_rows is not None
-        a = (1.0 - z / h) / h
-        dq = a[:, None] * np.stack(dh_rows, axis=1)
-    d2h_stack = None
-    if order >= 2 or want_path:
-        d2h_stack = np.zeros((d, d, m))
-        if spec.family is ModelFamily.GARCH:
-            assert u is not None and w is not None
-            d2h_stack[0, 2] = d2h_stack[2, 0] = 1.0 / one_minus_beta**2
-            d2h_stack[1, 2] = d2h_stack[2, 1] = u[sl]
-            d2h_stack[2, 2] = 2.0 * alpha0 / one_minus_beta**3 + alpha1 * w[sl]
+        a = terms.a[0, sl]
+        dm = np.empty((end - start + 1, spec.d))
+        for i, entry in enumerate(terms.dm):
+            dm[:, i] = _on_window(entry, sl)
+        dq = a[:, None] * dm
     if order >= 2:
-        assert dh_rows is not None and d2h_stack is not None
-        dh_mat = np.stack(dh_rows, axis=1)
-        a = (1.0 - z / h) / h
-        b = (2.0 * z / h - 1.0) / (h * h)
-        d2q = b[:, None, None] * np.einsum("ti,tj->tij", dh_mat, dh_mat)
-        d2q += a[:, None, None] * np.moveaxis(d2h_stack, 2, 0)
-
-    path = None
-    if want_path:
-        assert dh_rows is not None and d2h_stack is not None
-        path = VolatilityPath(
-            f_hat=np.zeros(m),
-            h_hat=h.copy(),
-            dh=np.stack(dh_rows, axis=0),
-            d2h=d2h_stack,
-        )
-    return q, dq, d2q, path
+        d2q = np.einsum("ti,tj->tij", dm, dm)
+        d2q *= np.reshape(_on_window(terms.b, sl), (-1, 1, 1))
+        for (i, j), entry in terms.d2m.items():
+            term = a * _on_window(entry, sl)
+            d2q[:, i, j] += term
+            if i != j:
+                d2q[:, j, i] += term
+    return q, dq, d2q
 
 
 def _check(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
@@ -291,11 +329,17 @@ def volatility_path(
     feasible minimum of the intercept term, hence strictly positive.
     """
     arr = _check(spec, theta)
-    _, _, _, path = _eval_window(
-        spec, arr, segment.data, segment.start, segment.end, order=2, want_path=True
-    )
-    assert path is not None
-    return path
+    end, d, m = segment.end, spec.d, segment.card
+    terms = _terms(spec, arr[None, :], segment.data, end, order=2)
+    sl = slice(segment.start - 1, end)
+    moment, dh, d2h = terms.m[0, sl], np.zeros((d, m)), np.zeros((d, d, m))
+    if spec.family is ModelFamily.AR:
+        return VolatilityPath(f_hat=moment, h_hat=np.ones(m), dh=dh, d2h=d2h)
+    for i, entry in enumerate(terms.dm):
+        dh[i] = _on_window(entry, sl)
+    for (i, j), entry in terms.d2m.items():
+        d2h[i, j] = d2h[j, i] = _on_window(entry, sl)
+    return VolatilityPath(f_hat=np.zeros(m), h_hat=moment, dh=dh, d2h=d2h)
 
 
 def qhat_t(
@@ -310,7 +354,7 @@ def qhat_t(
             f"t={t} outside window [{segment.start}, {segment.end}]"
         )
     arr = _check(spec, theta)
-    q, dq, d2q, _ = _eval_window(spec, arr, segment.data, t, t, order=2)
+    q, dq, d2q = _eval_window(spec, arr, segment.data, t, t, order=2)
     hess = d2q[0]
     return float(q[0]), dq[0], (hess + hess.T) / 2.0
 
@@ -349,7 +393,7 @@ def loglik(
     if keep_per_t_hessians and order < 2:
         raise ValueError("per-observation hessians require order >= 2")
     arr = _check(spec, theta)
-    q, dq, d2q, _ = _eval_window(
+    q, dq, d2q = _eval_window(
         spec, arr, segment.data, segment.start, segment.end, order=order
     )
     value = -0.5 * float(q.sum())
@@ -421,9 +465,12 @@ def loglik_rows(
     for GARCH and are shared by all rows for ARCH and AR.
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
-    beyond ``order`` are None.  Sums are float64, like ``loglik``'s, but
-    accumulate in a different order, so rows agree with ``loglik`` to
-    round-off rather than bit for bit.
+    beyond ``order`` are None.  The per-observation terms are those
+    ``loglik`` reads, bit for bit; only the sums differ.  ``loglik``
+    adds its window's per-t rows along t, while this takes float64
+    ``einsum`` row sums under the mask with factors constant in t pulled
+    out, so rows agree with ``loglik`` to round-off (under 1e-13
+    relative per entry in the tests) rather than bit for bit.
 
     Raises
     ------
@@ -433,65 +480,22 @@ def loglik_rows(
     if not np.all(in_domain_rows(spec, thetas)):
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape
-    end = mask.shape[1]
-    # Each branch leaves q and, by order, the masked coefficients ma =
-    # mask * a_t and mb = mask * b_t, the dh factors and the nonzero d2h,
-    # shaped as _row_sum takes them.
-    ma = mb = None
-    d2h: dict[tuple[int, int], NDArray[np.float64]] = {}
-    if spec.family is ModelFamily.AR:
-        # q_t = r_t^2: a_t = -2 r_t, b_t = 2, dh = the lag columns, d2h = 0.
-        lags = _ar_lag_matrix(data, spec.p, end)
-        resid = data[:end] - np.einsum("rp,tp->rt", thetas, lags)
-        q = resid * resid
-        if order >= 1:
-            ma = resid * (-2.0 * mask)
-        if order >= 2:
-            mb = 2.0 * mask
-        dh = [lags[:, i] for i in range(d)]
-    else:
-        garch = spec.family is ModelFamily.GARCH
-        alpha0, alpha1 = thetas[:, :1], thetas[:, 1:2]
-        x2 = data[:end] ** 2
-        s, u, w = _garch_states(x2, thetas[:, 2] if garch else 0.0, order if garch else 0)
-        one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
-        h = alpha1 * s
-        h += alpha0 / one_minus_beta
-        z_over_h = x2 / h
-        q = np.log(h)
-        q += z_over_h
-        if order >= 1:
-            ma = 1.0 - z_over_h
-            ma /= h
-            ma *= mask
-        if order >= 2:
-            mb = z_over_h
-            mb *= 2.0
-            mb -= 1.0
-            mb /= h
-            mb /= h
-            mb *= mask
-        dh = [1.0 / one_minus_beta, s]
-        if garch and order >= 1:
-            assert u is not None
-            dh.append(alpha0 / one_minus_beta**2 + alpha1 * u)
-        if garch and order >= 2:
-            assert u is not None and w is not None
-            d2h[0, 2] = 1.0 / one_minus_beta**2
-            d2h[1, 2] = u
-            d2h[2, 2] = 2.0 * alpha0 / one_minus_beta**3 + alpha1 * w
-
-    value = -0.5 * np.einsum("rt,rt->r", mask, q)
+    terms = _terms(spec, thetas, data, mask.shape[1], order)
+    value = -0.5 * np.einsum("rt,rt->r", mask, terms.q)
     gradient = hessian = None
-    if ma is not None:
-        gradient = -0.5 * np.stack([_row_sum(ma, dh[i]) for i in range(d)], axis=1)
-    if mb is not None:
-        assert ma is not None
+    if terms.a is not None:
+        # The kernel's arrays belong to this call: mask a_t and b_t in place.
+        ma = terms.a
+        ma *= mask
+        gradient = -0.5 * np.stack([_row_sum(ma, e) for e in terms.dm], axis=1)
+    if terms.b is not None:
+        mb = terms.b
+        mb *= mask
         hessian = np.empty((rows, d, d))
         for i in range(d):
             for j in range(i, d):
-                hij = _row_sum(mb, dh[i], dh[j])
-                if (i, j) in d2h:
-                    hij = hij + _row_sum(ma, d2h[i, j])
+                hij = _row_sum(mb, terms.dm[i], terms.dm[j])
+                if (i, j) in terms.d2m:
+                    hij = hij + _row_sum(ma, terms.d2m[i, j])
                 hessian[:, i, j] = hessian[:, j, i] = -0.5 * hij
     return value, gradient, hessian

@@ -42,12 +42,16 @@ __all__ = [
     "SeriesSegment",
     "ShapeError",
     "SizingError",
+    "ar1_interval",
     "ar_spec",
     "arch_spec",
     "default_window",
     "garch_spec",
     "in_domain",
     "in_domain_rows",
+    "make_spec",
+    "scan_window",
+    "stationarity_stat",
 ]
 
 # Feasibility slack absorbing floating-point round-off from projections.
@@ -129,6 +133,11 @@ class ParamDomain:
     @property
     def dim(self) -> int:
         return len(self.lower)
+
+    @property
+    def bound(self) -> float:
+        """c = 1 - margin, the largest feasible stationarity statistic."""
+        return 1.0 - self.margin
 
     def as_arrays(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
@@ -224,6 +233,21 @@ def garch_spec(margin: float = DEFAULT_MARGIN) -> ModelSpec:
     )
 
 
+def make_spec(model: str, order: int = 1) -> ModelSpec:
+    """The default spec of the family named ``model`` ("ar", "arch", "garch").
+
+    ``order`` is the AR order p: ARCH/GARCH raise ``ShapeError`` unless it
+    is 1, and an unknown name raises ``ValueError``.
+    """
+    if model not in [family.value for family in ModelFamily]:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "ar":
+        return ar_spec(order)
+    if order != 1:
+        raise ShapeError(f"order applies to AR only (got {order} for {model})")
+    return arch_spec() if model == "arch" else garch_spec()
+
+
 def in_domain(spec: ModelSpec, theta: ArrayLike) -> bool:
     """Whether theta lies in the feasible set of ``spec``.
 
@@ -241,12 +265,25 @@ def in_domain_rows(spec: ModelSpec, thetas: NDArray[np.float64]) -> NDArray[np.b
     lo, hi = spec.domain.as_arrays()
     tol = DOMAIN_ATOL
     inside = np.all((thetas >= lo - tol) & (thetas <= hi + tol), axis=-1)
-    c = 1.0 - spec.domain.margin
+    return inside & (stationarity_stat(spec, thetas) <= spec.domain.bound + tol)
+
+
+def stationarity_stat(
+    spec: ModelSpec, thetas: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """sum |phi_k| (AR) or alpha_1 + beta_1 for every row of a (..., d) stack.
+
+    The feasible set keeps it at most ``spec.domain.bound``.
+    """
     if spec.family is ModelFamily.AR:
-        stat = np.sum(np.abs(thetas), axis=-1)
-    else:
-        stat = np.sum(thetas[..., 1:], axis=-1)
-    return inside & (stat <= c + tol)
+        return np.sum(np.abs(thetas), axis=-1)
+    return np.sum(thetas[..., 1:], axis=-1)
+
+
+def ar1_interval(spec: ModelSpec) -> tuple[float, float]:
+    """The feasible set of an AR(1) coefficient: the box cut to |phi| <= c."""
+    c = spec.domain.bound
+    return max(spec.domain.lower[0], -c), min(spec.domain.upper[0], c)
 
 
 @dataclass(frozen=True)
@@ -360,3 +397,8 @@ def default_window(spec: ModelSpec, n: int) -> ScanWindow:
     v = max(v, spec.d + 1)
     v = min(v, n // 2 - 1)
     return ScanWindow(n=n, v_n=v)
+
+
+def scan_window(spec: ModelSpec, n: int, v_n: int | None = None) -> ScanWindow:
+    """The window for n observations: floor ``v_n``, or the family policy if None."""
+    return default_window(spec, n) if v_n is None else ScanWindow(n=n, v_n=v_n)

@@ -5,7 +5,8 @@ feasible set (box intersected with the stationarity constraint) with a
 projected Newton ascent: analytic gradient and hessian, eigenvalue
 modification to keep the direction well defined, Armijo backtracking
 along the projection arc.  Cold calls run a small deterministic
-multi-start (domain centre plus quasi-random points); warm calls pass
+multi-start (domain centre plus quasi-random points; the centre alone
+for AR, whose quasi-likelihood is concave); warm calls pass
 ``init`` and run a single start.  ``estimate_windows`` runs that warm
 ascent on many windows of one series at once, vectorised over windows,
 which is how the exact scan fits its prefixes and suffixes.
@@ -28,7 +29,9 @@ from .models import (
     ModelSpec,
     SeriesSegment,
     SizingError,
+    ar1_interval,
     in_domain,
+    stationarity_stat,
 )
 
 if TYPE_CHECKING:
@@ -50,7 +53,9 @@ class OptimOptions:
     """Optimizer controls.
 
     ``grad_tol`` of None means the default 1e-8 * Card(T), so longer
-    windows tolerate proportionally larger gradient norms.
+    windows tolerate proportionally larger gradient norms.  AR fits
+    ignore ``n_starts`` and climb from the domain centre alone: the AR
+    quasi-likelihood is concave, so every start reaches the same optimum.
     """
 
     grad_tol: float | None = None
@@ -164,12 +169,11 @@ def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
     scheme is needed.  AR(1) short-circuits to a clamp.
     """
     y = spec.check_theta(theta)
-    lo, hi = spec.domain.as_arrays()
-    c = 1.0 - spec.domain.margin
-
     if spec.family is ModelFamily.AR and spec.p == 1:
-        return np.clip(y, max(lo[0], -c), min(hi[0], c))
+        return np.clip(y, *ar1_interval(spec))
 
+    lo, hi = spec.domain.as_arrays()
+    c = spec.domain.bound
     if spec.family is ModelFamily.AR:
         x = _project_box_l1(y, lo, hi, c)
     else:
@@ -209,11 +213,7 @@ def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
     eps = 1e-8 * (1.0 + float(np.max(np.abs(x))))
     if np.any(x - lo <= eps) or np.any(hi - x <= eps):
         return True
-    c = 1.0 - spec.domain.margin
-    stat = float(np.sum(np.abs(x))) if spec.family is ModelFamily.AR else float(
-        np.sum(x[1:])
-    )
-    return c - stat <= eps
+    return spec.domain.bound - float(stationarity_stat(spec, x)) <= eps
 
 
 def _psd_repair(hess: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -247,13 +247,13 @@ def _newton_direction(
     domain and the projected step degrades to a crawl along the face.
     """
     lo, hi = spec.domain.as_arrays()
-    c = 1.0 - spec.domain.margin
     eps = _ACTIVE_EPS * (1.0 + float(np.max(np.abs(x))))
 
     fixed = ((x - lo <= eps) & (grad > 0.0)) | ((hi - x <= eps) & (grad < 0.0))
+    on_face = spec.domain.bound - float(stationarity_stat(spec, x)) <= eps
     face: NDArray[np.float64] | None = None
     if spec.family is ModelFamily.AR:
-        if c - float(np.sum(np.abs(x))) <= eps:
+        if on_face:
             # On a binding l1 face a coordinate at zero cannot move at
             # all without pushing the sum outward, so freeze it.
             fixed = fixed | (np.abs(x) <= eps)
@@ -263,7 +263,7 @@ def _newton_direction(
     else:
         normal = np.zeros(spec.d)
         normal[1:] = 1.0
-        if c - float(normal @ x) <= eps and float(normal @ grad) < 0.0:
+        if on_face and float(normal @ grad) < 0.0:
             face = normal
 
     free = ~fixed
@@ -361,7 +361,8 @@ def estimate(
     With ``init`` given the optimizer runs a single start from the
     projection of ``init`` (warm start).  Without it, a deterministic
     multi-start is used and the best local maximiser wins, earliest
-    start breaking exact ties.
+    start breaking exact ties; AR fits run its first start, the domain
+    centre, alone (``OptimOptions``).
 
     Raises
     ------
@@ -375,7 +376,8 @@ def estimate(
     if init is not None:
         starts = [project_to_domain(spec, init)]
     else:
-        starts = _default_starts(spec, opts.n_starts)
+        n_starts = 1 if spec.family is ModelFamily.AR else opts.n_starts
+        starts = _default_starts(spec, n_starts)
 
     best: tuple[NDArray[np.float64], float, float, int, bool] | None = None
     for x0 in starts:
@@ -409,16 +411,11 @@ def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64
     gets that clip, which is what the scalar projection returns for it;
     the other rows go through ``project_to_domain`` one by one.
     """
-    lo, hi = spec.domain.as_arrays()
-    c = 1.0 - spec.domain.margin
     if spec.family is ModelFamily.AR and spec.p == 1:
-        return np.clip(x, max(lo[0], -c), min(hi[0], c))
+        return np.clip(x, *ar1_interval(spec))
+    lo, hi = spec.domain.as_arrays()
     y = np.clip(x, lo, hi)
-    if spec.family is ModelFamily.AR:
-        stat = np.sum(np.abs(y), axis=1)
-    else:
-        stat = np.sum(y[:, 1:], axis=1)
-    for r in np.flatnonzero(~(stat <= c)):
+    for r in np.flatnonzero(~(stationarity_stat(spec, y) <= spec.domain.bound)):
         y[r] = project_to_domain(spec, x[r])
     return y
 
@@ -436,13 +433,8 @@ def _newton_directions(
     are solved as one stack of repaired systems.
     """
     lo, hi = spec.domain.as_arrays()
-    c = 1.0 - spec.domain.margin
     eps = _ACTIVE_EPS * (1.0 + np.max(np.abs(x), axis=1))
-    if spec.family is ModelFamily.AR:
-        stat = np.sum(np.abs(x), axis=1)
-    else:
-        stat = np.sum(x[:, 1:], axis=1)
-    on_face = c - stat <= eps
+    on_face = spec.domain.bound - stationarity_stat(spec, x) <= eps
     fixed = ((x - lo <= eps[:, None]) & (grad > 0.0)) | (
         (hi - x <= eps[:, None]) & (grad < 0.0)
     )

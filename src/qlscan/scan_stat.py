@@ -108,7 +108,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .critical_values import CriticalTable
-from .likelihood import loglik
+from .likelihood import _ar_lags, loglik
 from .models import (
     DomainError,
     ModelFamily,
@@ -117,6 +117,7 @@ from .models import (
     ScanWindow,
     SeriesSegment,
     ShapeError,
+    ar1_interval,
     default_window,
     in_domain_rows,
 )
@@ -465,8 +466,7 @@ def _ar_window_least_squares(
     """
     n = data.shape[0]
     p = spec.p
-    padded = np.concatenate((np.zeros(p), data))
-    lags = np.stack([padded[p - j : p - j + n] for j in range(1, p + 1)], axis=1)
+    lags = _ar_lags(data, p, n).T
     a = np.cumsum(np.einsum("ti,tj->tij", lags, lags), axis=0)
     b = np.cumsum(data[:, None] * lags, axis=0)
     idx = ks - 1
@@ -478,9 +478,7 @@ def _ar_window_least_squares(
     if np.any(ok):
         theta[ok] = np.linalg.solve(a_w[ok], b_w[ok][..., None])[..., 0]
     if p == 1:
-        lo, hi = spec.domain.as_arrays()
-        c = 1.0 - spec.domain.margin
-        return np.clip(theta, max(lo[0], -c), min(hi[0], c)), ok
+        return np.clip(theta, *ar1_interval(spec)), ok
     return theta, ok & in_domain_rows(spec, theta)
 
 

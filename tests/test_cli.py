@@ -187,6 +187,25 @@ class TestExperimentCommand:
         assert code == 0
         assert "replications  2 (0 flagged)" in out
 
+    def test_config_takes_the_table_flag(self, tmp_path, capsys):
+        table = calibrate(ds=(1,), alphas=(0.05,), m=50, reps=400, seed=3)
+        path = tmp_path / "table.txt"
+        table.save(path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = ar\nn = 120\ntheta0 = 0.5\nreps = 2\nbase_seed = 4\n")
+        code, out, _ = run_cli(
+            ["experiment", "--config", str(cfg), "--table", str(path)], capsys
+        )
+        assert code == 0
+        assert f"C_alpha       {table.lookup(1, 0.05):.6g}" in out
+
+    def test_config_order_on_volatility_model_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = arch\norder = 3\nn = 300\ntheta0 = 1.0, 0.3\nreps = 2\n")
+        code, _, err = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "order" in err
+
     def test_missing_flags_name_the_gaps(self, capsys):
         code, _, err = run_cli(["experiment", "--model", "ar"], capsys)
         assert code == 1
@@ -250,6 +269,10 @@ class TestMakeSpec:
     def test_order_guard(self):
         with pytest.raises(ShapeError):
             make_spec("garch", 2)
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError, match="unknown model .arma."):
+            make_spec("arma", 1)
 
 
 class TestScipyFreeStartup:

@@ -13,6 +13,7 @@ from qlscan import (
     ScanError,
     ScanWindow,
     SeriesSegment,
+    ShapeError,
     SimPlan,
     generate,
     run_experiment,
@@ -158,6 +159,12 @@ class TestConfigFile:
         assert cfg.plan.spec.family is ModelFamily.GARCH
         assert cfg.plan.theta0 == (1.0, 0.4, 0.3)
         assert cfg.alpha == 0.05 and cfg.v_n is None and cfg.base_seed == 0
+
+    def test_order_on_volatility_model_raises(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("model = arch\norder = 3\nn = 300\ntheta0 = 1.0, 0.3\nreps = 2\n")
+        with pytest.raises(ShapeError, match="order"):
+            ExperimentConfig.from_file(path)
 
     def test_unknown_key_names_the_line(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from qlscan import (
     DomainError,
     InfoMatrices,
+    ModelFamily,
     ModelSpec,
     SeriesSegment,
     info_matrices,
@@ -24,7 +25,7 @@ from qlscan import (
     qhat_t,
     volatility_path,
 )
-from qlscan.likelihood import _garch_states
+from qlscan.likelihood import _garch_states, loglik_rows, window_mask
 from qlscan.scan_stat import _fgf
 from conftest import THETA0, make_series, theta_near
 
@@ -230,6 +231,45 @@ class TestValidation:
     def test_hessian_is_symmetric(self, garch_spec, garch_series):
         ev = loglik(garch_spec, THETA0["garch"], garch_series)
         assert_allclose(ev.hessian, ev.hessian.T)
+
+
+class TestLoglikRows:
+    """Each row of the batched evaluation against ``loglik`` on its window."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name, theta0", [
+        ("ar", THETA0["ar"]),
+        ("ar3", (0.3, 0.2, 0.1)),
+        ("arch", THETA0["arch"]),
+        ("garch", THETA0["garch"]),
+    ])
+    def test_rows_match_loglik(self, all_specs, name, theta0, order):
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=3)
+        series = make_series(spec, 300, theta0, seed=(430, 0))
+        n = series.n
+        # Full sample, prefixes (one of four points), suffixes, an interior
+        # window and a single point, one parameter row each.
+        starts = np.array([1, 1, 1, 121, 201, 57, 150])
+        ends = np.array([n, 120, 4, n, n, 260, 150])
+        rng = np.random.default_rng(431)
+        thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
+        mask = window_mask(starts, ends, n)
+        value, grad, hess = loglik_rows(spec, thetas, series.data, mask, order=order)
+        assert (grad is None) == (order < 1) and (hess is None) == (order < 2)
+        for r, (start, end) in enumerate(zip(starts, ends)):
+            segment = SeriesSegment(series.data, int(start), int(end))
+            ev = loglik(spec, thetas[r], segment, order=order)
+            assert_allclose(value[r], ev.value, rtol=1e-12)
+            if order >= 1:
+                assert_allclose(grad[r], ev.gradient, rtol=1e-12)
+            if order >= 2:
+                assert_allclose(hess[r], ev.hessian, rtol=1e-12)
+
+    def test_row_outside_the_domain_raises(self, garch_spec, garch_series):
+        thetas = np.array([THETA0["garch"], [1.0, 0.6, 0.5]])
+        mask = window_mask(np.array([1, 1]), np.array([50, 50]), 50)
+        with pytest.raises(DomainError):
+            loglik_rows(garch_spec, thetas, garch_series.data, mask)
 
 
 def garch_states_loop(x2, beta, order):

@@ -36,6 +36,7 @@ from qlscan import (
     scan,
     sigma_hat,
 )
+from qlscan import qmle as qmle_module
 from qlscan import scan_stat as scan_stat_module
 from qlscan.qmle import estimate_windows
 from qlscan.scan_stat import _ar_window_least_squares, _exact_window_estimates
@@ -380,19 +381,41 @@ class TestWindowBatch:
                 got[2][:, 1] == 0.0)
             assert on_bound > ks.size
 
-    def test_stalled_window_is_handed_back_unconverged(self, garch_spec, garch_series):
-        # Near its optimum this window finds no step that passes the Armijo
-        # test, so its batch climb stops short of the stopping rule; the
-        # batch must return it unconverged (it used to crash evaluating an
-        # empty set of rows), and the scalar fit then converges.
+    def test_stalled_window_is_handed_back_unconverged(self, monkeypatch, garch_spec,
+                                                       garch_series):
+        # With a line search that accepts no step, every window stalls at
+        # its start point in the first iteration.  The batch must hand all
+        # of them back unconverged (it once crashed evaluating the empty
+        # set of rows left to move), and the scan must refit each one with
+        # the scalar optimizer.
+        monkeypatch.setattr(
+            qmle_module, "_line_search_rows",
+            lambda spec, x, f, grad, direction, f_at, opts: (
+                np.zeros(x.shape[0], dtype=bool), x.copy()),
+        )
+        data = garch_series.data
+        ks = np.array([200, 300, 400])
         theta_full = estimate(garch_spec, garch_series).theta_hat
-        theta, ok = estimate_windows(garch_spec, garch_series.data, np.array([1]),
-                                     np.array([329]), theta_full)
-        assert not ok[0]
-        res = estimate(garch_spec, SeriesSegment.prefix(garch_series.data, 329),
-                       init=theta_full)
-        assert res.converged
-        assert_allclose(theta[0], res.theta_hat, rtol=0.0, atol=1e-6)
+        starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
+        ends = np.concatenate((ks, np.full(ks.size, garch_series.n)))
+        theta, ok = estimate_windows(garch_spec, data, starts, ends, theta_full)
+        assert not ok.any()
+        np.testing.assert_array_equal(theta, np.tile(theta_full, (starts.size, 1)))
+
+        calls = []
+        real = scan_stat_module._estimate_with_retry
+
+        def counting(spec, segment, init, opts):
+            calls.append((segment.start, segment.end))
+            return real(spec, segment, init, opts)
+
+        monkeypatch.setattr(scan_stat_module, "_estimate_with_retry", counting)
+        got = _exact_window_estimates(garch_spec, data, ks, theta_full, None)
+        assert calls == list(zip(starts.tolist(), ends.tolist()))
+        assert got[1].all() and got[3].all()
+        want = _scalar_window_fits(garch_spec, data, ks, theta_full, None)
+        for side in (0, 2):
+            np.testing.assert_array_equal(got[side], want[side])
 
     # max_iter=1 leaves every batch row unconverged; max_iter=4 about 1 in 8.
     @pytest.mark.parametrize("max_iter", [1, 4])

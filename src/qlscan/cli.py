@@ -15,7 +15,6 @@ table file for every command that takes ``--table``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence

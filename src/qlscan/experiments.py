@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .critical_values import CriticalTable
 from .models import ModelFamily, ModelSpec, ScanError, make_spec, scan_window
 from .scan_stat import scan

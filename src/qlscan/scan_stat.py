@@ -39,10 +39,19 @@ critical value C(d, alpha) from the Brownian-bridge table.
 
 Invertibility uses a condition-number threshold (1e12) rather than a
 determinant test, so scale changes in the data do not flip the
-indicator.  A sub-sample whose estimation fails marks that k missing;
-missing k are excluded from the maxima, and a scan with more than 10%
-of Pi_n missing raises ScanError rather than returning a maximum over
-too thin a grid.
+indicator.  The stacked G and AR least-squares matrices are screened
+without an SVD: each is divided by its trace, which makes the screen
+scale-free, and factored by a Cholesky pass vectorised over the stack.
+For an SPD matrix of trace 1 the largest eigenvalue is at most 1 and
+the smallest at least the determinant, so cond <= 1/det; a row whose
+pivots are positive with det >= 100/1e12 passes, and its factor does
+its solves.  Only the rows this bound cannot clear get
+``np.linalg.cond``, which is the rule itself, so the mask is exactly
+the condition-number test's.
+
+A sub-sample whose estimation fails marks that k missing; missing k are
+excluded from the maxima, and a scan with more than 10% of Pi_n missing
+raises ScanError rather than returning a maximum over too thin a grid.
 
 Every scan runs one pipeline: the full-sample fit, one derivative pass
 at th_full and its cumulative sums, the side deltas, then the
@@ -131,6 +140,8 @@ if TYPE_CHECKING:
 __all__ = ["InfoMatrices", "ScanResult", "decide", "info_matrices", "scan", "sigma_hat"]
 
 COND_MAX = 1e12
+
+_SCREEN_MARGIN = 100.0
 
 _MISSING_FRACTION = 0.10
 
@@ -458,7 +469,10 @@ def _ar_window_least_squares(
     a window's interior optimum solves the normal equations A theta = b
     with A and b the window's sums of lags lags' and X_t lags.  Those
     are differences of cumulative sums, since the truncated lags do not
-    depend on the window.  Returns (theta (2 |ks|, p), settled mask).
+    depend on the window.  Every system is solved at once by
+    ``_solve_rows``: forward and back substitution with the Cholesky
+    factor where the screen clears A, LU where only the SVD passes it.
+    Returns (theta (2 |ks|, p), settled mask).
     For p = 1 the constrained optimum is the vertex clamped into the
     interval; for p > 1 a solution outside the domain is not the
     constrained optimum, so that row, like any whose system fails the
@@ -472,11 +486,8 @@ def _ar_window_least_squares(
     idx = ks - 1
     a_w = np.concatenate((a[idx], a[-1] - a[idx]))
     b_w = np.concatenate((b[idx], b[-1] - b[idx]))
-    theta = np.zeros((a_w.shape[0], p))
-    with np.errstate(all="ignore"):
-        ok = _invertible(np.linalg.cond(a_w))
-    if np.any(ok):
-        theta[ok] = np.linalg.solve(a_w[ok], b_w[ok][..., None])[..., 0]
+    theta, ok = _solve_rows(a_w, b_w[..., None])
+    theta = theta[..., 0]
     if p == 1:
         return np.clip(theta, *ar1_interval(spec)), ok
     return theta, ok & in_domain_rows(spec, theta)
@@ -503,8 +514,8 @@ def _one_step_deltas(
     sgrad = np.cumsum(per_t_grads, axis=0)
     gbar_l = sgrad[idx] / card_l[:, None]
     gbar_r = (sgrad[-1] - sgrad[idx]) / card_r[:, None]
-    dl = -np.linalg.solve(f_full, gbar_l[..., None])[..., 0]
-    dr = -np.linalg.solve(f_full, gbar_r[..., None])[..., 0]
+    steps = -np.linalg.solve(f_full, np.concatenate((gbar_l, gbar_r)).T).T
+    dl, dr = steps[: idx.size], steps[idx.size :]
     ok_l = np.isfinite(dl).all(axis=1)
     ok_r = np.isfinite(dr).all(axis=1)
     return dl, ok_l, dr, ok_r
@@ -512,15 +523,108 @@ def _one_step_deltas(
 
 def _batched_fgf(
     f: NDArray[np.float64], g: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """F G^(-1) F and an invertibility mask for stacked matrices."""
-    ok = _invertible(np.linalg.cond(g))
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """F G^(-1) F and the invertibility mask for stacked matrices.
+
+    On rows the Cholesky screen clears, G = tr L L' with L the factor of
+    G / tr, so F G^(-1) F = M' M with M = L^(-1) F / sqrt(tr): one
+    forward substitution, symmetric by construction, and no product
+    below or above the scale of the result.  Rows only the SVD fallback
+    passes keep the LU solve; failing rows are zero.
+    """
+    chol, scale, cleared, ok = _cholesky_rows(g)
     out = np.zeros_like(f)
-    if np.any(ok):
-        sol = np.linalg.solve(g[ok], f[ok])
-        prod = f[ok] @ sol
-        out[ok] = (prod + np.swapaxes(prod, 1, 2)) / 2.0
+    m = _forward_substitute(chol, f[cleared] / np.sqrt(scale)[:, None, None])
+    out[cleared] = np.einsum("kji,kjl->kil", m, m)
+    rest = ok & ~cleared
+    if np.any(rest):
+        prod = f[rest] @ np.linalg.solve(g[rest], f[rest])
+        out[rest] = (prod + np.swapaxes(prod, 1, 2)) / 2.0
     return out, ok
+
+
+def _solve_rows(
+    m: NDArray[np.float64], rhs: NDArray[np.float64]
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """m^(-1) rhs for stacked symmetric m, and the invertibility mask.
+
+    Rows the Cholesky screen clears take a forward and a back
+    substitution with their factor; rows only the SVD fallback passes
+    keep the LU solve; failing rows are zero.
+    """
+    chol, scale, cleared, ok = _cholesky_rows(m)
+    out = np.zeros_like(rhs)
+    x = _back_substitute(chol, _forward_substitute(chol, rhs[cleared]))
+    out[cleared] = x / scale[:, None, None]
+    rest = ok & ~cleared
+    if np.any(rest):
+        out[rest] = np.linalg.solve(m[rest], rhs[rest])
+    return out, ok
+
+
+def _cholesky_rows(
+    m: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_], NDArray[np.bool_]]:
+    """Invertibility of a stack of symmetric matrices, with Cholesky factors.
+
+    Returns (chol, scale, cleared, ok).  ``ok`` equals
+    ``_invertible(np.linalg.cond(m))`` row for row, but the SVD runs only
+    on rows a cheaper bound cannot clear.  Each row is divided by its
+    trace ``scale``, which makes the test scale-free; for an SPD matrix
+    of trace 1 every eigenvalue is at most 1, so the smallest is at
+    least the determinant and cond <= 1/det.  A row whose Cholesky
+    pivots are all positive, with product at least _SCREEN_MARGIN /
+    COND_MAX, is ``cleared``: its cond is below the threshold by a
+    margin far wider than the rounding of the factor or of the SVD.
+    The other rows (rank-deficient, near the threshold, indefinite,
+    zero or non-finite) get ``np.linalg.cond``.  ``chol`` and ``scale``
+    cover the cleared rows only, in order; the lower triangle of each
+    ``chol`` row is the factor of that row's m / scale.
+    """
+    rows, d, _ = m.shape
+    det = np.ones(rows)
+    with np.errstate(all="ignore"):
+        scale = np.trace(m, axis1=1, axis2=2)
+        pos = scale > 0.0
+        # Factored in place, column by column; the strict upper triangle
+        # keeps m / scale and is never read.
+        chol = m / scale[:, None, None]
+        for j in range(d):
+            lj = chol[:, j, :j]
+            piv = chol[:, j, j] - np.einsum("ki,ki->k", lj, lj)
+            pos &= piv > 0.0
+            det *= piv
+            root = np.sqrt(piv)
+            chol[:, j, j] = root
+            below = np.einsum("kji,ki->kj", chol[:, j + 1 :, :j], lj)
+            chol[:, j + 1 :, j] = (chol[:, j + 1 :, j] - below) / root[:, None]
+    cleared = pos & (det >= _SCREEN_MARGIN / COND_MAX)
+    ok = cleared.copy()
+    rest = ~cleared
+    if np.any(rest):
+        ok[rest] = _invertible(np.linalg.cond(m[rest]))
+        chol, scale = chol[cleared], scale[cleared]
+    return chol, scale, cleared, ok
+
+
+def _forward_substitute(
+    chol: NDArray[np.float64], x: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Overwrite x (rows, d, m) with L^(-1) x for stacked lower-triangular L."""
+    for i in range(chol.shape[1]):
+        x[:, i] -= np.einsum("kj,kjm->km", chol[:, i, :i], x[:, :i])
+        x[:, i] /= chol[:, i, i, None]
+    return x
+
+
+def _back_substitute(
+    chol: NDArray[np.float64], x: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Overwrite x (rows, d, m) with L'^(-1) x for stacked lower-triangular L."""
+    for i in reversed(range(chol.shape[1])):
+        x[:, i] -= np.einsum("kj,kjm->km", chol[:, i + 1 :, i], x[:, i + 1 :])
+        x[:, i] /= chol[:, i, i, None]
+    return x
 
 
 def scan(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlscan import (
@@ -39,7 +41,14 @@ from qlscan import (
 from qlscan import qmle as qmle_module
 from qlscan import scan_stat as scan_stat_module
 from qlscan.qmle import estimate_windows
-from qlscan.scan_stat import _ar_window_least_squares, _exact_window_estimates
+from qlscan.scan_stat import (
+    _ar_window_least_squares,
+    _batched_fgf,
+    _cholesky_rows,
+    _exact_window_estimates,
+    _invertible,
+    _solve_rows,
+)
 from conftest import THETA0, make_series
 
 AR_SPECS = {
@@ -206,6 +215,16 @@ class TestFrozenValues:
     def test_garch_one_step_spot_value(self, garch_spec, garch_series):
         res = scan(garch_spec, garch_series)
         assert_allclose(res.q_max, 1.006727927, rtol=1e-6)
+        assert res.n_missing == 0
+        assert not res.reject
+
+    def test_ar3_exact_spot_value(self):
+        # Exact mode takes the closed-form AR window solve.
+        spec = AR_SPECS["ar3"]
+        series = make_series(spec, 400, (0.3, -0.2, 0.1), seed=(104, 0))
+        res = scan(spec, series, window_estimator="exact")
+        assert_allclose(res.q_max, 2.662053248, rtol=1e-6)
+        assert res.argmax_k == 95
         assert res.n_missing == 0
         assert not res.reject
 
@@ -460,6 +479,118 @@ class TestWindowBatch:
             assert batched == scalar
         else:
             assert_allclose(batched, scalar, rtol=1e-6, atol=1e-9)
+
+
+SCREEN_KINDS = ("straddle", "rank", "indefinite", "zero", "nonfinite")
+
+
+def _screen_stack(d, seed, kinds):
+    """Symmetric d x d test matrices, one row per kind, with F and rhs rows.
+
+    ``straddle`` rows have cond drawn across 1e9..1e14, three in four
+    within 1e-6 decades of the threshold 1e12; ``rank`` rows have rank
+    below d; ``indefinite`` rows have one tiny negative eigenvalue;
+    ``nonfinite`` rows hold a NaN or an infinity.  About half the rows
+    are then scaled by D = diag(10^u), so that their entries move by
+    factors from 1e-150 to 1e150, and some are negated.  F and rhs rows
+    get the same D, as a reparametrisation would give them.
+    """
+    rng = np.random.default_rng(seed)
+    m = np.zeros((len(kinds), d, d))
+    for r, kind in enumerate(kinds):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        ev = 10.0 ** -rng.uniform(0.0, 3.0, size=d)
+        if kind == "straddle":
+            near = rng.random() < 0.75
+            lc = 12.0 + rng.uniform(-1e-6, 1e-6) if near else rng.uniform(9.0, 14.0)
+            ev = 10.0 ** -rng.uniform(0.0, lc, size=d)
+            ev[0], ev[-1] = 1.0, 10.0**-lc
+        elif kind == "rank":
+            ev[rng.integers(d):] = 0.0
+        elif kind == "indefinite":
+            ev[-1] = -(10.0 ** -rng.uniform(8.0, 17.0))
+        elif kind == "zero":
+            ev[:] = 0.0
+        m[r] = (q * ev) @ q.T
+        if kind == "nonfinite":
+            i, j = rng.integers(d, size=2)
+            m[r, i, j] = m[r, j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    m = (m + np.swapaxes(m, 1, 2)) / 2.0
+    scaled = rng.random(len(kinds)) < 0.5
+    u = rng.uniform(-74.0, 74.0, size=(len(kinds), 1))
+    u = u + rng.uniform(-1.0, 1.0, size=(len(kinds), d)) * rng.choice([0.0, 0.0, 1.0])
+    diag = np.where(scaled[:, None], 10.0**u, 1.0)
+    sign = np.where(rng.random(len(kinds)) < 0.1, -1.0, 1.0)
+    m = sign[:, None, None] * diag[:, :, None] * m * diag[:, None, :]
+    f = rng.normal(size=m.shape)
+    f = diag[:, :, None] * (f + np.swapaxes(f, 1, 2)) * diag[:, None, :]
+    rhs = diag[:, :, None] * rng.normal(size=(len(kinds), d, 2))
+    return m, f, rhs
+
+
+def _assert_rows_close(actual, expected, rtol):
+    """Row-wise max-abs difference within rtol times the row's max-abs."""
+    err = np.abs(actual - expected).max(axis=(1, 2))
+    size = np.abs(expected).max(axis=(1, 2))
+    assert np.all(err <= rtol * size), np.max(err / np.maximum(size, 1e-300) / rtol)
+
+
+class TestCholeskyScreen:
+    """The stacked invertibility test equals the condition-number rule."""
+
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(SCREEN_KINDS), min_size=1, max_size=48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_and_solves_match_the_svd_rule(self, d, seed, kinds):
+        m, f, rhs = _screen_stack(d, seed, kinds)
+        try:
+            ref = _invertible(np.linalg.cond(m))
+        except np.linalg.LinAlgError:
+            # NaN rows make the SVD fail; they must reach it here too.
+            with pytest.raises(np.linalg.LinAlgError):
+                _cholesky_rows(m)
+            return
+        np.testing.assert_array_equal(_cholesky_rows(m)[3], ref)
+        fgf, ok_f = _batched_fgf(f, m)
+        x, ok_x = _solve_rows(m, rhs)
+        np.testing.assert_array_equal(ok_f, ref)
+        np.testing.assert_array_equal(ok_x, ref)
+        assert not fgf[~ref].any() and not x[~ref].any()
+        if not ref.any():
+            return
+        # Two backward-stable solves agree to about cond * eps, so rows
+        # past cond 1e5 get that bound instead of 1e-9.
+        rtol = np.maximum(1e-9, 1e-14 * np.linalg.cond(m[ref]))
+        _assert_rows_close(fgf[ref], f[ref] @ np.linalg.solve(m[ref], f[ref]), rtol)
+        _assert_rows_close(x[ref], np.linalg.solve(m[ref], rhs[ref]), rtol)
+
+    @pytest.mark.parametrize("name, mode", [("ar3", "exact"), ("garch", "one_step")])
+    def test_passing_rows_skip_svd_and_lu(self, monkeypatch, garch_spec, garch_series,
+                                          name, mode):
+        # The stacked linear algebra calls neither cond nor solve with a
+        # stack of matrices when every row clears the screen.
+        stacked = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                if np.ndim(a) == 3:
+                    stacked.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cond", recording(np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
+        if name == "ar3":
+            spec = AR_SPECS["ar3"]
+            series = make_series(spec, 400, (0.3, -0.2, 0.1), seed=(104, 0))
+        else:
+            spec, series = garch_spec, garch_series
+        res = scan(spec, series, window_estimator=mode)
+        assert res.n_missing == 0
+        assert stacked == []
 
 
 class TestNumericBreakdown:

@@ -466,11 +466,12 @@ def loglik_rows(
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
     beyond ``order`` are None.  The per-observation terms are those
-    ``loglik`` reads, bit for bit; only the sums differ.  ``loglik``
-    adds its window's per-t rows along t, while this takes float64
-    ``einsum`` row sums under the mask with factors constant in t pulled
-    out, so rows agree with ``loglik`` to round-off (under 1e-13
-    relative per entry in the tests) rather than bit for bit.
+    ``loglik`` reads, bit for bit; only the sums differ.  Values are
+    pairwise sums along each masked row (sequential sums were too coarse
+    for Armijo tests near an optimum), derivatives float64 ``einsum``
+    row sums with factors constant in t pulled out.  No sum depends on
+    how many rows a call holds; rows agree with ``loglik`` to round-off
+    (under 1e-13 relative per entry in the tests), not bit for bit.
 
     Raises
     ------
@@ -481,10 +482,12 @@ def loglik_rows(
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape
     terms = _terms(spec, thetas, data, mask.shape[1], order)
-    value = -0.5 * np.einsum("rt,rt->r", mask, terms.q)
+    # The kernel's arrays belong to this call: mask q_t, a_t and b_t in place.
+    q = terms.q
+    q *= mask
+    value = -0.5 * q.sum(axis=1)
     gradient = hessian = None
     if terms.a is not None:
-        # The kernel's arrays belong to this call: mask a_t and b_t in place.
         ma = terms.a
         ma *= mask
         gradient = -0.5 * np.stack([_row_sum(ma, e) for e in terms.dm], axis=1)

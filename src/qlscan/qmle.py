@@ -4,12 +4,14 @@ The estimator maximises the truncated quasi-log-likelihood over the
 feasible set (box intersected with the stationarity constraint) with a
 projected Newton ascent: analytic gradient and hessian, eigenvalue
 modification to keep the direction well defined, Armijo backtracking
-along the projection arc.  Cold calls run a small deterministic
+along the projection arc.  Every fit runs one implementation of it
+(``_run_rows``), which climbs a stack of rows, each on its own window
+from its own start.  Cold ``estimate`` calls climb a small deterministic
 multi-start (domain centre plus quasi-random points; the centre alone
-for AR, whose quasi-likelihood is concave); warm calls pass
-``init`` and run a single start.  ``estimate_windows`` runs that warm
-ascent on many windows of one series at once, vectorised over windows,
-which is how the exact scan fits its prefixes and suffixes.
+for AR, whose quasi-likelihood is concave) as rows on one window; warm
+calls pass ``init`` and climb one row.  ``estimate_windows`` climbs the
+exact scan's prefixes and suffixes from one warm start, and
+``retry_cold`` the cold starts on every window it leaves unconverged.
 
 Everything here is deterministic: the quasi-random starts come from an
 unscrambled radical-inverse sequence, and no step consults a RNG.
@@ -17,12 +19,14 @@ unscrambled radical-inverse sequence, and no step consults a RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .likelihood import loglik, loglik_rows, window_mask
+# ``loglik`` is not called here, but stays importable from this module:
+# the span wrappers of perfbench/spans.py patch ``qlscan.qmle.loglik``.
+from .likelihood import loglik, loglik_rows, window_mask  # noqa: F401
 from .models import (
     DomainError,
     ModelFamily,
@@ -39,18 +43,23 @@ if TYPE_CHECKING:
 
     from numpy.typing import ArrayLike, NDArray
 
+    # Per row: x, f = -L, projected-gradient norm, iterations, converged.
+    _Fits = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
+                  NDArray[np.int64], NDArray[np.bool_]]
+
 __all__ = [
     "EstimateResult",
     "OptimOptions",
     "estimate",
     "estimate_windows",
     "project_to_domain",
+    "retry_cold",
 ]
 
 
 @dataclass(frozen=True)
 class OptimOptions:
-    """Optimizer controls.
+    """Optimizer controls, shared by every row of the batched ascent.
 
     ``grad_tol`` of None means the default 1e-8 * Card(T), so longer
     windows tolerate proportionally larger gradient norms.  AR fits
@@ -193,19 +202,19 @@ def _radical_inverse(i: int, base: int) -> float:
     return inv
 
 
-def _default_starts(spec: ModelSpec, n_starts: int) -> list[NDArray[np.float64]]:
+def _default_starts(spec: ModelSpec, opts: OptimOptions) -> NDArray[np.float64]:
     """Domain centre plus quasi-random in-domain points, all projected."""
     lo, hi = spec.domain.as_arrays()
-    centre = project_to_domain(spec, (lo + hi) / 2.0)
-    starts = [centre]
+    starts = [project_to_domain(spec, (lo + hi) / 2.0)]
     primes = [2, 3, 5, 7, 11, 13, 17][: spec.d]
+    n_starts = 1 if spec.family is ModelFamily.AR else opts.n_starts
     for i in range(1, n_starts):
         unit = np.array([_radical_inverse(i, b) for b in primes])
         # Pull toward the centre a little so starts stay strictly interior
         # even after projection.
         point = lo + (0.05 + 0.9 * unit) * (hi - lo)
         starts.append(project_to_domain(spec, point))
-    return starts
+    return np.array(starts)
 
 
 def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
@@ -288,68 +297,6 @@ def _newton_direction(
     return step
 
 
-def _run_single_start(
-    spec: ModelSpec,
-    segment: SeriesSegment,
-    x0: NDArray[np.float64],
-    grad_tol: float,
-    opts: OptimOptions,
-) -> tuple[NDArray[np.float64], float, float, int, bool]:
-    """Projected Newton descent on f = -L from one starting point.
-
-    Returns (x, f, projected_grad_norm, iterations, converged).
-    """
-
-    def evaluate(x: NDArray[np.float64], order: int):
-        ev = loglik(spec, x, segment, order=order)
-        if order == 0:
-            return -ev.value, None, None
-        return -ev.value, -ev.gradient, -ev.hessian if order >= 2 else None
-
-    x = x0
-    f, g, hess = evaluate(x, 2)
-    iterations = 0
-    for _ in range(opts.max_iter):
-        pg = x - project_to_domain(spec, x - g)
-        if float(np.linalg.norm(pg)) <= grad_tol:
-            return x, f, float(np.linalg.norm(pg)), iterations, True
-        directions = [_newton_direction(spec, x, g, hess), -g]
-        accepted = None
-        for direction in directions:
-            alpha = 1.0
-            for _ in range(opts.max_backtracks):
-                trial = project_to_domain(spec, x + alpha * direction)
-                step = trial - x
-                slope = float(g @ step)
-                if np.max(np.abs(step)) == 0.0:
-                    break
-                if slope < 0.0:
-                    f_trial, _, _ = evaluate(trial, 0)
-                    if f_trial <= f + opts.armijo_c1 * slope:
-                        accepted = trial
-                        break
-                alpha *= opts.backtrack
-            if accepted is not None:
-                break
-        if accepted is None:
-            pg = x - project_to_domain(spec, x - g)
-            return x, f, float(np.linalg.norm(pg)), iterations, False
-        x = accepted
-        f, g, hess = evaluate(x, 2)
-        iterations += 1
-    pg = x - project_to_domain(spec, x - g)
-    norm = float(np.linalg.norm(pg))
-    return x, f, norm, iterations, norm <= grad_tol
-
-
-def _check_card(spec: ModelSpec, card: int) -> None:
-    if card < spec.d + 1:
-        raise SizingError(
-            f"window of {card} observations cannot identify "
-            f"{spec.d} parameters; need at least {spec.d + 1}"
-        )
-
-
 def estimate(
     spec: ModelSpec,
     segment: SeriesSegment,
@@ -370,28 +317,20 @@ def estimate(
         If the window holds fewer than d + 1 observations.
     """
     opts = opts or OptimOptions()
-    _check_card(spec, segment.card)
-    grad_tol = opts.grad_tol if opts.grad_tol is not None else 1e-8 * segment.card
-
-    if init is not None:
-        starts = [project_to_domain(spec, init)]
+    if init is None:
+        x0 = _default_starts(spec, opts)
     else:
-        n_starts = 1 if spec.family is ModelFamily.AR else opts.n_starts
-        starts = _default_starts(spec, n_starts)
-
-    best: tuple[NDArray[np.float64], float, float, int, bool] | None = None
-    for x0 in starts:
-        run = _run_single_start(spec, segment, x0, grad_tol, opts)
-        if best is None or run[1] < best[1]:
-            best = run
-    assert best is not None
-    x, f, pg_norm, iterations, converged = best
+        x0 = project_to_domain(spec, init)[None, :]
+    x, f, pg_norm, iterations, converged = (out[0] for out in _fit_rows(
+        spec, segment.data, np.array([segment.start]), np.array([segment.end]),
+        x0[:, None, :], opts,
+    ))
     return EstimateResult(
         theta_hat=x,
-        loglik_at_opt=-f,
-        grad_norm=pg_norm,
-        iterations=iterations,
-        converged=converged,
+        loglik_at_opt=-float(f),
+        grad_norm=float(pg_norm),
+        iterations=int(iterations),
+        converged=bool(converged),
         boundary_active=_boundary_active(spec, x),
     )
 
@@ -408,7 +347,7 @@ def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64
     """``project_to_domain`` for every row of x.
 
     A row that the box clip leaves inside the stationarity constraint
-    gets that clip, which is what the scalar projection returns for it;
+    gets that clip, which is what ``project_to_domain`` returns for it;
     the other rows go through ``project_to_domain`` one by one.
     """
     if spec.family is ModelFamily.AR and spec.p == 1:
@@ -428,7 +367,7 @@ def _newton_directions(
 ) -> NDArray[np.float64]:
     """``_newton_direction`` for every row.
 
-    Rows on the binding stationarity face take the scalar routine.  The
+    Rows on the binding stationarity face take it one at a time.  The
     others only freeze box coordinates, so rows with the same free set
     are solved as one stack of repaired systems.
     """
@@ -463,8 +402,8 @@ def _line_search_rows(
 ) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
     """Armijo backtracking along the projection arc for every row.
 
-    The inner loop of ``_run_single_start``: a row gives the direction up
-    once its projected step vanishes, and tests sufficient decrease only
+    The inner loop of ``_run_rows``: a row gives the direction up once
+    its projected step vanishes, and tests sufficient decrease only
     where the step descends.  ``f_at(rows, points)`` returns f = -L of
     the given rows at the given points.  Returns the accepted mask and
     the accepted points (the start point where nothing was accepted).
@@ -500,12 +439,13 @@ def _run_rows(
     x0: NDArray[np.float64],
     grad_tol: NDArray[np.float64],
     opts: OptimOptions,
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """``_run_single_start`` from x0 on every window at once.
+) -> _Fits:
+    """Projected Newton descent on f = -L for every row at once.
 
-    Each iteration works on the rows still live: rows meeting the
-    stopping rule leave as converged, rows finding no acceptable step
-    along either direction leave as not converged.
+    Row r climbs the window {starts[r], ..., ends[r]} of ``data`` from
+    the feasible x0[r].  Each iteration works on the rows still live:
+    rows meeting the stopping rule leave as converged, rows finding no
+    acceptable step along either direction leave as not converged.
     """
     n_rows = starts.size
     mask = window_mask(starts, ends, int(np.max(ends)))
@@ -519,10 +459,13 @@ def _run_rows(
 
     def stationary(rows):
         pg = x[rows] - _project_rows(spec, x[rows] - g[rows])
-        return np.linalg.norm(pg, axis=1) <= grad_tol[rows]
+        pg_norm[rows] = np.linalg.norm(pg, axis=1)
+        return pg_norm[rows] <= grad_tol[rows]
 
-    x = np.tile(x0, (n_rows, 1))
+    x = np.array(x0, dtype=float)
     f, g, hess = evaluate(np.arange(n_rows), x, 2)
+    pg_norm = np.empty(n_rows)
+    iterations = np.zeros(n_rows, dtype=np.int64)
     live = np.ones(n_rows, dtype=bool)
     converged = np.zeros(n_rows, dtype=bool)
     for _ in range(opts.max_iter):
@@ -532,7 +475,7 @@ def _run_rows(
         live[rows[done]] = False
         rows = rows[~done]
         if rows.size == 0:
-            return x, converged
+            break
         moved = np.zeros(rows.size, dtype=bool)
         x_new = x[rows]
         newton = _newton_directions(spec, x[rows], g[rows], hess[rows])
@@ -550,12 +493,57 @@ def _run_rows(
         live[rows[~moved]] = False
         rows = rows[moved]
         if rows.size == 0:
-            return x, converged
+            break
         x[rows] = x_new[moved]
+        iterations[rows] += 1
         f[rows], g[rows], hess[rows] = evaluate(rows, x[rows], 2)
     rows = np.flatnonzero(live)
     converged[rows] = stationary(rows)
-    return x, converged
+    return x, f, pg_norm, iterations, converged
+
+
+def _fit_rows(
+    spec: ModelSpec,
+    data: NDArray[np.float64],
+    starts: NDArray[np.int64],
+    ends: NDArray[np.int64],
+    x0: NDArray[np.float64],
+    opts: OptimOptions,
+) -> _Fits:
+    """Climb each window from each of its starts; keep its best fit.
+
+    Window w is {starts[w], ..., ends[w]} of ``data``.  ``x0`` (S, W, d)
+    holds the starts, or broadcasts to that shape: (S, 1, d) shares S
+    starts among all windows, (1, W, d) gives each window its own.  The
+    S x W rows climb in ``_run_rows`` in blocks of at most
+    ``_BLOCK_VALUES`` (row, observation) values, each with ``grad_tol``
+    ``opts.grad_tol`` or by default 1e-8 times its window's size.  Each
+    window returns its row of least f, the earliest start breaking
+    exact ties.  Raises SizingError if a window holds fewer than d + 1
+    observations.
+    """
+    n_starts, n_win = x0.shape[0], starts.size
+    cards = ends - starts + 1
+    if n_win and cards.min() < spec.d + 1:
+        raise SizingError(
+            f"window of {cards.min()} observations cannot identify "
+            f"{spec.d} parameters; need at least {spec.d + 1}"
+        )
+    tol = opts.grad_tol
+    grad_tol = np.tile(1e-8 * cards if tol is None else np.full(n_win, tol), n_starts)
+    starts, ends = np.tile(starts, n_starts), np.tile(ends, n_starts)
+    x0 = np.broadcast_to(x0, (n_starts, n_win, spec.d)).reshape(-1, spec.d)
+    rows = starts.size
+    out = (np.empty((rows, spec.d)), np.empty(rows), np.empty(rows),
+           np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool))
+    block = max(1, _BLOCK_VALUES // data.size)
+    for lo in range(0, rows, block):
+        sl = slice(lo, lo + block)
+        parts = _run_rows(spec, data, starts[sl], ends[sl], x0[sl], grad_tol[sl], opts)
+        for arr, part in zip(out, parts):
+            arr[sl] = part
+    best = np.argmin(out[1].reshape(n_starts, n_win), axis=0) * n_win + np.arange(n_win)
+    return tuple(arr[best] for arr in out)
 
 
 def estimate_windows(
@@ -569,18 +557,18 @@ def estimate_windows(
     """Warm-started QMLE on many windows of one series at once.
 
     Window r is {starts[r], ..., ends[r]} of the full series ``data``.
-    Every window is climbed from the projection of ``init`` by the
-    ascent of a warm ``estimate`` call, vectorised over windows with
-    ``loglik_rows``: the same stopping rule, active-set freezing,
-    eigenvalue repair, Newton-then-gradient directions and Armijo
-    constants, row by row.  Windows are processed in blocks of at most
-    ``_BLOCK_VALUES`` (window, observation) values.
+    Every window is climbed from the projection of ``init``, one row of
+    the batched ascent that a warm ``estimate`` call runs on its single
+    window, so each row takes that call's steps.  Windows are processed
+    in blocks of at most ``_BLOCK_VALUES`` (window, observation) values.
 
     Returns (theta (W, d), converged (W,)).  A row that is not converged
     reached ``opts.max_iter`` or found no acceptable step, and holds its
-    last iterate; ``estimate`` on that window gives the full answer,
-    cold multi-start included.  Row results agree with warm ``estimate``
-    calls up to round-off, since sums accumulate in a different order.
+    last iterate; ``retry_cold`` gives such windows the cold multi-start.
+    A row's sums do not depend on which other rows its block holds, but
+    they run over the block's span of observations, so a row agrees
+    with a warm ``estimate`` call on its window to round-off rather than
+    bit for bit.
 
     Raises
     ------
@@ -588,23 +576,37 @@ def estimate_windows(
         If a window holds fewer than d + 1 observations.
     """
     opts = opts or OptimOptions()
-    data = np.asarray(data, dtype=float)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    cards = ends - starts + 1
-    if cards.size:
-        _check_card(spec, int(cards.min()))
-    if opts.grad_tol is not None:
-        grad_tol = np.full(cards.shape, opts.grad_tol)
-    else:
-        grad_tol = 1e-8 * cards
-    x0 = project_to_domain(spec, init)
-    theta = np.empty((cards.size, spec.d))
-    converged = np.zeros(cards.size, dtype=bool)
-    block = max(1, _BLOCK_VALUES // data.size)
-    for lo in range(0, cards.size, block):
-        sl = slice(lo, lo + block)
-        theta[sl], converged[sl] = _run_rows(
-            spec, data, starts[sl], ends[sl], x0, grad_tol[sl], opts
-        )
+    theta, _, _, _, converged = _fit_rows(
+        spec, np.asarray(data, dtype=float), np.asarray(starts, dtype=np.int64),
+        np.asarray(ends, dtype=np.int64), project_to_domain(spec, init)[None, None, :],
+        opts,
+    )
     return theta, converged
+
+
+def retry_cold(
+    spec: ModelSpec,
+    data: NDArray[np.float64],
+    starts: NDArray[np.int64],
+    ends: NDArray[np.int64],
+    theta: NDArray[np.float64],
+    opts: OptimOptions | None = None,
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Cold multi-start on windows whose warm climb did not converge.
+
+    ``theta`` holds the warm fits.  Every window climbs from every start
+    of a cold ``estimate`` call, all (start, window) rows in one batch,
+    and adopts its best cold fit when that converged or has a higher
+    log-likelihood than the warm fit.  Returns (theta (W, d), converged
+    (W,)).
+    """
+    opts = opts or OptimOptions()
+    x, f, _, _, ok = _fit_rows(
+        spec, data, starts, ends, _default_starts(spec, opts)[:, None, :], opts
+    )
+    # A climb of zero iterations evaluates f at its start.
+    warm_f = _fit_rows(
+        spec, data, starts, ends, theta[None], replace(opts, max_iter=0)
+    )[1]
+    # A kept warm fit is unconverged, and then so is the best cold fit.
+    return np.where((ok | (f < warm_f))[:, None], x, theta), ok

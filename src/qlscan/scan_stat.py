@@ -59,10 +59,10 @@ quadratic forms.  Only the side deltas depend on the window estimator.
 In exact mode every prefix T_k and every complement is climbed from
 th_full, so no window depends on its neighbours.  All windows are
 climbed together in one batched projected-Newton pass over a stack of
-parameter rows (``qmle.estimate_windows``), which takes the same steps
-as one warm ``estimate`` call per window; a window the batch leaves
-unconverged is refitted by the scalar optimizer, with a cold
-multi-start retry if that climb fails as well.  For AR models the
+parameter rows (``qmle.estimate_windows``), the ascent a warm
+``estimate`` call runs on its one window; the windows that pass leaves
+unconverged get the cold multi-start in one more batch, whose rows are
+(start x window) (``qmle.retry_cold``).  For AR models the
 quasi-likelihood is exactly quadratic, so window estimates are
 constrained least squares, solved in closed form for every k at once
 from cumulative sums of lags lags' and X_t lags, at any order.  Only
@@ -130,7 +130,7 @@ from .models import (
     default_window,
     in_domain_rows,
 )
-from .qmle import EstimateResult, OptimOptions, estimate, estimate_windows
+from .qmle import EstimateResult, OptimOptions, estimate, estimate_windows, retry_cold
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -332,21 +332,6 @@ def _finalize(
     )
 
 
-def _estimate_with_retry(
-    spec: ModelSpec,
-    segment: SeriesSegment,
-    init: NDArray[np.float64] | None,
-    opts: OptimOptions | None,
-) -> EstimateResult:
-    """Warm-started estimate with a cold multi-start retry on failure."""
-    res = estimate(spec, segment, init=init, opts=opts)
-    if not res.converged and init is not None:
-        cold = estimate(spec, segment, init=None, opts=opts)
-        if cold.converged or cold.loglik_at_opt > res.loglik_at_opt:
-            res = cold
-    return res
-
-
 def _scan_pipeline(
     spec: ModelSpec,
     series: SeriesSegment,
@@ -435,9 +420,9 @@ def _exact_window_estimates(
     first take the closed form (``_ar_window_least_squares``), and only
     the rows it cannot settle enter the batch; the AR quasi-likelihood
     is concave, so a warm climb reaches the same optimum as a cold one.
-    A window the batch leaves unconverged is refitted by the scalar
-    optimizer, warm and then, if that fails too, cold
-    (``_estimate_with_retry``).
+    The windows the batch leaves unconverged are retried cold, all in
+    one batch (``retry_cold``); each adopts its cold fit if that
+    converged or has the higher log-likelihood.
     """
     nk = ks.size
     n = data.shape[0]
@@ -445,18 +430,17 @@ def _exact_window_estimates(
     ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
     if spec.family is ModelFamily.AR:
         theta, ok = _ar_window_least_squares(spec, data, ks)
-        rows = np.flatnonzero(~ok)
-        if rows.size:
-            theta[rows], ok[rows] = estimate_windows(
-                spec, data, starts[rows], ends[rows], theta_full, opts
-            )
     else:
-        theta, ok = estimate_windows(spec, data, starts, ends, theta_full, opts)
-    for r in np.flatnonzero(~ok):
-        segment = SeriesSegment(data, int(starts[r]), int(ends[r]))
-        res = _estimate_with_retry(spec, segment, theta_full, opts)
-        theta[r] = res.theta_hat
-        ok[r] = res.converged
+        theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
+    rows = np.flatnonzero(~ok)
+    theta[rows], ok[rows] = estimate_windows(
+        spec, data, starts[rows], ends[rows], theta_full, opts
+    )
+    rows = rows[~ok[rows]]
+    if rows.size:
+        theta[rows], ok[rows] = retry_cold(
+            spec, data, starts[rows], ends[rows], theta[rows], opts
+        )
     return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
 
 

@@ -23,6 +23,7 @@ from qlscan import (
     loglik,
     project_to_domain,
 )
+import scalar_ascent
 from conftest import THETA0, make_series
 
 
@@ -87,6 +88,25 @@ class TestWarmStart:
         )
         assert res.converged
         assert in_domain(arch_spec, res.theta_hat)
+
+
+class TestBatchedStarts:
+    """``estimate`` climbs its starts as rows of one batched ascent."""
+
+    @pytest.mark.parametrize("name", ["ar", "arch", "garch"])
+    def test_matches_the_scalar_reference(self, all_specs, name):
+        # The scalar reference climbs the same starts one at a time.  Cut
+        # short at 3 iterations, the starts end apart, so the best one
+        # must be picked.
+        spec = all_specs[name]
+        for s, opts in product(range(3), (None, OptimOptions(max_iter=3))):
+            series = make_series(spec, 500, THETA0[name], seed=(230, s))
+            for init in (None, 0.8 * np.asarray(THETA0[name])):
+                got = estimate(spec, series, init=init, opts=opts)
+                want = scalar_ascent.estimate(spec, series, init=init, opts=opts)
+                assert got.converged == want.converged
+                assert_allclose(got.theta_hat, want.theta_hat, rtol=0.0, atol=1e-6)
+                assert_allclose(got.loglik_at_opt, want.loglik_at_opt, rtol=1e-12)
 
 
 class TestEstimateContract:

@@ -6,12 +6,16 @@ projected Newton ascent: analytic gradient and hessian, eigenvalue
 modification to keep the direction well defined, Armijo backtracking
 along the projection arc.  Every fit runs one implementation of it
 (``_run_rows``), which climbs a stack of rows, each on its own window
-from its own start.  Cold ``estimate`` calls climb a small deterministic
-multi-start (domain centre plus quasi-random points; the centre alone
-for AR, whose quasi-likelihood is concave) as rows on one window; warm
-calls pass ``init`` and climb one row.  ``estimate_windows`` climbs the
-exact scan's prefixes and suffixes from one warm start, and
-``retry_cold`` the cold starts on every window it leaves unconverged.
+from its own start.  A line search evaluates its full step (alpha = 1)
+with the gradient and hessian, so when a row accepts that step, as it
+does near an optimum, the next iteration reuses them instead of
+evaluating the new iterate again.  Cold ``estimate`` calls climb a
+small deterministic multi-start (domain centre plus quasi-random
+points; the centre alone for AR, whose quasi-likelihood is concave) as
+rows on one window; warm calls pass ``init`` and climb one row.
+``estimate_windows`` climbs the exact scan's prefixes and suffixes from
+one warm start, and ``retry_cold`` the cold starts on every window it
+leaves unconverged.
 
 Everything here is deterministic: the quasi-random starts come from an
 unscrambled radical-inverse sequence, and no step consults a RNG.
@@ -335,11 +339,12 @@ def estimate(
     )
 
 
-# Largest (windows x observations) block that estimate_windows evaluates
-# at once; each row-wise array of a block holds at most this many float64
-# values (1 MiB).  A few such arrays are live at a time, so this bounds
-# the batch's extra memory to a few MiB; at n = 500 and 2000 it was also
-# as fast as or faster than 2^20, whose arrays spill out of cache.
+# Largest (rows x observations) block that ``_fit_rows`` climbs at once
+# in ``_run_rows``.  The block's 0/1 window mask holds at most this many
+# float64 values (1 MiB) and is its one array of that size:
+# ``loglik_rows`` evaluates the block in cache-sized chunks of
+# ``likelihood._CHUNK_VALUES`` values.  So this bounds the memory of a
+# batch, not its speed.
 _BLOCK_VALUES = 2**17
 
 
@@ -397,22 +402,25 @@ def _line_search_rows(
     f: NDArray[np.float64],
     grad: NDArray[np.float64],
     direction: NDArray[np.float64],
-    f_at: Callable[[NDArray[np.int64], NDArray[np.float64]], NDArray[np.float64]],
+    f_at: Callable[[NDArray[np.int64], NDArray[np.float64], bool], NDArray[np.float64]],
     opts: OptimOptions,
-) -> tuple[NDArray[np.bool_], NDArray[np.float64]]:
+) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Armijo backtracking along the projection arc for every row.
 
     The inner loop of ``_run_rows``: a row gives the direction up once
     its projected step vanishes, and tests sufficient decrease only
-    where the step descends.  ``f_at(rows, points)`` returns f = -L of
-    the given rows at the given points.  Returns the accepted mask and
-    the accepted points (the start point where nothing was accepted).
+    where the step descends.  ``f_at(rows, points, full)`` returns
+    f = -L of the given rows at the given points; ``full`` is True for
+    the first trial, the full step (alpha = 1).  Returns the accepted
+    mask, the accepted points (the start point where nothing was
+    accepted) and the mask of rows that accepted the full step.
     """
     alpha = np.ones(x.shape[0])
     accepted = np.zeros(x.shape[0], dtype=bool)
     out = x.copy()
     pending = np.arange(x.shape[0])
-    for _ in range(opts.max_backtracks):
+    full = accepted
+    for k in range(opts.max_backtracks):
         if pending.size == 0:
             break
         trial = _project_rows(spec, x[pending] + alpha[pending, None] * direction[pending])
@@ -422,13 +430,15 @@ def _line_search_rows(
         test = moved & (slope < 0.0)
         ok = np.zeros(pending.size, dtype=bool)
         if np.any(test):
-            f_trial = f_at(pending[test], trial[test])
+            f_trial = f_at(pending[test], trial[test], k == 0)
             ok[test] = f_trial <= f[pending[test]] + opts.armijo_c1 * slope[test]
         out[pending[ok]] = trial[ok]
         accepted[pending[ok]] = True
+        if k == 0:
+            full = accepted.copy()
         alpha[pending] *= opts.backtrack
         pending = pending[moved & ~ok]
-    return accepted, out
+    return accepted, out, full
 
 
 def _run_rows(
@@ -446,6 +456,9 @@ def _run_rows(
     the feasible x0[r].  Each iteration works on the rows still live:
     rows meeting the stopping rule leave as converged, rows finding no
     acceptable step along either direction leave as not converged.
+    Each line search evaluates its full step at order 2, so a row that
+    accepts it already holds f, g and H at its next iterate; only rows
+    that backtracked are evaluated again.
     """
     n_rows = starts.size
     mask = window_mask(starts, ends, int(np.max(ends)))
@@ -462,8 +475,16 @@ def _run_rows(
         pg_norm[rows] = np.linalg.norm(pg, axis=1)
         return pg_norm[rows] <= grad_tol[rows]
 
+    def f_trial(rows, points, full):
+        if not full:
+            return evaluate(rows, points, 0)[0]
+        f_full[rows], g_full[rows], h_full[rows] = evaluate(rows, points, 2)
+        return f_full[rows]
+
     x = np.array(x0, dtype=float)
     f, g, hess = evaluate(np.arange(n_rows), x, 2)
+    # f, g and H at each row's latest full-step trial.
+    f_full, g_full, h_full = np.empty_like(f), np.empty_like(g), np.empty_like(hess)
     pg_norm = np.empty(n_rows)
     iterations = np.zeros(n_rows, dtype=np.int64)
     live = np.ones(n_rows, dtype=bool)
@@ -477,26 +498,31 @@ def _run_rows(
         if rows.size == 0:
             break
         moved = np.zeros(rows.size, dtype=bool)
+        reuse = np.zeros(rows.size, dtype=bool)
         x_new = x[rows]
         newton = _newton_directions(spec, x[rows], g[rows], hess[rows])
         for direction in (newton, -g[rows]):
-            sub = rows[~moved]
-            if sub.size == 0:
+            left = np.flatnonzero(~moved)
+            if left.size == 0:
                 break
-            acc, points = _line_search_rows(
-                spec, x[sub], f[sub], g[sub], direction[~moved],
-                lambda local, pts, sub=sub: evaluate(sub[local], pts, 0)[0], opts,
+            sub = rows[left]
+            acc, points, full = _line_search_rows(
+                spec, x[sub], f[sub], g[sub], direction[left],
+                lambda local, pts, first, sub=sub: f_trial(sub[local], pts, first), opts,
             )
-            take = np.flatnonzero(~moved)[acc]
-            x_new[take] = points[acc]
-            moved[take] = True
+            x_new[left[acc]] = points[acc]
+            moved[left[acc]] = True
+            reuse[left[full]] = True
         live[rows[~moved]] = False
-        rows = rows[moved]
+        rows, reuse = rows[moved], reuse[moved]
         if rows.size == 0:
             break
         x[rows] = x_new[moved]
         iterations[rows] += 1
-        f[rows], g[rows], hess[rows] = evaluate(rows, x[rows], 2)
+        kept, stale = rows[reuse], rows[~reuse]
+        f[kept], g[kept], hess[kept] = f_full[kept], g_full[kept], h_full[kept]
+        if stale.size:
+            f[stale], g[stale], hess[stale] = evaluate(stale, x[stale], 2)
     rows = np.flatnonzero(live)
     converged[rows] = stationary(rows)
     return x, f, pg_norm, iterations, converged

@@ -25,6 +25,7 @@ from qlscan import (
     qhat_t,
     volatility_path,
 )
+from qlscan import likelihood as likelihood_module
 from qlscan.likelihood import _garch_states, loglik_rows, window_mask
 from qlscan.scan_stat import _fgf
 from conftest import THETA0, make_series, theta_near
@@ -264,6 +265,37 @@ class TestLoglikRows:
                 assert_allclose(grad[r], ev.gradient, rtol=1e-12)
             if order >= 2:
                 assert_allclose(hess[r], ev.hessian, rtol=1e-12)
+
+    # 2^22 values hold all five rows of the test below in one chunk.
+    @pytest.mark.parametrize("chunk", [None, 2**22])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name, theta0", [
+        ("ar", THETA0["ar"]),
+        ("ar3", (0.3, 0.2, 0.1)),
+        ("arch", THETA0["arch"]),
+        ("garch", THETA0["garch"]),
+    ])
+    def test_rows_do_not_depend_on_the_row_count(self, monkeypatch, all_specs, name,
+                                                 theta0, order, chunk):
+        # einsum row sums over windows longer than 8192 observations once
+        # gave a row of a one-row call other last bits than the same row
+        # in a call of several rows.
+        if chunk is not None:
+            monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=3)
+        n = 20_000
+        series = make_series(spec, n, theta0, seed=(432, 0))
+        starts = np.array([1, 1, 9001, 3001, 12001])
+        ends = np.array([n, 8000, n, 15000, 18000])
+        rng = np.random.default_rng(433)
+        thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
+        mask = window_mask(starts, ends, n)
+        stacked = loglik_rows(spec, thetas, series.data, mask, order=order)
+        for r in range(starts.size):
+            alone = loglik_rows(spec, thetas[r:r + 1], series.data, mask[r:r + 1],
+                                order=order)
+            for got, want in zip(stacked[: order + 1], alone[: order + 1]):
+                assert np.array_equal(got[r], want[0])
 
     def test_row_outside_the_domain_raises(self, garch_spec, garch_series):
         thetas = np.array([THETA0["garch"], [1.0, 0.6, 0.5]])

@@ -23,6 +23,8 @@ from qlscan import (
     loglik,
     project_to_domain,
 )
+from qlscan import qmle as qmle_module
+from qlscan.qmle import estimate_windows
 import scalar_ascent
 from conftest import THETA0, make_series
 
@@ -107,6 +109,78 @@ class TestBatchedStarts:
                 assert got.converged == want.converged
                 assert_allclose(got.theta_hat, want.theta_hat, rtol=0.0, atol=1e-6)
                 assert_allclose(got.loglik_at_opt, want.loglik_at_opt, rtol=1e-12)
+
+
+class TestFullStepReuse:
+    """A full Newton step that the line search accepts is evaluated once."""
+
+    @staticmethod
+    def record(monkeypatch, reuse):
+        """Record every ``loglik_rows`` call and every accepted full step.
+
+        ``calls`` holds the parameter rows of each call; ``accepted`` the
+        number of calls made when a line search returned, with the rows
+        that line search accepted at alpha = 1.  With ``reuse`` False the
+        line search reports no full step, so ``_run_rows`` evaluates every
+        accepted point again.
+        """
+        calls, accepted = [], []
+        real_rows, real_search = qmle_module.loglik_rows, qmle_module._line_search_rows
+
+        def rows(spec, thetas, *args, **kwargs):
+            calls.append({theta.tobytes() for theta in thetas})
+            return real_rows(spec, thetas, *args, **kwargs)
+
+        def search(spec, x, f, grad, direction, f_at, opts):
+            acc, points, full = real_search(spec, x, f, grad, direction, f_at, opts)
+            # A row took the full step exactly when its accepted point is
+            # the projected full step: had that point failed the Armijo
+            # test at alpha = 1, it would fail it again at any later alpha.
+            first = qmle_module._project_rows(spec, x + direction)
+            np.testing.assert_array_equal(full, acc & np.all(points == first, axis=1))
+            accepted.append((len(calls), {theta.tobytes() for theta in points[full]}))
+            return acc, points, full if reuse else np.zeros_like(full)
+
+        monkeypatch.setattr(qmle_module, "loglik_rows", rows)
+        monkeypatch.setattr(qmle_module, "_line_search_rows", search)
+        return calls, accepted
+
+    @staticmethod
+    def reevaluated(calls, accepted):
+        """How many accepted full steps a later ``loglik_rows`` call evaluates."""
+        return sum(len(points & later) for made, points in accepted
+                   for later in calls[made:])
+
+    def check(self, monkeypatch, fit):
+        with monkeypatch.context() as m:
+            calls, accepted = self.record(m, reuse=True)
+            got = fit()
+        assert sum(len(points) for _, points in accepted) > 0
+        assert self.reevaluated(calls, accepted) == 0
+        with monkeypatch.context() as m:
+            calls, accepted = self.record(m, reuse=False)
+            want = fit()
+        assert self.reevaluated(calls, accepted) > 0
+        return got, want
+
+    def test_warm_window_batch(self, monkeypatch, arch_spec):
+        series = make_series(arch_spec, 300, THETA0["arch"], seed=(240, 0))
+        ks = np.arange(40, 261)
+        starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
+        ends = np.concatenate((ks, np.full(ks.size, series.n)))
+        init = estimate(arch_spec, series).theta_hat
+        got, want = self.check(monkeypatch, lambda: estimate_windows(
+            arch_spec, series.data, starts, ends, init))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_cold_fit(self, monkeypatch, garch_spec, garch_series):
+        got, want = self.check(monkeypatch, lambda: estimate(garch_spec, garch_series))
+        np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
+        assert (got.loglik_at_opt, got.grad_norm, got.iterations, got.converged,
+                got.boundary_active) == (want.loglik_at_opt, want.grad_norm,
+                                         want.iterations, want.converged,
+                                         want.boundary_active)
 
 
 class TestEstimateContract:

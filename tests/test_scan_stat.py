@@ -37,6 +37,7 @@ from qlscan import (
     scan,
     sigma_hat,
 )
+from qlscan import likelihood as likelihood_module
 from qlscan import qmle as qmle_module
 from qlscan import scan_stat as scan_stat_module
 from qlscan.qmle import estimate_windows
@@ -399,7 +400,8 @@ class TestWindowBatch:
             with monkeypatch.context() as m:
                 m.setattr(qmle_module, "_line_search_rows",
                           lambda spec, x, f, grad, direction, f_at, opts: (
-                              np.zeros(x.shape[0], dtype=bool), x.copy()))
+                              np.zeros(x.shape[0], dtype=bool), x.copy(),
+                              np.zeros(x.shape[0], dtype=bool)))
                 return estimate_windows(*args)
 
         data = garch_series.data
@@ -488,6 +490,40 @@ class TestWindowBatch:
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
         _, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
         assert ok.all()
+
+
+class TestChunkSize:
+    """``loglik_rows`` evaluates its rows in cache-sized chunks; the chunk
+    size changes no number."""
+
+    # At n = 1e4 the default chunk is 3 rows of a 5-start full fit, 2^10
+    # values is one row and 2^22 all five; at n = 500 they are 65, 2 and
+    # every row of a block.
+    CHUNKS = (2**10, 2**22)
+
+    @pytest.mark.parametrize("name, n, theta0, mode", [
+        ("garch", 10_000, THETA0["garch"], "one_step"),
+        ("arch", 500, THETA0["arch"], "exact"),
+        ("ar2", 400, (0.9, 0.05), "exact"),
+    ])
+    def test_scan_is_bit_identical(self, monkeypatch, all_specs, name, n, theta0, mode):
+        spec = {**all_specs, **AR_SPECS}[name]
+        series = make_series(spec, n, theta0, seed=(440, 0))
+        want = scan(spec, series, window_estimator=mode)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
+            got = scan(spec, series, window_estimator=mode)
+            for attr in ("q1", "q2", "theta_full"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_cold_fit_is_bit_identical(self, monkeypatch, garch_spec):
+        series = make_series(garch_spec, 20_000, THETA0["garch"], seed=(441, 0))
+        want = estimate(garch_spec, series)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
+            got = estimate(garch_spec, series)
+            np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
+            assert got.iterations == want.iterations
 
 
 SCREEN_KINDS = ("straddle", "rank", "indefinite", "zero", "nonfinite")

@@ -13,8 +13,12 @@ Gaussian random walk on the grid tau_j = j/m (increments scaled by
 1/sqrt(m)), bridges it by subtracting tau_j times the endpoint, and
 records the maximum over the grid of the squared norm.  Replication r
 draws from its own counter-based stream derived from (seed, r), so the
-sample does not depend on chunking or evaluation order, and a parallel
-driver would reproduce the sequential sample exactly.
+sample does not depend on evaluation order, and a parallel driver would
+reproduce the sequential sample exactly.  Replications are simulated in
+chunks that fill one reused buffer of at most 2^15 grid values (one
+replication when d * m is larger), in place: the walk, the bridge and
+the squared norm.  Every step acts along one replication only, so a
+chunk never changes a replication's value.
 
 A small table calibrated at m = 1000, R = 100000 ships with the
 package; reference values for orientation are 2.20 (d=1), 3.02 (d=2),
@@ -48,7 +52,8 @@ __all__ = [
 
 DEFAULT_GRID = 1000
 DEFAULT_REPLICATIONS = 100_000
-_CHUNK = 512
+# Replications per chunk hold at most this many grid values (256 KiB).
+_CHUNK_VALUES = 2**15
 
 
 def simulate_sup_bb(
@@ -68,19 +73,22 @@ def simulate_sup_bb(
     out = np.empty(reps)
     scale = 1.0 / math.sqrt(m)
     tau = np.arange(1, m + 1) / m
-    pos = 0
-    while pos < reps:
-        b = min(_CHUNK, reps - pos)
-        draws = np.empty((b, d, m))
-        for j in range(b):
+    chunk = max(1, _CHUNK_VALUES // (d * m))
+    buf = np.empty((min(chunk, reps), d, m))
+    for pos in range(0, reps, chunk):
+        w = buf[: min(chunk, reps - pos)]
+        for j in range(w.shape[0]):
             ss = np.random.SeedSequence((seed, pos + j))
-            rng = np.random.Generator(np.random.Philox(ss))
-            draws[j] = rng.standard_normal((d, m))
-        walk = np.cumsum(draws, axis=2)
-        walk *= scale
-        bridge = walk - tau[None, None, :] * walk[:, :, -1:]
-        out[pos : pos + b] = np.max(np.sum(bridge * bridge, axis=1), axis=1)
-        pos += b
+            np.random.Generator(np.random.Philox(ss)).standard_normal(out=w[j])
+        # Walk, bridge and squared norm, all in place; the norm adds the
+        # d components in index order.
+        np.cumsum(w, axis=2, out=w)
+        w *= scale
+        w -= tau * w[:, :, -1:]
+        np.square(w, out=w)
+        for i in range(1, d):
+            w[:, 0] += w[:, i]
+        np.max(w[:, 0], axis=1, out=out[pos : pos + w.shape[0]])
     return out
 
 

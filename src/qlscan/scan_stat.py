@@ -49,6 +49,15 @@ its solves.  Only the rows this bound cannot clear get
 ``np.linalg.cond``, which is the rule itself, so the mask is exactly
 the condition-number test's.
 
+Every stack of small matrices in this assembly is kept stack-last, as
+(d, d, rows) with the prefixes then the suffixes along the last axis,
+so each matrix entry is one contiguous vector and the screen, the
+substitutions, Sigma and the quadratic forms are whole-vector
+operations.  G, F and the AR normal equations are symmetric, so only
+their d(d+1)/2 distinct entries are cumulated over t.  The rows the
+screen cannot clear are handed to ``np.linalg.cond`` and
+``np.linalg.solve`` as (rows, d, d).
+
 A sub-sample whose estimation fails marks that k missing; missing k are
 excluded from the maxima, and a scan with more than 10% of Pi_n missing
 raises ScanError rather than returning a maximum over too thin a grid.
@@ -360,36 +369,32 @@ def _scan_pipeline(
         keep_per_t_hessians=True,
     )
     assert ev.per_t_grads is not None and ev.per_t_hessians is not None
-    sg = np.cumsum(np.einsum("ti,tj->tij", ev.per_t_grads, ev.per_t_grads), axis=0)
-    sh = np.cumsum(ev.per_t_hessians, axis=0)
-    sh = (sh + np.swapaxes(sh, 1, 2)) / 2.0
-
+    # Stack-last from here on: prefixes then suffixes along the last
+    # axis, so every matrix entry is one contiguous vector.  Both
+    # per-observation matrices are symmetric (the hessian terms by
+    # construction), so only their distinct entries are cumulated.
+    iu, ju, pos = _distinct_entries(spec.d)
+    grads = np.ascontiguousarray(ev.per_t_grads.T)
+    hessians = np.ascontiguousarray(ev.per_t_hessians[:, iu, ju].T)
     idx = ks - 1
-    card_l = ks.astype(float)
-    card_r = (n - ks).astype(float)
-    g_l = sg[idx] / card_l[:, None, None]
-    g_r = (sg[-1] - sg[idx]) / card_r[:, None, None]
-    f_l = sh[idx] / card_l[:, None, None]
-    f_r = (sh[-1] - sh[idx]) / card_r[:, None, None]
-    fgf_l, _ = _batched_fgf(f_l, g_l)
-    fgf_r, _ = _batched_fgf(f_r, g_r)
-    sigma = (
-        (card_l / n)[:, None, None] * fgf_l + (card_r / n)[:, None, None] * fgf_r
-    )
+    nk = ks.size
+    cards = np.concatenate((ks, n - ks)).astype(float)
+    g = (_window_sums(grads[iu] * grads[ju], idx)[1] / cards)[pos]
+    h_total, h_sums = _window_sums(hessians, idx)
+    fgf, _ = _batched_fgf((h_sums / cards)[pos], g)
+    sigma = (cards[:nk] / n) * fgf[..., :nk] + (cards[nk:] / n) * fgf[..., nk:]
 
     if estimator == "one_step":
-        dl, ok_l, dr, ok_r = _one_step_deltas(
-            ev.per_t_grads, sh[-1] / n, idx, card_l, card_r
-        )
+        dl, ok_l, dr, ok_r = _one_step_deltas(grads, h_total[pos] / n, idx, cards)
     else:
         theta_l, ok_l, theta_r, ok_r = _exact_window_estimates(
             spec, data, ks, theta_full, opts
         )
-        dl = theta_l - theta_full
-        dr = theta_r - theta_full
+        dl = (theta_l - theta_full).T
+        dr = (theta_r - theta_full).T
 
-    q1 = (card_l**2 / n) * np.einsum("ki,kij,kj->k", dl, sigma, dl)
-    q2 = (card_r**2 / n) * np.einsum("ki,kij,kj->k", dr, sigma, dr)
+    q1 = (cards[:nk] ** 2 / n) * _quadratic_form(dl, sigma)
+    q2 = (cards[nk:] ** 2 / n) * _quadratic_form(dr, sigma)
     bad = ~(ok_l & ok_r)
     q1[bad] = np.nan
     q2[bad] = np.nan
@@ -453,62 +458,113 @@ def _ar_window_least_squares(
     a window's interior optimum solves the normal equations A theta = b
     with A and b the window's sums of lags lags' and X_t lags.  Those
     are differences of cumulative sums, since the truncated lags do not
-    depend on the window.  Every system is solved at once by
-    ``_solve_rows``: forward and back substitution with the Cholesky
-    factor where the screen clears A, LU where only the SVD passes it.
+    depend on the window; A is symmetric, so only its distinct entries
+    are cumulated.  Every system is solved at once by ``_solve_rows``:
+    forward and back substitution with the Cholesky factor where the
+    screen clears A, LU where only the SVD passes it.
     Returns (theta (2 |ks|, p), settled mask).
     For p = 1 the constrained optimum is the vertex clamped into the
     interval; for p > 1 a solution outside the domain is not the
     constrained optimum, so that row, like any whose system fails the
     condition test, comes back unsettled for the optimizer.
     """
-    n = data.shape[0]
     p = spec.p
-    lags = _ar_lags(data, p, n).T
-    a = np.cumsum(np.einsum("ti,tj->tij", lags, lags), axis=0)
-    b = np.cumsum(data[:, None] * lags, axis=0)
+    lags = _ar_lags(data, p, data.shape[0])
+    iu, ju, pos = _distinct_entries(p)
     idx = ks - 1
-    a_w = np.concatenate((a[idx], a[-1] - a[idx]))
-    b_w = np.concatenate((b[idx], b[-1] - b[idx]))
-    theta, ok = _solve_rows(a_w, b_w[..., None])
-    theta = theta[..., 0]
+    a = _window_sums(lags[iu] * lags[ju], idx)[1][pos]
+    b = _window_sums(data * lags, idx)[1]
+    theta, ok = _solve_rows(a, b[:, None])
+    theta = theta[:, 0].T
     if p == 1:
         return np.clip(theta, *ar1_interval(spec)), ok
     return theta, ok & in_domain_rows(spec, theta)
 
 
 def _one_step_deltas(
-    per_t_grads: NDArray[np.float64],
+    grads: NDArray[np.float64],
     f_full: NDArray[np.float64],
     idx: NDArray[np.int64],
-    card_l: NDArray[np.float64],
-    card_r: NDArray[np.float64],
+    cards: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Fisher-scoring deltas th_side - th_full for every split.
 
-    The step solves against the pooled full-sample curvature, so the
-    whole path comes from one cumulative sum of per-observation scores
-    (module docstring).
+    ``grads`` holds the per-observation scores as (d, n) and ``cards``
+    the window sizes, prefixes then suffixes; the deltas come back as
+    (d, |idx|) per side.  The step solves against the pooled full-sample
+    curvature, so the whole path comes from one cumulative sum of
+    per-observation scores (module docstring).
     """
     cond = np.linalg.cond(f_full)
     if not _invertible(cond):
         raise ScanError(
             f"full-sample mean hessian is numerically singular (cond={cond:.3g})"
         )
-    sgrad = np.cumsum(per_t_grads, axis=0)
-    gbar_l = sgrad[idx] / card_l[:, None]
-    gbar_r = (sgrad[-1] - sgrad[idx]) / card_r[:, None]
-    steps = -np.linalg.solve(f_full, np.concatenate((gbar_l, gbar_r)).T).T
-    dl, dr = steps[: idx.size], steps[idx.size :]
-    ok_l = np.isfinite(dl).all(axis=1)
-    ok_r = np.isfinite(dr).all(axis=1)
-    return dl, ok_l, dr, ok_r
+    steps = -np.linalg.solve(f_full, _window_sums(grads, idx)[1] / cards)
+    ok = np.isfinite(steps).all(axis=0)
+    nk = idx.size
+    return steps[:, :nk], ok[:nk], steps[:, nk:], ok[nk:]
+
+
+def _distinct_entries(
+    d: int,
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+    """(iu, ju, pos) for the d(d+1)/2 distinct entries of a symmetric matrix.
+
+    Entry e of a stack of distinct entries is (iu[e], ju[e]), iu <= ju;
+    indexing that stack with ``pos`` (d, d) rebuilds the full matrices.
+    """
+    iu, ju = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return iu, ju, pos
+
+
+def _window_sums(
+    values: NDArray[np.float64], idx: NDArray[np.int64]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Full-sample sums and window sums of the rows of ``values`` (m, n).
+
+    The window sums run over every prefix {1..idx+1}, then every
+    complement, along the last axis: (m, 2 |idx|).  Each row is one
+    sequential cumulative sum, and a suffix is the total minus a prefix.
+    """
+    cum = np.cumsum(values, axis=1)
+    out = np.empty((cum.shape[0], 2 * idx.size))
+    head, tail = out[:, : idx.size], out[:, idx.size :]
+    np.take(cum, idx, axis=1, out=head)
+    np.subtract(cum[:, -1:], head, out=tail)
+    return cum[:, -1], out
+
+
+def _quadratic_form(
+    v: NDArray[np.float64], m: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """v' m v for every column of v (d, rows) and stack-last m (d, d, rows).
+
+    The d^2 terms are added in row-major order.
+    """
+    d = v.shape[0]
+    return sum((v[i] * m[i, j]) * v[j] for i in range(d) for j in range(d))
+
+
+def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """sum_r a[r] * b[r] over the leading axis (length >= 1), added in order."""
+    out = a[0] * b[0]
+    for r in range(1, len(a)):
+        out += a[r] * b[r]
+    return out
+
+
+def _rows_first(a: NDArray[np.float64], rows: NDArray[np.bool_]) -> NDArray[np.float64]:
+    """The selected matrices of a stack-last (d, d', R) stack as (r, d, d')."""
+    return np.ascontiguousarray(np.moveaxis(a[..., rows], -1, 0))
 
 
 def _batched_fgf(
     f: NDArray[np.float64], g: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """F G^(-1) F and the invertibility mask for stacked matrices.
+    """F G^(-1) F and the invertibility mask for stack-last (d, d, R) matrices.
 
     On rows the Cholesky screen clears, G = tr L L' with L the factor of
     G / tr, so F G^(-1) F = M' M with M = L^(-1) F / sqrt(tr): one
@@ -517,39 +573,51 @@ def _batched_fgf(
     passes keep the LU solve; failing rows are zero.
     """
     chol, scale, cleared, ok = _cholesky_rows(g)
-    out = np.zeros_like(f)
-    m = _forward_substitute(chol, f[cleared] / np.sqrt(scale)[:, None, None])
-    out[cleared] = np.einsum("kji,kjl->kil", m, m)
+    out = np.empty_like(f)
+    # Every row is substituted; rows the screen did not clear are
+    # overwritten below, so their overflow or NaN is never seen.
+    with np.errstate(all="ignore"):
+        m = _forward_substitute(chol, f / np.sqrt(scale))
+        for i in range(g.shape[0]):
+            out[i, i:] = _dot(m[:, i, None], m[:, i:])
+            out[i + 1 :, i] = out[i, i + 1 :]
+    if not cleared.all():
+        out[..., ~cleared] = 0.0
     rest = ok & ~cleared
     if np.any(rest):
-        prod = f[rest] @ np.linalg.solve(g[rest], f[rest])
-        out[rest] = (prod + np.swapaxes(prod, 1, 2)) / 2.0
+        f_rest = _rows_first(f, rest)
+        prod = f_rest @ np.linalg.solve(_rows_first(g, rest), f_rest)
+        out[..., rest] = np.moveaxis((prod + np.swapaxes(prod, 1, 2)) / 2.0, 0, -1)
     return out, ok
 
 
 def _solve_rows(
     m: NDArray[np.float64], rhs: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """m^(-1) rhs for stacked symmetric m, and the invertibility mask.
+    """m^(-1) rhs for stack-last symmetric m (d, d, R) and rhs (d, c, R),
+    and the invertibility mask.
 
     Rows the Cholesky screen clears take a forward and a back
     substitution with their factor; rows only the SVD fallback passes
     keep the LU solve; failing rows are zero.
     """
     chol, scale, cleared, ok = _cholesky_rows(m)
-    out = np.zeros_like(rhs)
-    x = _back_substitute(chol, _forward_substitute(chol, rhs[cleared]))
-    out[cleared] = x / scale[:, None, None]
+    with np.errstate(all="ignore"):
+        out = _back_substitute(chol, _forward_substitute(chol, rhs.copy())) / scale
+    if not cleared.all():
+        out[..., ~cleared] = 0.0
     rest = ok & ~cleared
     if np.any(rest):
-        out[rest] = np.linalg.solve(m[rest], rhs[rest])
+        x = np.linalg.solve(_rows_first(m, rest), _rows_first(rhs, rest))
+        out[..., rest] = np.moveaxis(x, 0, -1)
     return out, ok
 
 
 def _cholesky_rows(
     m: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_], NDArray[np.bool_]]:
-    """Invertibility of a stack of symmetric matrices, with Cholesky factors.
+    """Invertibility of a stack-last (d, d, R) stack of symmetric matrices,
+    with Cholesky factors.
 
     Returns (chol, scale, cleared, ok).  ``ok`` equals
     ``_invertible(np.linalg.cond(m))`` row for row, but the SVD runs only
@@ -561,53 +629,56 @@ def _cholesky_rows(
     COND_MAX, is ``cleared``: its cond is below the threshold by a
     margin far wider than the rounding of the factor or of the SVD.
     The other rows (rank-deficient, near the threshold, indefinite,
-    zero or non-finite) get ``np.linalg.cond``.  ``chol`` and ``scale``
-    cover the cleared rows only, in order; the lower triangle of each
-    ``chol`` row is the factor of that row's m / scale.
+    zero or non-finite) get ``np.linalg.cond``.  The lower triangle of
+    ``chol`` is the factor of m / scale, and holds meaning only on the
+    cleared rows.
     """
-    rows, d, _ = m.shape
+    d, _, rows = m.shape
     det = np.ones(rows)
     with np.errstate(all="ignore"):
-        scale = np.trace(m, axis1=1, axis2=2)
+        scale = np.trace(m)
         pos = scale > 0.0
         # Factored in place, column by column; the strict upper triangle
         # keeps m / scale and is never read.
-        chol = m / scale[:, None, None]
+        chol = m / scale
         for j in range(d):
-            lj = chol[:, j, :j]
-            piv = chol[:, j, j] - np.einsum("ki,ki->k", lj, lj)
+            lj = chol[j, :j]
+            piv = chol[j, j] - _dot(lj, lj) if j else chol[j, j].copy()
             pos &= piv > 0.0
             det *= piv
             root = np.sqrt(piv)
-            chol[:, j, j] = root
-            below = np.einsum("kji,ki->kj", chol[:, j + 1 :, :j], lj)
-            chol[:, j + 1 :, j] = (chol[:, j + 1 :, j] - below) / root[:, None]
+            chol[j, j] = root
+            if j:
+                chol[j + 1 :, j] -= _dot(np.swapaxes(chol[j + 1 :, :j], 0, 1), lj[:, None])
+            chol[j + 1 :, j] /= root
     cleared = pos & (det >= _SCREEN_MARGIN / COND_MAX)
     ok = cleared.copy()
     rest = ~cleared
     if np.any(rest):
-        ok[rest] = _invertible(np.linalg.cond(m[rest]))
-        chol, scale = chol[cleared], scale[cleared]
+        ok[rest] = _invertible(np.linalg.cond(_rows_first(m, rest)))
     return chol, scale, cleared, ok
 
 
 def _forward_substitute(
     chol: NDArray[np.float64], x: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Overwrite x (rows, d, m) with L^(-1) x for stacked lower-triangular L."""
-    for i in range(chol.shape[1]):
-        x[:, i] -= np.einsum("kj,kjm->km", chol[:, i, :i], x[:, :i])
-        x[:, i] /= chol[:, i, i, None]
+    """Overwrite x (d, c, R) with L^(-1) x for stack-last lower-triangular L."""
+    for i in range(chol.shape[0]):
+        if i:
+            x[i] -= _dot(chol[i, :i, None], x[:i])
+        x[i] /= chol[i, i]
     return x
 
 
 def _back_substitute(
     chol: NDArray[np.float64], x: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Overwrite x (rows, d, m) with L'^(-1) x for stacked lower-triangular L."""
-    for i in reversed(range(chol.shape[1])):
-        x[:, i] -= np.einsum("kj,kjm->km", chol[:, i + 1 :, i], x[:, i + 1 :])
-        x[:, i] /= chol[:, i, i, None]
+    """Overwrite x (d, c, R) with L'^(-1) x for stack-last lower-triangular L."""
+    d = chol.shape[0]
+    for i in reversed(range(d)):
+        if i < d - 1:
+            x[i] -= _dot(chol[i + 1 :, i, None], x[i + 1 :])
+        x[i] /= chol[i, i]
     return x
 
 

@@ -26,6 +26,7 @@ from qlscan import (
     simulate_sup_bb,
     sup_bb_quantile,
 )
+from qlscan import critical_values
 from qlscan.critical_values import TableEntry
 
 CONTINUUM = {1: 2.191012340767765, 2: 2.894240, 3: 3.468640}
@@ -43,6 +44,27 @@ class TestSimulateSupBB:
         short = simulate_sup_bb(1, m=50, reps=10, seed=3)
         long = simulate_sup_bb(1, m=50, reps=700, seed=3)
         np.testing.assert_array_equal(long[:10], short)
+
+    @pytest.mark.parametrize("d, m", [(1, 1000), (3, 1000), (2, 50), (5, 40_000)])
+    def test_chunks_change_no_value(self, monkeypatch, d, m):
+        # Each replication, computed alone from its own stream with plain
+        # array expressions, equals its value in the chunked simulation,
+        # whatever the chunk size: one replication per chunk, the
+        # default 2^15 grid values, or every replication at once.
+        reps = 7
+        tau = np.arange(1, m + 1) / m
+        want = np.empty(reps)
+        for r in range(reps):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, r))))
+            walk = np.cumsum(rng.standard_normal((d, m)), axis=1) * (1.0 / np.sqrt(m))
+            bridge = walk - tau * walk[:, -1:]
+            norm = bridge[0] * bridge[0]
+            for i in range(1, d):
+                norm = norm + bridge[i] * bridge[i]
+            want[r] = norm.max()
+        for chunk in (1, 2**15, reps * d * m):
+            monkeypatch.setattr(critical_values, "_CHUNK_VALUES", chunk)
+            np.testing.assert_array_equal(simulate_sup_bb(d, m=m, reps=reps, seed=5), want)
 
     def test_nonnegative(self):
         s = simulate_sup_bb(3, m=40, reps=200, seed=1)

@@ -50,6 +50,7 @@ from qlscan.scan_stat import (
     _solve_rows,
 )
 import scalar_ascent
+import stacked_reference
 from conftest import THETA0, make_series
 
 AR_SPECS = {
@@ -573,6 +574,16 @@ def _screen_stack(d, seed, kinds):
     return m, f, rhs
 
 
+def _last(a):
+    """A row-first (rows, ...) stack as the stack-last layout (..., rows)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _first(a):
+    """A stack-last (..., rows) stack back as row-first (rows, ...)."""
+    return np.moveaxis(a, -1, 0)
+
+
 def _assert_rows_close(actual, expected, rtol):
     """Row-wise max-abs difference within rtol times the row's max-abs."""
     err = np.abs(actual - expected).max(axis=(1, 2))
@@ -596,11 +607,12 @@ class TestCholeskyScreen:
         except np.linalg.LinAlgError:
             # NaN rows make the SVD fail; they must reach it here too.
             with pytest.raises(np.linalg.LinAlgError):
-                _cholesky_rows(m)
+                _cholesky_rows(_last(m))
             return
-        np.testing.assert_array_equal(_cholesky_rows(m)[3], ref)
-        fgf, ok_f = _batched_fgf(f, m)
-        x, ok_x = _solve_rows(m, rhs)
+        np.testing.assert_array_equal(_cholesky_rows(_last(m))[3], ref)
+        fgf, ok_f = _batched_fgf(_last(f), _last(m))
+        x, ok_x = _solve_rows(_last(m), _last(rhs))
+        fgf, x = _first(fgf), _first(x)
         np.testing.assert_array_equal(ok_f, ref)
         np.testing.assert_array_equal(ok_x, ref)
         assert not fgf[~ref].any() and not x[~ref].any()
@@ -641,6 +653,70 @@ class TestCholeskyScreen:
         res = scan(spec, series, window_estimator=mode)
         assert res.n_missing == 0
         assert stacked == []
+
+
+class TestStackLastAlgebra:
+    """The stack-last algebra against the row-first einsum code it replaced
+    (``stacked_reference``): bit for bit up to d = 3, where every sum has
+    at most three terms and both add them in index order."""
+
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(SCREEN_KINDS), min_size=1, max_size=48),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_screen_matches_the_row_first_reference(self, d, seed, kinds):
+        m, f, rhs = _screen_stack(d, seed, kinds)
+        try:
+            want = stacked_reference.cholesky_rows(m)
+        except np.linalg.LinAlgError:
+            for call in (lambda: _batched_fgf(_last(f), _last(m)),
+                         lambda: _solve_rows(_last(m), _last(rhs))):
+                with pytest.raises(np.linalg.LinAlgError):
+                    call()
+            return
+        chol, scale, cleared, ok = _cholesky_rows(_last(m))
+        np.testing.assert_array_equal(cleared, want[2])
+        np.testing.assert_array_equal(ok, want[3])
+        fgf, ok_f = _batched_fgf(_last(f), _last(m))
+        x, ok_x = _solve_rows(_last(m), _last(rhs))
+        fgf_ref, ok_f_ref = stacked_reference.batched_fgf(f, m)
+        x_ref, ok_x_ref = stacked_reference.solve_rows(m, rhs)
+        np.testing.assert_array_equal(ok_f, ok_f_ref)
+        np.testing.assert_array_equal(ok_x, ok_x_ref)
+        lower = np.tril(np.ones((d, d), dtype=bool))
+        pairs = [
+            (_first(fgf), fgf_ref),
+            (_first(x), x_ref),
+            (_first(chol)[cleared][:, lower], want[0][:, lower]),
+            (scale[cleared], want[1]),
+        ]
+        for got, ref in pairs:
+            if d <= 3:
+                np.testing.assert_array_equal(got, ref)
+            else:
+                assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p, theta0, seed", [
+        (1, (0.95,), (428, 0)),
+        (2, (0.9, 0.05), (424, 0)),
+        (3, (0.3, 0.2, 0.1), (426, 0)),
+        (4, (0.3, 0.2, 0.1, -0.2), (427, 0)),
+        (5, (0.2, 0.1, -0.1, 0.05, 0.1), (429, 0)),
+    ])
+    def test_ar_windows_match_the_row_first_reference(self, p, theta0, seed):
+        spec = ModelSpec(family=ModelFamily.AR, p=p)
+        series = make_series(spec, 400, theta0, seed=seed)
+        ks = default_window(spec, 400).indices
+        theta, ok = _ar_window_least_squares(spec, series.data, ks)
+        theta_ref, ok_ref = stacked_reference.ar_window_least_squares(
+            spec, series.data, ks)
+        np.testing.assert_array_equal(ok, ok_ref)
+        if p <= 3:
+            np.testing.assert_array_equal(theta, theta_ref)
+        else:
+            assert_allclose(theta, theta_ref, rtol=1e-13, atol=0.0)
 
 
 class TestNumericBreakdown:

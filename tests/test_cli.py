@@ -76,6 +76,16 @@ class TestTestCommand:
         assert "Q         4.44358" in out
         assert "argmax_k  352" in out
 
+    def test_constant_series_exits_zero(self, tmp_path, capsys):
+        # A constant series has no change to find.  Its AR(1) fit sits on
+        # the coefficient bound, where the full-sample mean score is not
+        # zero; the one-step deltas are centred by it.
+        path = tmp_path / "ones.txt"
+        np.savetxt(path, np.ones(300))
+        code, out, _ = run_cli(["test", str(path), "--model", "ar"], capsys)
+        assert code == 0
+        assert "decision  fail_to_reject" in out
+
     def test_alpha_and_vn_flags(self, fixture_dir, capsys):
         code, out, _ = run_cli(
             ["test", str(fixture_dir / "null.txt"), "--model", "ar",

@@ -64,7 +64,8 @@ def one_step_scan_replica(spec, series, window):
 
     Full-sample fit through the public optimizer, then plain Python
     loops over k: averaged per-observation gradients and hessians per
-    side, Fisher-scoring deltas against the pooled curvature, weight
+    side, Fisher-scoring deltas from the side mean scores centred by the
+    full-sample mean score, against the pooled curvature, weight
     matrix (k/n) F_L G_L^-1 F_L + ((n-k)/n) F_R G_R^-1 F_R, quadratic
     forms scaled by k^2/n and (n-k)^2/n.
     """
@@ -78,9 +79,10 @@ def one_step_scan_replica(spec, series, window):
     f_full = hesses.sum(axis=0) / n
     f_full = (f_full + f_full.T) / 2.0
     q1, q2 = [], []
+    g_full = grads.mean(axis=0)
     for k in window.indices:
-        gl = grads[:k].mean(axis=0)
-        gr = grads[k:].mean(axis=0)
+        gl = grads[:k].mean(axis=0) - g_full
+        gr = grads[k:].mean(axis=0) - g_full
         dl = -np.linalg.solve(f_full, gl)
         dr = -np.linalg.solve(f_full, gr)
         sigma = np.zeros((spec.d, spec.d))

@@ -102,10 +102,11 @@ the centred-score CUSUM form of Berkes, Horvath & Kokoszka (2004).  At
 an interior optimum gbar_full is zero up to the optimizer's tolerance,
 but at a fit on the domain boundary it is not, and uncentred side means
 would carry that offset into every split, scaled by k^2/n: 300 ones
-under AR(1) fit phi on its bound and gave Q = 240 and a rejection.  One-step estimators from a root-n-consistent start
-share the argmax estimator's first-order asymptotics, so the statistic
-keeps its limit law, and q becomes a smooth functional of cumulative
-score sums: simulated levels drop to 0.04 under the same design.
+under AR(1) fit phi on its bound and gave Q = 240 and a rejection.
+One-step estimators from a root-n-consistent start share the argmax
+estimator's first-order asymptotics, so the statistic keeps its limit
+law, and q becomes a smooth functional of cumulative score sums:
+simulated levels drop to 0.04 under the same design.
 
 AR scans near the unit root show the same inflation in miniature: at
 phi = 0.9 the smallest windows produce exact least-squares estimates
@@ -556,8 +557,12 @@ def _quadratic_form(
     return sum((v[i] * m[i, j]) * v[j] for i in range(d) for j in range(d))
 
 
-def _dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """sum_r a[r] * b[r] over the leading axis (length >= 1), added in order."""
+def _dot(
+    a: NDArray[np.float64], b: NDArray[np.float64]
+) -> NDArray[np.float64] | float:
+    """sum_r a[r] * b[r] over the leading axis, added in order; 0 if empty."""
+    if not len(a):
+        return 0.0
     out = a[0] * b[0]
     for r in range(1, len(a)):
         out += a[r] * b[r]
@@ -651,13 +656,12 @@ def _cholesky_rows(
         chol = m / scale
         for j in range(d):
             lj = chol[j, :j]
-            piv = chol[j, j] - _dot(lj, lj) if j else chol[j, j].copy()
+            piv = chol[j, j] - _dot(lj, lj)
             pos &= piv > 0.0
             det *= piv
             root = np.sqrt(piv)
             chol[j, j] = root
-            if j:
-                chol[j + 1 :, j] -= _dot(np.swapaxes(chol[j + 1 :, :j], 0, 1), lj[:, None])
+            chol[j + 1 :, j] -= _dot(np.swapaxes(chol[j + 1 :, :j], 0, 1), lj[:, None])
             chol[j + 1 :, j] /= root
     cleared = pos & (det >= _SCREEN_MARGIN / COND_MAX)
     ok = cleared.copy()
@@ -672,8 +676,7 @@ def _forward_substitute(
 ) -> NDArray[np.float64]:
     """Overwrite x (d, c, R) with L^(-1) x for stack-last lower-triangular L."""
     for i in range(chol.shape[0]):
-        if i:
-            x[i] -= _dot(chol[i, :i, None], x[:i])
+        x[i] -= _dot(chol[i, :i, None], x[:i])
         x[i] /= chol[i, i]
     return x
 
@@ -682,10 +685,8 @@ def _back_substitute(
     chol: NDArray[np.float64], x: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Overwrite x (d, c, R) with L'^(-1) x for stack-last lower-triangular L."""
-    d = chol.shape[0]
-    for i in reversed(range(d)):
-        if i < d - 1:
-            x[i] -= _dot(chol[i + 1 :, i, None], x[i + 1 :])
+    for i in reversed(range(chol.shape[0])):
+        x[i] -= _dot(chol[i + 1 :, i, None], x[i + 1 :])
         x[i] /= chol[i, i]
     return x
 

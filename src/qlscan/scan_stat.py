@@ -594,8 +594,7 @@ def _batched_fgf(
         for i in range(g.shape[0]):
             out[i, i:] = _dot(m[:, i, None], m[:, i:])
             out[i + 1 :, i] = out[i, i + 1 :]
-    if not cleared.all():
-        out[..., ~cleared] = 0.0
+    out[..., ~cleared] = 0.0
     rest = ok & ~cleared
     if np.any(rest):
         f_rest = _rows_first(f, rest)
@@ -617,8 +616,7 @@ def _solve_rows(
     chol, scale, cleared, ok = _cholesky_rows(m)
     with np.errstate(all="ignore"):
         out = _back_substitute(chol, _forward_substitute(chol, rhs.copy())) / scale
-    if not cleared.all():
-        out[..., ~cleared] = 0.0
+    out[..., ~cleared] = 0.0
     rest = ok & ~cleared
     if np.any(rest):
         x = np.linalg.solve(_rows_first(m, rest), _rows_first(rhs, rest))

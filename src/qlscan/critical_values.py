@@ -13,7 +13,7 @@ Gaussian random walk on the grid tau_j = j/m (increments scaled by
 1/sqrt(m)), bridges it by subtracting tau_j times the endpoint, and
 records the maximum over the grid of the squared norm.  Replication r
 draws from its own counter-based stream derived from (seed, r), so the
-sample does not depend on evaluation order, and a parallel driver would
+sample does not depend on evaluation order, and a parallel run would
 reproduce the sequential sample exactly.  Replications are simulated in
 chunks that fill one reused buffer of at most 2^15 grid values (one
 replication when d * m is larger), in place: the walk, the bridge and

@@ -32,7 +32,7 @@ from .models import (
     garch_spec,
     in_domain,
 )
-from .qmle import EstimateResult, OptimOptions, estimate, project_to_domain
+from .qmle import EstimateResult, estimate, project_to_domain
 from .scan_stat import (
     InfoMatrices,
     ScanResult,
@@ -56,7 +56,6 @@ __all__ = [
     "LikelihoodEval",
     "ModelFamily",
     "ModelSpec",
-    "OptimOptions",
     "ParamDomain",
     "RepRecord",
     "ScanError",

@@ -417,17 +417,16 @@ def _row_sum(
 ) -> NDArray[np.float64]:
     """Per-row pairwise sum over t of w[r, t] * u * v.
 
-    ``u`` and ``v`` are (T,) when shared by all rows, (R, 1) when
-    constant in t, or (R, T); constant factors are pulled out of the sum.
-    The sum is numpy's pairwise reduction along each row, the one the
-    values use, so a row's result does not depend on how many rows ``w``
-    holds.
+    ``u`` is (T,) when shared by all rows, (R, 1) when constant in t, or
+    (R, T); a constant ``u`` is pulled out of the sum.  ``v`` is (T,) or
+    (R, T): the hessian passes dm_i dm_j with i <= j, and the only entry
+    constant in t is dm_0, the ARCH/GARCH intercept's.  The sum is numpy's
+    pairwise reduction along each row, the one the values use, so a
+    row's result does not depend on how many rows ``w`` holds.
     """
     if v is not None:
         if u.ndim == 2 and u.shape[1] == 1:
             return _row_sum(w, v) * u[:, 0]
-        if v.ndim == 2 and v.shape[1] == 1:
-            return _row_sum(w, u) * v[:, 0]
         u = u * v
     if u.ndim == 2 and u.shape[1] == 1:
         return w.sum(axis=1) * u[:, 0]

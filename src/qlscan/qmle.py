@@ -17,13 +17,20 @@ rows on one window; warm calls pass ``init`` and climb one row.
 one warm start, and ``retry_cold`` the cold starts on every window it
 leaves unconverged.
 
+The optimizer's policy is fixed, in module constants that no caller
+sets: five cold starts (one for AR, as above), at most 200 iterations
+a row, an Armijo constant of 1e-4, halving backtracks, at most 40 of
+them, and a stop once the projected-gradient norm is at most
+1e-8 * Card(T), a tolerance that grows with the window because the
+log-likelihood is a sum over it.
+
 Everything here is deterministic: the quasi-random starts come from an
 unscrambled radical-inverse sequence, and no step consults a RNG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,7 +50,7 @@ from .models import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from numpy.typing import ArrayLike, NDArray
 
@@ -53,7 +60,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EstimateResult",
-    "OptimOptions",
     "estimate",
     "estimate_windows",
     "project_to_domain",
@@ -61,22 +67,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OptimOptions:
-    """Optimizer controls, shared by every row of the batched ascent.
-
-    ``grad_tol`` of None means the default 1e-8 * Card(T), so longer
-    windows tolerate proportionally larger gradient norms.  AR fits
-    ignore ``n_starts`` and climb from the domain centre alone: the AR
-    quasi-likelihood is concave, so every start reaches the same optimum.
-    """
-
-    grad_tol: float | None = None
-    max_iter: int = 200
-    n_starts: int = 5
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 40
+# The optimizer's fixed policy (module docstring); a row's gradient
+# tolerance is _GRAD_TOL_PER_OBS times its window's size.
+_GRAD_TOL_PER_OBS = 1e-8
+_MAX_ITER = 200
+_N_STARTS = 5
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -206,12 +204,12 @@ def _radical_inverse(i: int, base: int) -> float:
     return inv
 
 
-def _default_starts(spec: ModelSpec, opts: OptimOptions) -> NDArray[np.float64]:
+def _default_starts(spec: ModelSpec) -> NDArray[np.float64]:
     """Domain centre plus quasi-random in-domain points, all projected."""
     lo, hi = spec.domain.as_arrays()
     starts = [project_to_domain(spec, (lo + hi) / 2.0)]
     primes = [2, 3, 5, 7, 11, 13, 17][: spec.d]
-    n_starts = 1 if spec.family is ModelFamily.AR else opts.n_starts
+    n_starts = 1 if spec.family is ModelFamily.AR else _N_STARTS
     for i in range(1, n_starts):
         unit = np.array([_radical_inverse(i, b) for b in primes])
         # Pull toward the centre a little so starts stay strictly interior
@@ -305,29 +303,28 @@ def estimate(
     spec: ModelSpec,
     segment: SeriesSegment,
     init: ArrayLike | None = None,
-    opts: OptimOptions | None = None,
 ) -> EstimateResult:
     """QMLE of theta on the segment's window.
 
     With ``init`` given the optimizer runs a single start from the
     projection of ``init`` (warm start).  Without it, a deterministic
     multi-start is used and the best local maximiser wins, earliest
-    start breaking exact ties; AR fits run its first start, the domain
-    centre, alone (``OptimOptions``).
+    start breaking exact ties: ``_N_STARTS`` starts, or for AR fits the
+    first, the domain centre, alone.  Each start climbs at most
+    ``_MAX_ITER`` iterations.
 
     Raises
     ------
     SizingError
         If the window holds fewer than d + 1 observations.
     """
-    opts = opts or OptimOptions()
     if init is None:
-        x0 = _default_starts(spec, opts)
+        x0 = _default_starts(spec)
     else:
         x0 = project_to_domain(spec, init)[None, :]
     x, f, pg_norm, iterations, converged = (out[0] for out in _fit_rows(
         spec, segment.data, np.array([segment.start]), np.array([segment.end]),
-        x0[:, None, :], opts,
+        x0[:, None, :],
     ))
     return EstimateResult(
         theta_hat=x,
@@ -340,12 +337,19 @@ def estimate(
 
 
 # Largest (rows x observations) block that ``_fit_rows`` climbs at once
-# in ``_run_rows``.  The block's 0/1 window mask holds at most this many
-# float64 values (1 MiB) and is its one array of that size:
-# ``loglik_rows`` evaluates the block in cache-sized chunks of
-# ``likelihood._CHUNK_VALUES`` values.  So this bounds the memory of a
-# batch, not its speed.
+# in ``_run_rows``, and that ``retry_cold`` evaluates at once.  The
+# block's 0/1 window mask holds at most this many float64 values
+# (1 MiB) and is its one array of that size: ``loglik_rows`` evaluates
+# the block in cache-sized chunks of ``likelihood._CHUNK_VALUES``
+# values.  So this bounds the memory of a batch, not its speed.
 _BLOCK_VALUES = 2**17
+
+
+def _blocks(rows: int, data: NDArray[np.float64]) -> Iterator[slice]:
+    """Consecutive slices over ``rows`` rows, each row a window of ``data``,
+    of at most ``_BLOCK_VALUES`` (row, observation) values each."""
+    step = max(1, _BLOCK_VALUES // data.size)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -403,7 +407,6 @@ def _line_search_rows(
     grad: NDArray[np.float64],
     direction: NDArray[np.float64],
     f_at: Callable[[NDArray[np.int64], NDArray[np.float64], bool], NDArray[np.float64]],
-    opts: OptimOptions,
 ) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Armijo backtracking along the projection arc for every row.
 
@@ -420,7 +423,7 @@ def _line_search_rows(
     out = x.copy()
     pending = np.arange(x.shape[0])
     full = accepted
-    for k in range(opts.max_backtracks):
+    for k in range(_MAX_BACKTRACKS):
         if pending.size == 0:
             break
         trial = _project_rows(spec, x[pending] + alpha[pending, None] * direction[pending])
@@ -431,12 +434,12 @@ def _line_search_rows(
         ok = np.zeros(pending.size, dtype=bool)
         if np.any(test):
             f_trial = f_at(pending[test], trial[test], k == 0)
-            ok[test] = f_trial <= f[pending[test]] + opts.armijo_c1 * slope[test]
+            ok[test] = f_trial <= f[pending[test]] + _ARMIJO_C1 * slope[test]
         out[pending[ok]] = trial[ok]
         accepted[pending[ok]] = True
         if k == 0:
             full = accepted.copy()
-        alpha[pending] *= opts.backtrack
+        alpha[pending] *= _BACKTRACK
         pending = pending[moved & ~ok]
     return accepted, out, full
 
@@ -448,7 +451,6 @@ def _run_rows(
     ends: NDArray[np.int64],
     x0: NDArray[np.float64],
     grad_tol: NDArray[np.float64],
-    opts: OptimOptions,
 ) -> _Fits:
     """Projected Newton descent on f = -L for every row at once.
 
@@ -489,7 +491,7 @@ def _run_rows(
     iterations = np.zeros(n_rows, dtype=np.int64)
     live = np.ones(n_rows, dtype=bool)
     converged = np.zeros(n_rows, dtype=bool)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITER):
         rows = np.flatnonzero(live)
         done = stationary(rows)
         converged[rows[done]] = True
@@ -508,7 +510,7 @@ def _run_rows(
             sub = rows[left]
             acc, points, full = _line_search_rows(
                 spec, x[sub], f[sub], g[sub], direction[left],
-                lambda local, pts, first, sub=sub: f_trial(sub[local], pts, first), opts,
+                lambda local, pts, first, sub=sub: f_trial(sub[local], pts, first),
             )
             x_new[left[acc]] = points[acc]
             moved[left[acc]] = True
@@ -534,7 +536,6 @@ def _fit_rows(
     starts: NDArray[np.int64],
     ends: NDArray[np.int64],
     x0: NDArray[np.float64],
-    opts: OptimOptions,
 ) -> _Fits:
     """Climb each window from each of its starts; keep its best fit.
 
@@ -543,7 +544,7 @@ def _fit_rows(
     starts among all windows, (1, W, d) gives each window its own.  The
     S x W rows climb in ``_run_rows`` in blocks of at most
     ``_BLOCK_VALUES`` (row, observation) values, each with ``grad_tol``
-    ``opts.grad_tol`` or by default 1e-8 times its window's size.  Each
+    ``_GRAD_TOL_PER_OBS`` times its window's size.  Each
     window returns its row of least f, the earliest start breaking
     exact ties.  Raises SizingError if a window holds fewer than d + 1
     observations.
@@ -555,17 +556,14 @@ def _fit_rows(
             f"window of {cards.min()} observations cannot identify "
             f"{spec.d} parameters; need at least {spec.d + 1}"
         )
-    tol = opts.grad_tol
-    grad_tol = np.tile(1e-8 * cards if tol is None else np.full(n_win, tol), n_starts)
+    grad_tol = np.tile(_GRAD_TOL_PER_OBS * cards, n_starts)
     starts, ends = np.tile(starts, n_starts), np.tile(ends, n_starts)
     x0 = np.broadcast_to(x0, (n_starts, n_win, spec.d)).reshape(-1, spec.d)
     rows = starts.size
     out = (np.empty((rows, spec.d)), np.empty(rows), np.empty(rows),
            np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool))
-    block = max(1, _BLOCK_VALUES // data.size)
-    for lo in range(0, rows, block):
-        sl = slice(lo, lo + block)
-        parts = _run_rows(spec, data, starts[sl], ends[sl], x0[sl], grad_tol[sl], opts)
+    for sl in _blocks(rows, data):
+        parts = _run_rows(spec, data, starts[sl], ends[sl], x0[sl], grad_tol[sl])
         for arr, part in zip(out, parts):
             arr[sl] = part
     best = np.argmin(out[1].reshape(n_starts, n_win), axis=0) * n_win + np.arange(n_win)
@@ -578,7 +576,6 @@ def estimate_windows(
     starts: NDArray[np.int64],
     ends: NDArray[np.int64],
     init: ArrayLike,
-    opts: OptimOptions | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Warm-started QMLE on many windows of one series at once.
 
@@ -589,7 +586,7 @@ def estimate_windows(
     in blocks of at most ``_BLOCK_VALUES`` (window, observation) values.
 
     Returns (theta (W, d), converged (W,)).  A row that is not converged
-    reached ``opts.max_iter`` or found no acceptable step, and holds its
+    reached ``_MAX_ITER`` iterations or found no acceptable step, and holds its
     last iterate; ``retry_cold`` gives such windows the cold multi-start.
     A row's sums do not depend on which other rows its block holds, but
     they run over the block's span of observations, so a row agrees
@@ -601,11 +598,9 @@ def estimate_windows(
     SizingError
         If a window holds fewer than d + 1 observations.
     """
-    opts = opts or OptimOptions()
     theta, _, _, _, converged = _fit_rows(
         spec, np.asarray(data, dtype=float), np.asarray(starts, dtype=np.int64),
         np.asarray(ends, dtype=np.int64), project_to_domain(spec, init)[None, None, :],
-        opts,
     )
     return theta, converged
 
@@ -616,23 +611,21 @@ def retry_cold(
     starts: NDArray[np.int64],
     ends: NDArray[np.int64],
     theta: NDArray[np.float64],
-    opts: OptimOptions | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Cold multi-start on windows whose warm climb did not converge.
 
     ``theta`` holds the warm fits.  Every window climbs from every start
     of a cold ``estimate`` call, all (start, window) rows in one batch,
-    and adopts its best cold fit when that converged or has a higher
-    log-likelihood than the warm fit.  Returns (theta (W, d), converged
-    (W,)).
+    and takes its best cold fit when that converged or has a higher
+    log-likelihood than the warm fit, whose values take one order-0
+    ``loglik_rows`` call a block.  Returns (theta (W, d), converged (W,)).
     """
-    opts = opts or OptimOptions()
     x, f, _, _, ok = _fit_rows(
-        spec, data, starts, ends, _default_starts(spec, opts)[:, None, :], opts
+        spec, data, starts, ends, _default_starts(spec)[:, None, :]
     )
-    # A climb of zero iterations evaluates f at its start.
-    warm_f = _fit_rows(
-        spec, data, starts, ends, theta[None], replace(opts, max_iter=0)
-    )[1]
+    warm_f = np.empty(starts.size)
+    for sl in _blocks(starts.size, data):
+        mask = window_mask(starts[sl], ends[sl], int(np.max(ends[sl])))
+        warm_f[sl] = -loglik_rows(spec, theta[sl], data, mask, order=0)[0]
     # A kept warm fit is unconverged, and then so is the best cold fit.
     return np.where((ok | (f < warm_f))[:, None], x, theta), ok

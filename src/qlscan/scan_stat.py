@@ -145,7 +145,7 @@ from .models import (
     default_window,
     in_domain_rows,
 )
-from .qmle import EstimateResult, OptimOptions, estimate, estimate_windows, retry_cold
+from .qmle import EstimateResult, estimate, estimate_windows, retry_cold
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -353,13 +353,12 @@ def _scan_pipeline(
     window: ScanWindow,
     alpha: float,
     table: CriticalTable,
-    opts: OptimOptions | None,
     estimator: str,
 ) -> ScanResult:
     ks = window.indices
     n = series.n
     data = series.data
-    full = estimate(spec, series, opts=opts)
+    full = estimate(spec, series)
     theta_full = full.theta_hat
 
     # One full-sample derivative pass at theta_full yields every side's
@@ -393,9 +392,7 @@ def _scan_pipeline(
     if estimator == "one_step":
         dl, ok_l, dr, ok_r = _one_step_deltas(grads, h_total[pos] / n, idx, cards)
     else:
-        theta_l, ok_l, theta_r, ok_r = _exact_window_estimates(
-            spec, data, ks, theta_full, opts
-        )
+        theta_l, ok_l, theta_r, ok_r = _exact_window_estimates(spec, data, ks, theta_full)
         dl = (theta_l - theta_full).T
         dr = (theta_r - theta_full).T
 
@@ -412,7 +409,6 @@ def _exact_window_estimates(
     data: NDArray[np.float64],
     ks: NDArray[np.int64],
     theta_full: NDArray[np.float64],
-    opts: OptimOptions | None,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Argmax estimates for every prefix T_k and suffix complement.
 
@@ -432,7 +428,7 @@ def _exact_window_estimates(
     the rows it cannot settle enter the batch; the AR quasi-likelihood
     is concave, so a warm climb reaches the same optimum as a cold one.
     The windows the batch leaves unconverged are retried cold, all in
-    one batch (``retry_cold``); each adopts its cold fit if that
+    one batch (``retry_cold``); each takes its cold fit if that
     converged or has the higher log-likelihood.
     """
     nk = ks.size
@@ -445,12 +441,12 @@ def _exact_window_estimates(
         theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
     rows = np.flatnonzero(~ok)
     theta[rows], ok[rows] = estimate_windows(
-        spec, data, starts[rows], ends[rows], theta_full, opts
+        spec, data, starts[rows], ends[rows], theta_full
     )
     rows = rows[~ok[rows]]
     if rows.size:
         theta[rows], ok[rows] = retry_cold(
-            spec, data, starts[rows], ends[rows], theta[rows], opts
+            spec, data, starts[rows], ends[rows], theta[rows]
         )
     return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
 
@@ -695,7 +691,6 @@ def scan(
     window: ScanWindow | None = None,
     alpha: float = 0.05,
     table: CriticalTable | None = None,
-    opts: OptimOptions | None = None,
     window_estimator: str | None = None,
 ) -> ScanResult:
     """Run the change-point scan over the whole series.
@@ -714,6 +709,11 @@ def scan(
         takes a single Fisher-scoring step from the full-sample fit
         (see the module docstring for why).  None picks the family
         default: exact for ARCH, one_step for AR and GARCH.
+
+    Every fit, of the full sample and of the windows, runs ``qmle``'s
+    fixed optimizer policy: five cold starts (the domain centre alone
+    for AR), at most 200 iterations, and a stop once the
+    projected-gradient norm is at most 1e-8 * Card(T).
 
     Raises
     ------
@@ -744,9 +744,7 @@ def scan(
     # Fail early if the table cannot cover the decision.
     table.lookup(spec.d, alpha)
     try:
-        return _scan_pipeline(
-            spec, series, window, alpha, table, opts, window_estimator
-        )
+        return _scan_pipeline(spec, series, window, alpha, table, window_estimator)
     except (np.linalg.LinAlgError, DomainError) as exc:
         # Inputs were validated above, so these come from overflow or
         # loss of precision inside the fits and the linear algebra.

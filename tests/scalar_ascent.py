@@ -4,19 +4,21 @@
 climbs one start at a time with plain ``loglik`` calls and the scalar
 ``project_to_domain``, taking the steps the batch must take: the same
 projected-gradient stopping rule, active-set Newton direction then -g,
-and Armijo backtracking along the projection arc.  Tests compare the
-batch against it.
+and Armijo backtracking along the projection arc, under the policy
+constants of ``qmle``, read at call time so that a test patching them
+limits both.  Tests compare the batch against it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qlscan import EstimateResult, OptimOptions, loglik, project_to_domain
+from qlscan import EstimateResult, loglik, project_to_domain
+from qlscan import qmle
 from qlscan.qmle import _boundary_active, _default_starts, _newton_direction
 
 
-def run_single_start(spec, segment, x0, grad_tol, opts):
+def run_single_start(spec, segment, x0, grad_tol):
     """Projected Newton descent on f = -L from one starting point.
 
     Returns (x, f, projected_grad_norm, iterations, converged).
@@ -31,14 +33,14 @@ def run_single_start(spec, segment, x0, grad_tol, opts):
     x = x0
     f, g, hess = evaluate(x, 2)
     iterations = 0
-    for _ in range(opts.max_iter):
+    for _ in range(qmle._MAX_ITER):
         pg = x - project_to_domain(spec, x - g)
         if float(np.linalg.norm(pg)) <= grad_tol:
             return x, f, float(np.linalg.norm(pg)), iterations, True
         accepted = None
         for direction in (_newton_direction(spec, x, g, hess), -g):
             alpha = 1.0
-            for _ in range(opts.max_backtracks):
+            for _ in range(qmle._MAX_BACKTRACKS):
                 trial = project_to_domain(spec, x + alpha * direction)
                 step = trial - x
                 slope = float(g @ step)
@@ -46,10 +48,10 @@ def run_single_start(spec, segment, x0, grad_tol, opts):
                     break
                 if slope < 0.0:
                     f_trial, _, _ = evaluate(trial, 0)
-                    if f_trial <= f + opts.armijo_c1 * slope:
+                    if f_trial <= f + qmle._ARMIJO_C1 * slope:
                         accepted = trial
                         break
-                alpha *= opts.backtrack
+                alpha *= qmle._BACKTRACK
             if accepted is not None:
                 break
         if accepted is None:
@@ -63,18 +65,17 @@ def run_single_start(spec, segment, x0, grad_tol, opts):
     return x, f, norm, iterations, norm <= grad_tol
 
 
-def estimate(spec, segment, init=None, opts=None):
+def estimate(spec, segment, init=None):
     """``qmle.estimate`` one start at a time: the best optimum wins,
     earliest start breaking exact ties."""
-    opts = opts or OptimOptions()
-    grad_tol = opts.grad_tol if opts.grad_tol is not None else 1e-8 * segment.card
+    grad_tol = qmle._GRAD_TOL_PER_OBS * segment.card
     if init is None:
-        starts = list(_default_starts(spec, opts))
+        starts = list(_default_starts(spec))
     else:
         starts = [project_to_domain(spec, init)]
     best = None
     for x0 in starts:
-        run = run_single_start(spec, segment, x0, grad_tol, opts)
+        run = run_single_start(spec, segment, x0, grad_tol)
         if best is None or run[1] < best[1]:
             best = run
     x, f, pg_norm, iterations, converged = best
@@ -88,12 +89,12 @@ def estimate(spec, segment, init=None, opts=None):
     )
 
 
-def estimate_with_retry(spec, segment, init, opts):
+def estimate_with_retry(spec, segment, init):
     """Warm fit from ``init``; if it fails, a cold multi-start replaces
     it when that converged or has the higher log-likelihood."""
-    res = estimate(spec, segment, init=init, opts=opts)
+    res = estimate(spec, segment, init=init)
     if not res.converged:
-        cold = estimate(spec, segment, opts=opts)
+        cold = estimate(spec, segment)
         if cold.converged or cold.loglik_at_opt > res.loglik_at_opt:
             res = cold
     return res

@@ -86,6 +86,13 @@ class TestTestCommand:
         assert code == 0
         assert "decision  fail_to_reject" in out
 
+    def test_all_zero_series_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "zeros.txt"
+        np.savetxt(path, np.zeros(300))
+        code, _, err = run_cli(["test", str(path), "--model", "ar"], capsys)
+        assert code == 1
+        assert "error:" in err
+
     def test_alpha_and_vn_flags(self, fixture_dir, capsys):
         code, out, _ = run_cli(
             ["test", str(fixture_dir / "null.txt"), "--model", "ar",

@@ -58,22 +58,23 @@ class TestRunExperiment:
         for ra, rb in zip(a.records, b.records):
             assert ra.q == rb.q
 
-    def test_flagged_reps_leave_the_denominator(self, ar1_spec, monkeypatch):
+    def test_flagged_reps_leave_the_denominator(self, ar1_spec, monkeypatch, tmp_path):
         real_scan = experiments_module.scan
+        design = {"theta1": (0.8,), "break_index": 60}
 
         def flaky(spec, series, window=None, alpha=0.05, table=None, **kw):
             # Fail exactly the replication generated from (base, 1).
             if abs(float(series.data[0]) - flaky.marker) < 1e-12:
-                raise ScanError("synthetic failure")
+                raise ScanError("synthetic failure, at k=3\nand k=4")
             return real_scan(spec, series, window=window, alpha=alpha,
                              table=table, **kw)
 
-        plan1 = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,), seed=(9000, 1))
+        plan1 = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,), seed=(9000, 1), **design)
         flaky.marker = float(generate(plan1).data[0])
         monkeypatch.setattr(experiments_module, "scan", flaky)
 
         # 1 failure out of 21 stays under the 5% abort threshold.
-        report = run_experiment(small_config(ar1_spec, reps=21))
+        report = run_experiment(small_config(ar1_spec, reps=21, **design))
         assert report.n_flagged == 1
         bad = report.records[1]
         assert bad.error is not None and bad.q is None and bad.reject is None
@@ -82,10 +83,19 @@ class TestRunExperiment:
             report.rejection_rate,
             sum(1 for r in kept if r.reject) / len(kept),
         )
+        text = report.table()
+        assert "theta1        0.8 (break after k=60)" in text
+        assert "replications  21 (1 flagged)" in text
+        # The error keeps to one CSV row: commas become ';', newlines spaces.
+        path = tmp_path / "reps.csv"
+        report.save_csv(path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 22
+        assert lines[2] == "1,9000,1,,error,,synthetic failure; at k=3 and k=4"
 
         # 1 failure out of 4 is above 5%: the experiment aborts.
         with pytest.raises(ExperimentError):
-            run_experiment(small_config(ar1_spec, reps=4))
+            run_experiment(small_config(ar1_spec, reps=4, **design))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_breakdown_is_flagged(self, ar1_spec, monkeypatch):

@@ -112,6 +112,20 @@ class TestHandOracles:
         assert_allclose(d2q2, d2q2.T)
 
 
+    def test_ar_volatility_path_is_the_lagged_mean(self):
+        # AR(2) on the window {3, ..., 6}: f_t = phi_1 X_{t-1} + phi_2 X_{t-2}
+        # with X_0 = X_{-1} = 0, unit variance, no variance derivatives.
+        spec = ModelSpec(family=ModelFamily.AR, p=2)
+        x = [0.5, -1.0, 2.0, 0.25, -0.75, 1.5]
+        phi = (0.4, -0.3)
+        vp = volatility_path(spec, phi, SeriesSegment(x, 3, 6))
+        lagged = [phi[0] * x[t - 2] + phi[1] * x[t - 3] for t in range(3, 7)]
+        assert_allclose(vp.f_hat, lagged, rtol=1e-15)
+        np.testing.assert_array_equal(vp.h_hat, np.ones(4))
+        np.testing.assert_array_equal(vp.dh, np.zeros((2, 4)))
+        np.testing.assert_array_equal(vp.d2h, np.zeros((2, 2, 4)))
+
+
 class TestGarchDirectSum:
     def test_recursion_equals_direct_summation(self, garch_spec):
         theta = (0.7, 0.25, 0.6)

@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 from qlscan import (
     ModelFamily,
     ModelSpec,
-    OptimOptions,
     ParamDomain,
     SeriesSegment,
     SizingError,
@@ -96,16 +95,17 @@ class TestBatchedStarts:
     """``estimate`` climbs its starts as rows of one batched ascent."""
 
     @pytest.mark.parametrize("name", ["ar", "arch", "garch"])
-    def test_matches_the_scalar_reference(self, all_specs, name):
+    def test_matches_the_scalar_reference(self, monkeypatch, all_specs, name):
         # The scalar reference climbs the same starts one at a time.  Cut
         # short at 3 iterations, the starts end apart, so the best one
         # must be picked.
         spec = all_specs[name]
-        for s, opts in product(range(3), (None, OptimOptions(max_iter=3))):
+        for s, max_iter in product(range(3), (qmle_module._MAX_ITER, 3)):
+            monkeypatch.setattr(qmle_module, "_MAX_ITER", max_iter)
             series = make_series(spec, 500, THETA0[name], seed=(230, s))
             for init in (None, 0.8 * np.asarray(THETA0[name])):
-                got = estimate(spec, series, init=init, opts=opts)
-                want = scalar_ascent.estimate(spec, series, init=init, opts=opts)
+                got = estimate(spec, series, init=init)
+                want = scalar_ascent.estimate(spec, series, init=init)
                 assert got.converged == want.converged
                 assert_allclose(got.theta_hat, want.theta_hat, rtol=0.0, atol=1e-6)
                 assert_allclose(got.loglik_at_opt, want.loglik_at_opt, rtol=1e-12)
@@ -131,8 +131,8 @@ class TestFullStepReuse:
             calls.append({theta.tobytes() for theta in thetas})
             return real_rows(spec, thetas, *args, **kwargs)
 
-        def search(spec, x, f, grad, direction, f_at, opts):
-            acc, points, full = real_search(spec, x, f, grad, direction, f_at, opts)
+        def search(spec, x, f, grad, direction, f_at):
+            acc, points, full = real_search(spec, x, f, grad, direction, f_at)
             # A row took the full step exactly when its accepted point is
             # the projected full step: had that point failed the Armijo
             # test at alpha = 1, it would fail it again at any later alpha.
@@ -213,12 +213,15 @@ class TestEstimateContract:
         with pytest.raises(SizingError):
             estimate(garch_spec, SeriesSegment.full([1.0, -0.5, 0.3]))
 
-    def test_options_are_honoured(self, ar1_spec, ar1_series):
+    def test_options_are_honoured(self, monkeypatch, ar1_spec, ar1_series):
         seg = SeriesSegment.full(ar1_series.data)
-        res = estimate(ar1_spec, seg, opts=OptimOptions(max_iter=1))
-        assert res.iterations <= 1
-        single = estimate(ar1_spec, seg, opts=OptimOptions(n_starts=1))
         multi = estimate(ar1_spec, seg)
+        with monkeypatch.context() as m:
+            m.setattr(qmle_module, "_MAX_ITER", 1)
+            res = estimate(ar1_spec, seg)
+        assert res.iterations <= 1
+        monkeypatch.setattr(qmle_module, "_N_STARTS", 1)
+        single = estimate(ar1_spec, seg)
         assert_allclose(single.theta_hat, multi.theta_hat, atol=1e-8)
 
 

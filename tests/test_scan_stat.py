@@ -25,7 +25,6 @@ from qlscan import (
     DomainError,
     ModelFamily,
     ModelSpec,
-    OptimOptions,
     ScanError,
     ScanWindow,
     SeriesSegment,
@@ -307,8 +306,8 @@ class TestMissingPolicy:
         def flaky(real):
             # The targeted prefixes come back unconverged from the warm
             # batch, so they reach the cold retry, and from that as well.
-            def fit(spec, data, starts, ends, x, opts):
-                theta, converged = real(spec, data, starts, ends, x, opts)
+            def fit(spec, data, starts, ends, x):
+                theta, converged = real(spec, data, starts, ends, x)
                 for r, (start, end) in enumerate(zip(starts, ends)):
                     if start == 1 and int(end) in bad_ks:
                         converged[r] = False
@@ -335,7 +334,7 @@ class TestMissingPolicy:
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
 
 
-def _scalar_window_fits(spec, data, ks, theta_full, opts):
+def _scalar_window_fits(spec, data, ks, theta_full):
     """Per-window fits by the scalar reference ascent, warm then cold,
     prefixes then suffixes, in the layout of ``_exact_window_estimates``."""
     fits = {"l": [], "r": []}
@@ -343,7 +342,7 @@ def _scalar_window_fits(spec, data, ks, theta_full, opts):
         for side, segment in (("l", SeriesSegment.prefix(data, int(k))),
                               ("r", SeriesSegment.suffix(data, int(k)))):
             fits[side].append(scalar_ascent.estimate_with_retry(
-                spec, segment, theta_full, opts))
+                spec, segment, theta_full))
     return tuple(
         np.array([getattr(res, attr) for res in fits[side]])
         for side in ("l", "r") for attr in ("theta_hat", "converged")
@@ -377,8 +376,8 @@ class TestWindowBatch:
         ends = np.concatenate((ks, np.full(ks.size, n)))
         _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
         assert batch_ok.all()  # so the comparison below tests the batch itself
-        got = _exact_window_estimates(spec, series.data, ks, theta_full, None)
-        want = _scalar_window_fits(spec, series.data, ks, theta_full, None)
+        got = _exact_window_estimates(spec, series.data, ks, theta_full)
+        want = _scalar_window_fits(spec, series.data, ks, theta_full)
         for side in (0, 2):
             assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
             np.testing.assert_array_equal(got[side + 1], want[side + 1])
@@ -402,7 +401,7 @@ class TestWindowBatch:
         def stalled_batch(*args):
             with monkeypatch.context() as m:
                 m.setattr(qmle_module, "_line_search_rows",
-                          lambda spec, x, f, grad, direction, f_at, opts: (
+                          lambda spec, x, f, grad, direction, f_at: (
                               np.zeros(x.shape[0], dtype=bool), x.copy(),
                               np.zeros(x.shape[0], dtype=bool)))
                 return estimate_windows(*args)
@@ -412,20 +411,20 @@ class TestWindowBatch:
         theta_full = estimate(garch_spec, garch_series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, garch_series.n)))
-        theta, ok = stalled_batch(garch_spec, data, starts, ends, theta_full, None)
+        theta, ok = stalled_batch(garch_spec, data, starts, ends, theta_full)
         assert not ok.any()
         np.testing.assert_array_equal(theta, np.tile(theta_full, (starts.size, 1)))
 
         calls = []
         real = scan_stat_module.retry_cold
 
-        def counting(spec, data, starts, ends, theta, opts):
+        def counting(spec, data, starts, ends, theta):
             calls.append((starts.tolist(), ends.tolist()))
-            return real(spec, data, starts, ends, theta, opts)
+            return real(spec, data, starts, ends, theta)
 
         monkeypatch.setattr(scan_stat_module, "estimate_windows", stalled_batch)
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(garch_spec, data, ks, theta_full, None)
+        got = _exact_window_estimates(garch_spec, data, ks, theta_full)
         assert calls == [(starts.tolist(), ends.tolist())]
         assert got[1].all() and got[3].all()
         cold = [scalar_ascent.estimate(garch_spec, SeriesSegment(data, int(a), int(b)))
@@ -437,36 +436,35 @@ class TestWindowBatch:
     # max_iter=1 leaves every batch row unconverged; max_iter=4 about 1 in 8.
     @pytest.mark.parametrize("max_iter", [1, 4])
     def test_unconverged_rows_are_retried_cold(self, monkeypatch, arch_spec, max_iter):
-        opts = OptimOptions(max_iter=max_iter)
         series = make_series(arch_spec, 150, THETA0["arch"], seed=(425, 0))
         window = ScanWindow(n=150, v_n=40)
         ks = window.indices
         theta_full = estimate(arch_spec, series).theta_hat
+        monkeypatch.setattr(qmle_module, "_MAX_ITER", max_iter)
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
-        _, batch_ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full,
-                                       opts)
+        _, batch_ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
         calls = []
         real = scan_stat_module.retry_cold
 
-        def counting(spec, data, starts, ends, theta, opts):
+        def counting(spec, data, starts, ends, theta):
             calls.append((starts.tolist(), ends.tolist()))
-            return real(spec, data, starts, ends, theta, opts)
+            return real(spec, data, starts, ends, theta)
 
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full, opts)
+        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full)
         assert 0 < np.count_nonzero(~batch_ok)
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
-        want = _scalar_window_fits(arch_spec, series.data, ks, theta_full, opts)
+        want = _scalar_window_fits(arch_spec, series.data, ks, theta_full)
         for side in (0, 2):
             assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
             np.testing.assert_array_equal(got[side + 1], want[side + 1])
 
-        # The whole scan under the same options, with batched and with
-        # scalar reference window fits.
+        # The whole scan under the same iteration limit, with batched and
+        # with scalar reference window fits.
         def run():
             try:
-                res = scan(arch_spec, series, window=window, opts=opts)
+                res = scan(arch_spec, series, window=window)
             except ScanError as exc:
                 return str(exc)
             return res.q1, res.q2
@@ -479,6 +477,24 @@ class TestWindowBatch:
             assert batched == scalar
         else:
             assert_allclose(batched, scalar, rtol=1e-6, atol=1e-9)
+
+    def test_retry_spans_blocks(self, monkeypatch, arch_spec):
+        # One iteration leaves every window unconverged.  With blocks of
+        # 2^12 values the retry evaluates the warm fits and climbs the
+        # cold starts in many blocks; by default, in one.
+        series = make_series(arch_spec, 150, THETA0["arch"], seed=(425, 0))
+        ks = ScanWindow(n=150, v_n=40).indices
+        theta_full = estimate(arch_spec, series).theta_hat
+        starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
+        ends = np.concatenate((ks, np.full(ks.size, series.n)))
+        monkeypatch.setattr(qmle_module, "_MAX_ITER", 1)
+        theta, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
+        assert not ok.any()
+        want = qmle_module.retry_cold(arch_spec, series.data, starts, ends, theta)
+        monkeypatch.setattr(qmle_module, "_BLOCK_VALUES", 2**12)
+        got = qmle_module.retry_cold(arch_spec, series.data, starts, ends, theta)
+        assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_no_window_stalls_short_of_the_tolerance(self, arch_spec):
         # Value sums taken sequentially along t once left 2 windows of this
@@ -741,6 +757,14 @@ class TestNumericBreakdown:
         with pytest.raises(ScanError, match="numerical breakdown") as exc_info:
             scan(spec, huge)
         assert isinstance(exc_info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_all_zero_series_raises_scan_error(self, p):
+        # Every lag is zero, so the one-step scan's full-sample mean
+        # hessian is the zero matrix.
+        spec = ModelSpec(family=ModelFamily.AR, p=p)
+        with pytest.raises(ScanError, match="numerically singular"):
+            scan(spec, SeriesSegment.full(np.zeros(300)))
 
 
 class TestMonteCarloRates:

@@ -14,11 +14,17 @@ Gaussian random walk on the grid tau_j = j/m (increments scaled by
 records the maximum over the grid of the squared norm.  Replication r
 draws from its own counter-based stream derived from (seed, r), so the
 sample does not depend on evaluation order, and a parallel run would
-reproduce the sequential sample exactly.  Replications are simulated in
-chunks that fill one reused buffer of at most 2^15 grid values (one
-replication when d * m is larger), in place: the walk, the bridge and
-the squared norm.  Every step acts along one replication only, so a
-chunk never changes a replication's value.
+reproduce the sequential sample exactly.  Replication r of dimension d
+uses the first d * m normals of that stream, component i the normals
+i * m to (i + 1) * m - 1, and its squared norm adds the components in
+index order.  So the d-dimensional norm is the (d - 1)-dimensional one
+plus one more term, and one simulation at the largest dimension gives
+every smaller dimension's sample, bit for bit: ``calibrate`` simulates
+once and reads each dimension off that run.  Replications are
+simulated in chunks that fill one reused buffer of at most 2^15 grid
+values (one replication when d * m is larger), in place: the walk, the
+bridge and the squared norm.  Every step acts along one replication
+only, so a chunk never changes a replication's value.
 
 A small table calibrated at m = 1000, R = 100000 ships with the
 package; reference values for orientation are 2.20 (d=1), 3.02 (d=2),
@@ -56,6 +62,50 @@ DEFAULT_REPLICATIONS = 100_000
 _CHUNK_VALUES = 2**15
 
 
+def _check_dimension(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+
+
+def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float64]:
+    """Samples of sup_tau ||W_d(tau)||^2 for every d = 1, ..., d_max at once.
+
+    Returns a (d_max, reps) array whose row d - 1 is the dimension-d
+    sample.  Each replication is simulated once, at d_max: the squared
+    norm adds the components in index order, and the grid maximum is
+    recorded after each one.  Component i is the same for every
+    dimension above i, so row d - 1 is the d-dimensional simulation.
+    """
+    _check_dimension(d_max)
+    if m < 2:
+        raise ValueError(f"grid size must be >= 2, got {m}")
+    if reps < 1:
+        raise ValueError(f"replication count must be >= 1, got {reps}")
+    out = np.empty((d_max, reps))
+    scale = 1.0 / math.sqrt(m)
+    tau = np.arange(1, m + 1) / m
+    chunk = max(1, _CHUNK_VALUES // (d_max * m))
+    buf = np.empty((min(chunk, reps), d_max, m))
+    for pos in range(0, reps, chunk):
+        w = buf[: min(chunk, reps - pos)]
+        rows = slice(pos, pos + w.shape[0])
+        for j in range(w.shape[0]):
+            ss = np.random.SeedSequence((seed, pos + j))
+            np.random.Generator(np.random.Philox(ss)).standard_normal(out=w[j])
+        # Walk, bridge and squared norm, all in place; the norm adds the
+        # components in index order, and its maximum after component i
+        # is the dimension-(i + 1) sup.
+        np.cumsum(w, axis=2, out=w)
+        w *= scale
+        w -= tau * w[:, :, -1:]
+        np.square(w, out=w)
+        np.max(w[:, 0], axis=1, out=out[0, rows])
+        for i in range(1, d_max):
+            w[:, 0] += w[:, i]
+            np.max(w[:, 0], axis=1, out=out[i, rows])
+    return out
+
+
 def simulate_sup_bb(
     d: int, m: int = DEFAULT_GRID, reps: int = DEFAULT_REPLICATIONS, seed: int = 0
 ) -> NDArray[np.float64]:
@@ -63,33 +113,10 @@ def simulate_sup_bb(
 
     Returns one value per replication.  Values are nonnegative, and the
     bridge is exactly zero at both grid endpoints by construction.
+    ``calibrate`` reads the same sample off one simulation at its
+    largest dimension, given the same m and seed.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if m < 2:
-        raise ValueError(f"grid size must be >= 2, got {m}")
-    if reps < 1:
-        raise ValueError(f"replication count must be >= 1, got {reps}")
-    out = np.empty(reps)
-    scale = 1.0 / math.sqrt(m)
-    tau = np.arange(1, m + 1) / m
-    chunk = max(1, _CHUNK_VALUES // (d * m))
-    buf = np.empty((min(chunk, reps), d, m))
-    for pos in range(0, reps, chunk):
-        w = buf[: min(chunk, reps - pos)]
-        for j in range(w.shape[0]):
-            ss = np.random.SeedSequence((seed, pos + j))
-            np.random.Generator(np.random.Philox(ss)).standard_normal(out=w[j])
-        # Walk, bridge and squared norm, all in place; the norm adds the
-        # d components in index order.
-        np.cumsum(w, axis=2, out=w)
-        w *= scale
-        w -= tau * w[:, :, -1:]
-        np.square(w, out=w)
-        for i in range(1, d):
-            w[:, 0] += w[:, i]
-        np.max(w[:, 0], axis=1, out=out[pos : pos + w.shape[0]])
-    return out
+    return _nested_sup_bb(d, m, reps, seed)[d - 1]
 
 
 def sup_bb_quantile(samples: NDArray[np.float64], alpha: float) -> float:
@@ -224,17 +251,22 @@ def calibrate(
 ) -> CriticalTable:
     """Simulate fresh samples and build a table for the given keys.
 
-    One sample of ``reps`` sup values is drawn per dimension and reused
+    One simulation of ``reps`` replications at the largest dimension in
+    ``ds`` gives the sample of every smaller dimension (see the module
+    docstring); each dimension's sample of ``reps`` sup values is reused
     across the levels.  The resulting table is validated for the
     monotonicity invariants before it is returned.
     """
     entries: dict[tuple[int, float], TableEntry] = {}
     for d in ds:
-        samples = simulate_sup_bb(d, m=m, reps=reps, seed=seed)
-        for alpha in alphas:
-            entries[(d, _alpha_key(alpha))] = TableEntry(
-                c=sup_bb_quantile(samples, alpha), m=m, reps=reps, seed=seed
-            )
+        _check_dimension(d)
+    if ds:
+        samples = _nested_sup_bb(max(ds), m, reps, seed)
+        for d in ds:
+            for alpha in alphas:
+                entries[(d, _alpha_key(alpha))] = TableEntry(
+                    c=sup_bb_quantile(samples[d - 1], alpha), m=m, reps=reps, seed=seed
+                )
     table = CriticalTable(entries=entries)
     table.validate()
     return table

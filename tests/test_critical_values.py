@@ -50,21 +50,30 @@ class TestSimulateSupBB:
         # Each replication, computed alone from its own stream with plain
         # array expressions, equals its value in the chunked simulation,
         # whatever the chunk size: one replication per chunk, the
-        # default 2^15 grid values, or every replication at once.
+        # default 2^15 grid values, or every replication at once.  One
+        # nested run at dimension d gives every dimension up to d, and
+        # each equals its own single-dimension simulation.
         reps = 7
         tau = np.arange(1, m + 1) / m
-        want = np.empty(reps)
+        want = np.empty((d, reps))
         for r in range(reps):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, r))))
             walk = np.cumsum(rng.standard_normal((d, m)), axis=1) * (1.0 / np.sqrt(m))
             bridge = walk - tau * walk[:, -1:]
             norm = bridge[0] * bridge[0]
+            want[0, r] = norm.max()
             for i in range(1, d):
                 norm = norm + bridge[i] * bridge[i]
-            want[r] = norm.max()
+                want[i, r] = norm.max()
         for chunk in (1, 2**15, reps * d * m):
             monkeypatch.setattr(critical_values, "_CHUNK_VALUES", chunk)
-            np.testing.assert_array_equal(simulate_sup_bb(d, m=m, reps=reps, seed=5), want)
+            np.testing.assert_array_equal(
+                critical_values._nested_sup_bb(d, m, reps, 5), want
+            )
+            for dim in range(1, d + 1):
+                np.testing.assert_array_equal(
+                    simulate_sup_bb(dim, m=m, reps=reps, seed=5), want[dim - 1]
+                )
 
     def test_nonnegative(self):
         s = simulate_sup_bb(3, m=40, reps=200, seed=1)
@@ -154,6 +163,26 @@ class TestCalibrate:
         assert_allclose(
             table.lookup(1, 0.10), sup_bb_quantile(samples, 0.10), rtol=1e-15
         )
+
+    @pytest.mark.parametrize("ds", [(3, 1, 2), (2, 2)])
+    def test_one_simulation_matches_single_dimension_calls(self, ds):
+        # Every dimension is read off one simulation at max(ds), in any
+        # order and with repeats, and equals a calibration of that
+        # dimension alone, bit for bit.
+        alphas = (0.01, 0.05, 0.10)
+        table = calibrate(ds=ds, alphas=alphas, m=70, reps=900, seed=21)
+        want = {}
+        for d in ds:
+            alone = calibrate(ds=(d,), alphas=alphas, m=70, reps=900, seed=21)
+            want.update(alone.entries)
+        assert table.entries == want
+
+    def test_dimension_validation(self):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            calibrate(ds=(0,), m=50, reps=10)
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got -1$"):
+            calibrate(ds=(2, -1, 1), m=50, reps=10)
+        assert calibrate(ds=(), m=50, reps=10).entries == {}
 
     def test_deterministic(self):
         a = calibrate(ds=(2,), alphas=(0.05,), m=60, reps=1500, seed=4)

@@ -213,15 +213,28 @@ class TestEstimateContract:
         with pytest.raises(SizingError):
             estimate(garch_spec, SeriesSegment.full([1.0, -0.5, 0.3]))
 
-    def test_options_are_honoured(self, monkeypatch, ar1_spec, ar1_series):
-        seg = SeriesSegment.full(ar1_series.data)
-        multi = estimate(ar1_spec, seg)
+    def test_options_are_honoured(self, monkeypatch, garch_spec, garch_series):
+        # AR fits climb the domain centre alone, so the start count is
+        # checked on GARCH, by the start rows that reach the ascent.
+        seg = SeriesSegment.full(garch_series.data)
+        run_rows = qmle_module._run_rows
+        climbed = []
+
+        def counting_run_rows(spec, data, starts, ends, x0, grad_tol):
+            climbed.append(len(x0))
+            return run_rows(spec, data, starts, ends, x0, grad_tol)
+
+        monkeypatch.setattr(qmle_module, "_run_rows", counting_run_rows)
+        multi = estimate(garch_spec, seg)
+        assert sum(climbed) == qmle_module._N_STARTS
         with monkeypatch.context() as m:
             m.setattr(qmle_module, "_MAX_ITER", 1)
-            res = estimate(ar1_spec, seg)
+            res = estimate(garch_spec, seg)
         assert res.iterations <= 1
         monkeypatch.setattr(qmle_module, "_N_STARTS", 1)
-        single = estimate(ar1_spec, seg)
+        climbed.clear()
+        single = estimate(garch_spec, seg)
+        assert sum(climbed) == 1
         assert_allclose(single.theta_hat, multi.theta_hat, atol=1e-8)
 
 

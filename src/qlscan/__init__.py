@@ -33,14 +33,7 @@ from .models import (
     in_domain,
 )
 from .qmle import EstimateResult, estimate, project_to_domain
-from .scan_stat import (
-    InfoMatrices,
-    ScanResult,
-    decide,
-    info_matrices,
-    scan,
-    sigma_hat,
-)
+from .scan_stat import ScanResult, decide, scan
 from .simulate import DEFAULT_BURN_IN, SimPlan, generate
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentError",
     "ExperimentReport",
-    "InfoMatrices",
     "LikelihoodEval",
     "ModelFamily",
     "ModelSpec",
@@ -76,13 +68,11 @@ __all__ = [
     "garch_spec",
     "generate",
     "in_domain",
-    "info_matrices",
     "loglik",
     "project_to_domain",
     "qhat_t",
     "run_experiment",
     "scan",
-    "sigma_hat",
     "simulate_sup_bb",
     "sup_bb_quantile",
     "volatility_path",

@@ -56,15 +56,21 @@ substitutions, Sigma and the quadratic forms are whole-vector
 operations.  G, F and the AR normal equations are symmetric, so only
 their d(d+1)/2 distinct entries are cumulated over t.  The rows the
 screen cannot clear are handed to ``np.linalg.cond`` and
-``np.linalg.solve`` as (rows, d, d).
+``np.linalg.solve`` as (rows, d, d).  The cumulative sums over t are
+taken once; everything after them works on one block of splits at a
+time, and every step is elementwise along the split axis, so the
+blocks change no result and the scan's memory is a few cumulative sums
+of length n plus one block's stacks.
 
 A sub-sample whose estimation fails marks that k missing; missing k are
 excluded from the maxima, and a scan with more than 10% of Pi_n missing
 raises ScanError rather than returning a maximum over too thin a grid.
 
 Every scan runs one pipeline: the full-sample fit, one derivative pass
-at th_full and its cumulative sums, the side deltas, then the
-quadratic forms.  Only the side deltas depend on the window estimator.
+at th_full and its cumulative sums, then, one block of splits at a
+time, Sigma, the side deltas and the quadratic forms.  Only the side
+deltas depend on the window estimator; exact-mode window estimates are
+made before the derivative pass, one row per window.
 In exact mode every prefix T_k and every complement is climbed from
 th_full, so no window depends on its neighbours.  All windows are
 climbed together in one batched projected-Newton pass over a stack of
@@ -73,8 +79,9 @@ parameter rows (``qmle.estimate_windows``), the ascent a warm
 unconverged get the cold multi-start in one more batch, whose rows are
 (start x window) (``qmle.retry_cold``).  For AR models the
 quasi-likelihood is exactly quadratic, so window estimates are
-constrained least squares, solved in closed form for every k at once
-from cumulative sums of lags lags' and X_t lags, at any order.  Only
+constrained least squares, solved in closed form for every k, a block
+of splits at a time, from cumulative sums of lags lags' and X_t lags,
+at any order.  Only
 the windows whose least-squares system is ill-conditioned or whose
 solution leaves the domain go through the batch; the quasi-likelihood
 is concave, so that warm climb reaches the same optimum as a cold one,
@@ -145,14 +152,15 @@ from .models import (
     default_window,
     in_domain_rows,
 )
-from .qmle import EstimateResult, estimate, estimate_windows, retry_cold
+from .qmle import estimate, estimate_windows, retry_cold
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from pathlib import Path
 
     from numpy.typing import NDArray
 
-__all__ = ["InfoMatrices", "ScanResult", "decide", "info_matrices", "scan", "sigma_hat"]
+__all__ = ["ScanResult", "decide", "scan"]
 
 COND_MAX = 1e12
 
@@ -160,98 +168,15 @@ _SCREEN_MARGIN = 100.0
 
 _MISSING_FRACTION = 0.10
 
+# Splits per block of the Sigma/q assembly.  At d = 3 a (d, d, 2 * block)
+# stack holds 9 * 2^12 values, about 2^15 like ``likelihood._CHUNK_VALUES``,
+# so a block's stacks stay in a core's L2 cache.
+_BLOCK_SPLITS = 2**11
+
 
 def _invertible(cond: NDArray[np.float64] | float) -> NDArray[np.bool_] | bool:
     """The invertibility test: a finite condition number of at most COND_MAX."""
     return np.isfinite(cond) & (cond <= COND_MAX)
-
-
-@dataclass(frozen=True)
-class InfoMatrices:
-    """Empirical information matrices of one sub-sample.
-
-    ``g_hat`` averages outer products of the per-observation gradient
-    rows, ``f_hat`` rescales the likelihood hessian; both are evaluated
-    at the parameter the caller supplies and symmetrised.
-    """
-
-    g_hat: NDArray[np.float64]
-    f_hat: NDArray[np.float64]
-    cond_g: float
-    g_invertible: bool
-
-
-def info_matrices(
-    spec: ModelSpec, segment: SeriesSegment, theta_hat: NDArray[np.float64]
-) -> InfoMatrices:
-    """Compute G and F on a segment at the given parameter."""
-    ev = loglik(spec, theta_hat, segment, order=2, keep_per_t_grads=True)
-    assert ev.per_t_grads is not None and ev.hessian is not None
-    g = ev.per_t_grads.T @ ev.per_t_grads / segment.card
-    g = (g + g.T) / 2.0
-    f = (-2.0 / segment.card) * ev.hessian
-    cond = float(np.linalg.cond(g))
-    return InfoMatrices(
-        g_hat=g,
-        f_hat=f,
-        cond_g=cond,
-        g_invertible=bool(_invertible(cond)),
-    )
-
-
-def _fgf(info: InfoMatrices) -> NDArray[np.float64] | None:
-    """F G^(-1) F for one side, or None when G fails the condition test."""
-    if not info.g_invertible:
-        return None
-    try:
-        chol = np.linalg.cholesky(info.g_hat)
-    except np.linalg.LinAlgError:
-        return None
-    # G = L L', so G^(-1) F is two triangular solves.
-    out = info.f_hat @ np.linalg.solve(chol.T, np.linalg.solve(chol, info.f_hat))
-    return (out + out.T) / 2.0
-
-
-def _combine_sigma(
-    n: int, k: int, left: InfoMatrices, right: InfoMatrices
-) -> NDArray[np.float64]:
-    d = left.g_hat.shape[0]
-    sigma = np.zeros((d, d))
-    fgf_l = _fgf(left)
-    if fgf_l is not None:
-        sigma += (k / n) * fgf_l
-    fgf_r = _fgf(right)
-    if fgf_r is not None:
-        sigma += ((n - k) / n) * fgf_r
-    return sigma
-
-
-def sigma_hat(
-    spec: ModelSpec,
-    series: SeriesSegment,
-    k: int,
-    est_left: EstimateResult,
-    est_right: EstimateResult,
-    theta_eval: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
-    """The weight matrix Sigma_k built from the two sub-sample averages.
-
-    ``theta_eval`` fixes the parameter at which both sides' G and F are
-    evaluated; ``scan`` passes the full-sample estimate (see the module
-    docstring for why).  When it is None, each side is evaluated at its
-    own fit, which is the textbook form of the definition.
-
-    A side whose G fails the condition-number test contributes zero, so
-    a degenerate half-sample (for example a constant prefix) leaves only
-    the other side's term, scaled by its sample fraction.
-    """
-    if not 1 <= k < series.n:
-        raise IndexError(f"k={k} must lie in [1, n-1] for n={series.n}")
-    th_l = est_left.theta_hat if theta_eval is None else theta_eval
-    th_r = est_right.theta_hat if theta_eval is None else theta_eval
-    left = info_matrices(spec, SeriesSegment.prefix(series.data, k), th_l)
-    right = info_matrices(spec, SeriesSegment.suffix(series.data, k), th_r)
-    return _combine_sigma(series.n, k, left, right)
 
 
 @dataclass(frozen=True)
@@ -355,16 +280,34 @@ def _scan_pipeline(
     table: CriticalTable,
     estimator: str,
 ) -> ScanResult:
+    """One scan, in stages.
+
+    The full fit; in exact mode, every window's estimate
+    (``_exact_window_estimates``); one derivative pass at theta_full
+    and the cumulative sums over t of its score outer products, hessian
+    entries and (one-step) scores, after which the per-observation
+    arrays are released.  Then one loop over blocks of at most
+    ``_BLOCK_SPLITS`` splits: each block's prefix and suffix sums, G and
+    F, Sigma, the deltas and the quadratic forms, written into the
+    preallocated q1 and q2.  Every step of the loop is elementwise along
+    the split axis, so the block size changes no bit of the result; it
+    only bounds the loop's stacks to (d, d, 2 * block).
+    """
     ks = window.indices
     n = series.n
-    data = series.data
+    nk = ks.size
     full = estimate(spec, series)
     theta_full = full.theta_hat
+    if estimator == "exact":
+        windows = _exact_window_estimates(spec, series.data, ks, theta_full)
 
     # One full-sample derivative pass at theta_full yields every side's
     # G and F: the truncated recursions start at time 1 regardless of
     # the window, so per-observation terms of a prefix or suffix match
-    # the full-sample terms and the averages are cumulative sums.
+    # the full-sample terms and the averages are cumulative sums.  Both
+    # per-observation matrices are symmetric (the hessian terms by
+    # construction), so only their distinct entries are cumulated; the
+    # per-observation arrays are dropped once the sums are taken.
     ev = loglik(
         spec,
         theta_full,
@@ -374,34 +317,45 @@ def _scan_pipeline(
         keep_per_t_hessians=True,
     )
     assert ev.per_t_grads is not None and ev.per_t_hessians is not None
-    # Stack-last from here on: prefixes then suffixes along the last
-    # axis, so every matrix entry is one contiguous vector.  Both
-    # per-observation matrices are symmetric (the hessian terms by
-    # construction), so only their distinct entries are cumulated.
+    grads, hessians = ev.per_t_grads, ev.per_t_hessians
+    del ev
     iu, ju, pos = _distinct_entries(spec.d)
-    grads = np.ascontiguousarray(ev.per_t_grads.T)
-    hessians = np.ascontiguousarray(ev.per_t_hessians[:, iu, ju].T)
-    idx = ks - 1
-    nk = ks.size
-    cards = np.concatenate((ks, n - ks)).astype(float)
-    g = (_window_sums(grads[iu] * grads[ju], idx)[1] / cards)[pos]
-    h_total, h_sums = _window_sums(hessians, idx)
-    fgf, _ = _batched_fgf((h_sums / cards)[pos], g)
-    sigma = (cards[:nk] / n) * fgf[..., :nk] + (cards[nk:] / n) * fgf[..., nk:]
-
+    h_cum = _cumulative_sums(hessians[:, iu, ju])
+    del hessians
+    g_cum = _cumulative_sums(_products(grads, iu, ju))
     if estimator == "one_step":
-        dl, ok_l, dr, ok_r = _one_step_deltas(grads, h_total[pos] / n, idx, cards)
-    else:
-        theta_l, ok_l, theta_r, ok_r = _exact_window_estimates(spec, data, ks, theta_full)
-        dl = (theta_l - theta_full).T
-        dr = (theta_r - theta_full).T
+        score_cum = _cumulative_sums(grads)
+        f_full = _pooled_curvature(h_cum[-1][pos] / n)
+    del grads
 
-    q1 = (cards[:nk] ** 2 / n) * _quadratic_form(dl, sigma)
-    q2 = (cards[nk:] ** 2 / n) * _quadratic_form(dr, sigma)
-    bad = ~(ok_l & ok_r)
-    q1[bad] = np.nan
-    q2[bad] = np.nan
+    q1 = np.empty(nk)
+    q2 = np.empty(nk)
+    for sl in _split_blocks(nk):
+        k = ks[sl]
+        idx = k - 1
+        cards = np.concatenate((k, n - k)).astype(float)
+        left, right = cards[: k.size], cards[k.size :]
+        g = (_window_sums(g_cum, idx) / cards)[pos]
+        fgf, _ = _batched_fgf((_window_sums(h_cum, idx) / cards)[pos], g)
+        sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
+        if estimator == "one_step":
+            dl, ok_l, dr, ok_r = _one_step_deltas(score_cum, f_full, idx, cards)
+        else:
+            theta_l, ok_l, theta_r, ok_r = (side[sl] for side in windows)
+            dl = (theta_l - theta_full).T
+            dr = (theta_r - theta_full).T
+        q1[sl] = (left**2 / n) * _quadratic_form(dl, sigma)
+        q2[sl] = (right**2 / n) * _quadratic_form(dr, sigma)
+        bad = ~(ok_l & ok_r)
+        q1[sl][bad] = np.nan
+        q2[sl][bad] = np.nan
     return _finalize(spec, window, ks, q1, q2, theta_full, alpha, table)
+
+
+def _split_blocks(nk: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK_SPLITS`` splits covering 0..nk-1."""
+    step = _BLOCK_SPLITS
+    return (slice(i, min(i + step, nk)) for i in range(0, nk, step))
 
 
 def _exact_window_estimates(
@@ -461,9 +415,10 @@ def _ar_window_least_squares(
     with A and b the window's sums of lags lags' and X_t lags.  Those
     are differences of cumulative sums, since the truncated lags do not
     depend on the window; A is symmetric, so only its distinct entries
-    are cumulated.  Every system is solved at once by ``_solve_rows``:
-    forward and back substitution with the Cholesky factor where the
-    screen clears A, LU where only the SVD passes it.
+    are cumulated.  The systems are solved one block of splits at a
+    time by ``_solve_rows``: forward and back substitution with the
+    Cholesky factor where the screen clears A, LU where only the SVD
+    passes it.
     Returns (theta (2 |ks|, p), settled mask).
     For p = 1 the constrained optimum is the vertex clamped into the
     interval; for p > 1 a solution outside the domain is not the
@@ -471,40 +426,56 @@ def _ar_window_least_squares(
     condition test, comes back unsettled for the optimizer.
     """
     p = spec.p
-    lags = _ar_lags(data, p, data.shape[0])
+    lags = _ar_lags(data, p, data.shape[0]).T
     iu, ju, pos = _distinct_entries(p)
-    idx = ks - 1
-    a = _window_sums(lags[iu] * lags[ju], idx)[1][pos]
-    b = _window_sums(data * lags, idx)[1]
-    theta, ok = _solve_rows(a, b[:, None])
-    theta = theta[:, 0].T
-    if p == 1:
-        return np.clip(theta, *ar1_interval(spec)), ok
-    return theta, ok & in_domain_rows(spec, theta)
+    a_cum = _cumulative_sums(_products(lags, iu, ju))
+    b_cum = _cumulative_sums(data[:, None] * lags)
+    nk = ks.size
+    # Prefixes then suffixes, so (2, nk, p) flattens to the row layout.
+    theta = np.empty((2, nk, p))
+    ok = np.empty((2, nk), dtype=bool)
+    for sl in _split_blocks(nk):
+        idx = ks[sl] - 1
+        a, b = _window_sums(a_cum, idx)[pos], _window_sums(b_cum, idx)
+        x, settled = _solve_rows(a, b[:, None])
+        x = x[:, 0].T
+        if p == 1:
+            x = np.clip(x, *ar1_interval(spec))
+        else:
+            settled &= in_domain_rows(spec, x)
+        theta[:, sl] = x.reshape(2, -1, p)
+        ok[:, sl] = settled.reshape(2, -1)
+    return theta.reshape(2 * nk, p), ok.reshape(2 * nk)
 
 
-def _one_step_deltas(
-    grads: NDArray[np.float64],
-    f_full: NDArray[np.float64],
-    idx: NDArray[np.int64],
-    cards: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
-    """Fisher-scoring deltas th_side - th_full for every split.
-
-    ``grads`` holds the per-observation scores as (d, n) and ``cards``
-    the window sizes, prefixes then suffixes; the deltas come back as
-    (d, |idx|) per side.  Each side's mean score is centred by the
-    full-sample mean score, and the step solves against the pooled
-    full-sample curvature, so the whole path comes from one cumulative
-    sum of per-observation scores (module docstring).
-    """
+def _pooled_curvature(f_full: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The full-sample mean hessian, or ScanError if it fails the condition test."""
     cond = np.linalg.cond(f_full)
     if not _invertible(cond):
         raise ScanError(
             f"full-sample mean hessian is numerically singular (cond={cond:.3g})"
         )
-    total, sums = _window_sums(grads, idx)
-    gbar = sums / cards - (total / grads.shape[1])[:, None]
+    return f_full
+
+
+def _one_step_deltas(
+    score_cum: NDArray[np.float64],
+    f_full: NDArray[np.float64],
+    idx: NDArray[np.int64],
+    cards: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
+    """Fisher-scoring deltas th_side - th_full for a block of splits.
+
+    ``score_cum`` holds the cumulative sums of the per-observation
+    scores as (n, d) and ``cards`` the window sizes, prefixes then
+    suffixes; the deltas come back as (d, |idx|) per side.  Each side's
+    mean score is centred by the full-sample mean score, and the step
+    solves against the pooled full-sample curvature ``f_full``, so the
+    whole path comes from one cumulative sum of per-observation scores
+    (module docstring).
+    """
+    mean = score_cum[-1] / score_cum.shape[0]
+    gbar = _window_sums(score_cum, idx) / cards - mean[:, None]
     steps = -np.linalg.solve(f_full, gbar)
     ok = np.isfinite(steps).all(axis=0)
     nk = idx.size
@@ -525,21 +496,35 @@ def _distinct_entries(
     return iu, ju, pos
 
 
-def _window_sums(
-    values: NDArray[np.float64], idx: NDArray[np.int64]
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Full-sample sums and window sums of the rows of ``values`` (m, n).
+def _cumulative_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Overwrite ``values`` (n, m) with its sequential cumulative sums over t."""
+    return np.cumsum(values, axis=0, out=values)
 
-    The window sums run over every prefix {1..idx+1}, then every
-    complement, along the last axis: (m, 2 |idx|).  Each row is one
-    sequential cumulative sum, and a suffix is the total minus a prefix.
+
+def _products(
+    x: NDArray[np.float64], iu: NDArray[np.intp], ju: NDArray[np.intp]
+) -> NDArray[np.float64]:
+    """(n, m) products x[:, iu[e]] * x[:, ju[e]] of the columns of x (n, d),
+    written column by column so that no gathered (n, m) copy is made."""
+    out = np.empty((x.shape[0], iu.size))
+    for e, (i, j) in enumerate(zip(iu, ju)):
+        np.multiply(x[:, i], x[:, j], out=out[:, e])
+    return out
+
+
+def _window_sums(
+    cum: NDArray[np.float64], idx: NDArray[np.int64]
+) -> NDArray[np.float64]:
+    """Window sums from the cumulative sums ``cum`` (n, m) of m rows over t.
+
+    The sums run over every prefix {1..idx+1}, then every complement,
+    stack-last as (m, 2 |idx|); a suffix is the total minus a prefix.
     """
-    cum = np.cumsum(values, axis=1)
-    out = np.empty((cum.shape[0], 2 * idx.size))
-    head, tail = out[:, : idx.size], out[:, idx.size :]
-    np.take(cum, idx, axis=1, out=head)
-    np.subtract(cum[:, -1:], head, out=tail)
-    return cum[:, -1], out
+    head = cum[idx].T
+    out = np.empty((cum.shape[1], 2 * idx.size))
+    out[:, : idx.size] = head
+    np.subtract(cum[-1][:, None], head, out=out[:, idx.size :])
+    return out
 
 
 def _quadratic_form(

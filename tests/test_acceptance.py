@@ -23,6 +23,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import THETA0
+from per_k_sigma import sigma_hat
 from qlscan import (
     CriticalTable,
     ExperimentConfig,
@@ -34,7 +35,6 @@ from qlscan import (
     loglik,
     run_experiment,
     scan,
-    sigma_hat,
     simulate_sup_bb,
 )
 

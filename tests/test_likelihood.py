@@ -16,19 +16,17 @@ from numpy.testing import assert_allclose
 
 from qlscan import (
     DomainError,
-    InfoMatrices,
     ModelFamily,
     ModelSpec,
     SeriesSegment,
-    info_matrices,
     loglik,
     qhat_t,
     volatility_path,
 )
 from qlscan import likelihood as likelihood_module
 from qlscan.likelihood import _garch_states, loglik_rows, window_mask
-from qlscan.scan_stat import _fgf
 from conftest import THETA0, make_series, theta_near
+from per_k_sigma import InfoMatrices, fgf, info_matrices
 
 
 def garch_h_direct(
@@ -369,11 +367,11 @@ class TestFgf:
             series = make_series(spec, 300, THETA0[name], seed=(41, 0))
             info = info_matrices(spec, series, np.asarray(THETA0[name]))
             f, g = info.f_hat, info.g_hat
-            assert_allclose(_fgf(info), f @ np.linalg.inv(g) @ f, rtol=1e-12)
+            assert_allclose(fgf(info), f @ np.linalg.inv(g) @ f, rtol=1e-12)
 
     def test_indefinite_g_contributes_nothing(self):
         # Well conditioned, so the condition test passes, but not
         # positive definite: the Cholesky factorisation must refuse it.
         info = InfoMatrices(g_hat=np.diag([1.0, -1.0]), f_hat=np.eye(2),
                             cond_g=1.0, g_invertible=True)
-        assert _fgf(info) is None
+        assert fgf(info) is None

@@ -5,13 +5,15 @@ Key oracles:
 * a from-scratch replica of the one-step scan built only on public
   likelihood/estimation calls (plain loops, no shared code paths);
 * a hand assembly of the exact-mode statistic at a single k from
-  public ``estimate`` and ``sigma_hat`` calls;
+  public ``estimate`` calls and the per-k oracle ``per_k_sigma``;
 * brute-force cold-started window estimates (warm == cold);
 * frozen seed-locked values and Monte Carlo rates recorded in the
   repository notes before the thresholds were set.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from qlscan import (
     estimate,
     loglik,
     scan,
-    sigma_hat,
 )
 from qlscan import likelihood as likelihood_module
 from qlscan import qmle as qmle_module
@@ -51,6 +52,7 @@ from qlscan.scan_stat import (
 import scalar_ascent
 import stacked_reference
 from conftest import THETA0, make_series
+from per_k_sigma import sigma_hat
 
 AR_SPECS = {
     "ar2": ModelSpec(family=ModelFamily.AR, p=2),
@@ -512,27 +514,47 @@ class TestWindowBatch:
 
 
 class TestChunkSize:
-    """``loglik_rows`` evaluates its rows in cache-sized chunks; the chunk
-    size changes no number."""
+    """``loglik_rows`` evaluates its rows in cache-sized chunks, and the
+    scan assembles Sigma and q in blocks of splits; neither size changes
+    a number."""
 
     # At n = 1e4 the default chunk is 3 rows of a 5-start full fit, 2^10
     # values is one row and 2^22 all five; at n = 500 they are 65, 2 and
     # every row of a block.
     CHUNKS = (2**10, 2**22)
+    # One split per block, blocks that split ks unevenly, and all of ks
+    # in one block.
+    BLOCKS = (1, 7, 10**6)
 
-    @pytest.mark.parametrize("name, n, theta0, mode", [
-        ("garch", 10_000, THETA0["garch"], "one_step"),
-        ("arch", 500, THETA0["arch"], "exact"),
-        ("ar2", 400, (0.9, 0.05), "exact"),
-    ])
-    def test_scan_is_bit_identical(self, monkeypatch, all_specs, name, n, theta0, mode):
+    @pytest.mark.parametrize("name, n, theta0, mode, zeros", [
+        ("garch", 10_000, THETA0["garch"], "one_step", 0),
+        ("arch", 500, THETA0["arch"], "exact", 0),
+        # The closed form leaves 22 of 662 windows to the optimizer.
+        ("ar2", 400, (0.9, 0.05), "exact", 0),
+        # A zero start: 8 of 662 sides fail the condition test and are
+        # zeroed.
+        ("ar2", 400, (0.9, 0.05), "exact", 40),
+        ("ar2", 400, (0.9, 0.05), "one_step", 40),
+        ("ar3", 400, (0.3, 0.2, 0.1), "one_step", 0),
+    ], ids=["garch-10000-theta00-one_step", "arch-500-theta01-exact",
+            "ar2-400-theta02-exact", "ar2-400-zero-start-exact",
+            "ar2-400-zero-start-one_step", "ar3-400-one_step"])
+    def test_scan_is_bit_identical(self, monkeypatch, all_specs, name, n, theta0, mode,
+                                   zeros):
         spec = {**all_specs, **AR_SPECS}[name]
         series = make_series(spec, n, theta0, seed=(440, 0))
+        if zeros:
+            data = series.data.copy()
+            data[:zeros] = 0.0
+            series = SeriesSegment.full(data)
         want = scan(spec, series, window_estimator=mode)
-        for chunk in self.CHUNKS:
-            monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
-            got = scan(spec, series, window_estimator=mode)
-            for attr in ("q1", "q2", "theta_full"):
+        patches = [(likelihood_module, "_CHUNK_VALUES", chunk) for chunk in self.CHUNKS]
+        patches += [(scan_stat_module, "_BLOCK_SPLITS", block) for block in self.BLOCKS]
+        for module, name, value in patches:
+            with monkeypatch.context() as m:
+                m.setattr(module, name, value)
+                got = scan(spec, series, window_estimator=mode)
+            for attr in ("q1", "q2", "theta_full", "argmax_k"):
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_cold_fit_is_bit_identical(self, monkeypatch, garch_spec):
@@ -543,6 +565,33 @@ class TestChunkSize:
             got = estimate(garch_spec, series)
             np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
             assert got.iterations == want.iterations
+
+
+class TestMemory:
+    """The scan's memory is linear in n with a small constant: after the
+    cumulative sums, Sigma and q are assembled one block of splits at a
+    time, so no (d, d, splits) stack spans every split."""
+
+    N = 50_000
+    # Bytes per observation; 50 float64 values.  An assembly holding
+    # whole-window stacks peaked at 145-154 values per observation here.
+    LIMIT = 50 * 8
+
+    @pytest.mark.parametrize("name, theta0, mode", [
+        ("garch", THETA0["garch"], "one_step"),
+        ("ar3", (0.3, 0.2, 0.1), "one_step"),
+        ("ar3", (0.3, 0.2, 0.1), "exact"),
+    ])
+    def test_traced_peak_per_observation(self, all_specs, name, theta0, mode):
+        spec = {**all_specs, **AR_SPECS}[name]
+        series = make_series(spec, self.N, theta0, seed=(445, 0))
+        tracemalloc.start()
+        try:
+            scan(spec, series, window_estimator=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / self.N < self.LIMIT, peak / self.N / 8
 
 
 SCREEN_KINDS = ("straddle", "rank", "indefinite", "zero", "nonfinite")

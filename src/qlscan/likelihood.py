@@ -25,8 +25,8 @@ Per family:
 All GARCH derivatives reduce to three cascaded first-order linear
 recursions (s, u, w below).  Each is evaluated in numpy by a log-step
 doubling scan (``_first_order_filter``): about log2(n) vectorised
-passes of O(n), fewer when beta_1^(2^j) underflows, and a plain copy
-for ARCH, where beta_1 = 0:
+passes of O(n), fewer once no later pass can change a bit of the
+result, and a plain copy for ARCH, where beta_1 = 0:
 
     s_{t+1} = beta_1 s_t + X_t^2          s_1 = 0
     u_{t+1} = beta_1 u_t + s_t            u_1 = 0   (u = ds/dbeta_1)
@@ -53,14 +53,18 @@ each family once, on t = 1..end for a stack of parameter rows.  No term
 depends on the window, so ``loglik``, ``qhat_t`` and ``volatility_path``
 slice one row to their window and ``loglik_rows`` takes masked sums.
 
-Sums over a window accumulate in float64 with numpy's own reductions,
-whatever the window length, so results do not depend on the platform's
-extended-precision type.
+Every sum accumulates in float64, whatever the window length, so no
+result depends on the platform's extended-precision type.  ``loglik``
+sums with numpy's pairwise reductions.  ``loglik_rows`` does so for
+the values, which the optimizer's Armijo tests compare; its derivative
+sums are per-row BLAS matrix-vector products with the kernel's stack
+of the entries of dm_t, d2m_t and dm_t dm_t' that vary in t.  Each row
+is reduced on its own, so a row's bits never depend on the other rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -128,34 +132,61 @@ def _ar_lags(x: NDArray[np.float64], p: int, end: int) -> NDArray[np.float64]:
     return np.stack([padded[p - k : p - k + end] for k in range(1, p + 1)])
 
 
+# An addition below this fraction of a positive float64 target is below a
+# quarter of its ulp, so round-to-nearest returns the target unchanged.
+_NO_CHANGE = 2.0**-55
+
+
 def _first_order_filter(
-    x: NDArray[np.float64], beta: float | NDArray[np.float64]
+    x: NDArray[np.float64],
+    beta: float | NDArray[np.float64],
+    out: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """y[0] = x[0], y[t] = beta * y[t-1] + x[t], by a log-step doubling scan.
 
     After the pass with shift s, y[t] holds the sum of beta^j x[t-j] over
     j < 2s, so ceil(log2(len)) vectorised passes replace the sequential
-    loop.  Passes stop early once beta^s underflows to zero, since later
-    ones would add nothing.  The s/u/w inputs are nonnegative and the
-    default domain keeps 0 <= beta < 1, so every partial sum adds
-    nonnegative terms and the result agrees with the loop to a few ulps.
+    loop.  The s/u/w inputs are nonnegative and the default domain keeps
+    0 <= beta < 1, so every partial sum adds nonnegative terms and the
+    result agrees with the loop to a few ulps.
+
+    Passes stop as soon as no later pass can change a bit.  The pass
+    with shift s and coefficient c = beta^s adds at most c * max(y) to
+    each target y[t], t >= s.  When c first falls below ``_NO_CHANGE``
+    and y is nonnegative with min(y[s:]) > 0, the filter reads max(y)
+    and that minimum once.  Later passes only add nonnegative terms, so
+    the minimum cannot fall, and max(y) cannot grow by more than a
+    factor 1 + 2c.  Passes therefore stop once c <= 2^-56 min / max:
+    from then on every addition is below ``_NO_CHANGE`` times its target
+    and changes nothing.  Otherwise, with zeros, negative or non-finite
+    values, the passes run until c underflows to zero.
 
     A beta of shape (R,) filters R rows at once, one coefficient per
     row, along the last axis (``x`` of shape (n,) is shared by every
-    row); passes then stop once the largest |beta|^s, hence every row's
-    coefficient, underflows.
+    row); c is then the largest |beta|^s, and min and max are taken
+    over all rows.  ``out``, if given, receives the result.
     """
     if np.ndim(beta) == 0:
         coef: float | NDArray[np.float64] = float(beta)
         top = abs(coef)
-        y = x.copy()
+        shape = x.shape
     else:
         coef = np.asarray(beta, dtype=float)
         top = float(np.max(np.abs(coef)))
-        y = np.array(np.broadcast_to(x, (coef.size, x.shape[-1])))
+        shape = (coef.size, x.shape[-1])
+    y = np.empty(shape) if out is None else out
+    y[...] = x
     y_t = y.T  # time along axis 0, so a per-row coef broadcasts
     shift = 1
-    while shift < y_t.shape[0] and top != 0.0:
+    limit = 0.0  # passes run while top > limit
+    unread = True
+    while shift < y_t.shape[0] and top > limit:
+        if unread and top < _NO_CHANGE:
+            unread = False
+            low = np.min(y_t[shift:])
+            if low > 0.0 and np.min(y_t[:shift]) >= 0.0:
+                limit = 0.5 * _NO_CHANGE * float(low / np.max(y))
+            continue
         y_t[shift:] += coef * y_t[:-shift]
         shift *= 2
         coef = coef * coef
@@ -164,31 +195,42 @@ def _first_order_filter(
 
 
 def _garch_states(
-    x2: NDArray[np.float64], beta: float | NDArray[np.float64], order: int
+    x2: NDArray[np.float64],
+    beta: float | NDArray[np.float64],
+    order: int,
+    out: list[NDArray[np.float64]] | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None]:
     """Run the s/u/w recursions over t = 1..len(x2).
 
     ``order`` controls how many derivative states are produced: 0 gives
     only s, 1 adds u, 2 adds w.  A beta of shape (R,) gives states of
-    shape (R, len(x2)), one row per coefficient.
+    shape (R, len(x2)), one row per coefficient.  ``out``, if given,
+    holds an array for each state produced, to write it into.
     """
+    rows = () if np.ndim(beta) == 0 else (np.size(beta),)
+    if out is None:
+        out = [np.empty(rows + x2.shape) for _ in range(order + 1)]
 
-    def shifted(inp: NDArray[np.float64]) -> NDArray[np.float64]:
+    def shifted(inp: NDArray[np.float64], dest: NDArray[np.float64]) -> NDArray[np.float64]:
         # state_{t+1} = beta * state_t + inp_t with state_1 = 0.
-        filtered = _first_order_filter(inp[..., :-1], beta)
-        out = np.empty(filtered.shape[:-1] + (filtered.shape[-1] + 1,))
-        out[..., :1] = 0.0
-        out[..., 1:] = filtered
-        return out
+        dest[..., 0] = 0.0
+        _first_order_filter(inp[..., :-1], beta, out=dest[..., 1:])
+        return dest
 
-    s = shifted(x2)
+    s = shifted(x2, out[0])
     if order < 1:
         return s, None, None
-    u = shifted(s)
+    u = shifted(s, out[1])
     if order < 2:
         return s, u, None
-    w = shifted(2.0 * u)
+    w = shifted(2.0 * u, out[2])
     return s, u, w
+
+
+# An entry of dm_t, d2m_t or dm_t dm_t': a row of the kernel's stack and
+# a factor constant in t, (R, 1), or None for none.  An entry constant in
+# t is its factor on the stack's row of ones.
+_Slot = tuple[int, "NDArray[np.float64] | None"]
 
 
 @dataclass(frozen=True)
@@ -198,17 +240,60 @@ class _Terms:
     ``m`` is the moment theta enters (f_t for AR, h_t otherwise), so
     dq_t = a_t dm_t and d2q_t = b_t dm_t dm_t' + a_t d2m_t.  ``m``,
     ``q``, ``a`` (order >= 1) and ``b`` (order >= 2) are (R, end).
-    ``dm`` lists the d entries of dm_t (order >= 1), ``d2m`` the nonzero
-    (i, j), i <= j, of d2m_t (order >= 2); such an entry may also be
-    (end,) when shared by every row, or (R, 1) when constant in t.
+
+    ``stack`` (order >= 1) holds every entry that varies in t, as
+    (k, end) when all rows share it, else (R, k, end): the nonzero
+    entries of d2m_t, a row of ones when some entry is constant in t,
+    the entries of dm_t, then, when asked for, the products dm_i dm_j,
+    i <= j, of the entries of dm_t that vary in t.  So the rows that a_t
+    multiplies (``a_rows``) come first, and those that b_t multiplies
+    (``b_rows``) last.  ``dm`` lists the d entries of dm_t, ``d2m`` the
+    nonzero (i, j), i <= j, of d2m_t (order >= 2) and ``dmdm`` every
+    (i, j), i <= j, of dm_t dm_t' (with the products), each as a
+    ``_Slot``.
     """
 
     m: NDArray[np.float64]
     q: NDArray[np.float64]
-    a: NDArray[np.float64] | None
-    b: NDArray[np.float64] | None
-    dm: list[NDArray[np.float64]]
-    d2m: dict[tuple[int, int], NDArray[np.float64]]
+    a: NDArray[np.float64] | None = None
+    b: NDArray[np.float64] | None = None
+    stack: NDArray[np.float64] | None = None
+    a_rows: slice | None = None
+    b_rows: slice | None = None
+    dm: list[_Slot] = field(default_factory=list)
+    d2m: dict[tuple[int, int], _Slot] = field(default_factory=dict)
+    dmdm: dict[tuple[int, int], _Slot] = field(default_factory=dict)
+
+    def entry(self, slot: _Slot) -> NDArray[np.float64]:
+        """A ``dm`` or ``d2m`` entry: (end,), (R, end), or (R, 1) when
+        constant in t (its factor sits on the row of ones)."""
+        row, value = slot
+        if value is not None:
+            return value
+        assert self.stack is not None
+        return self.stack[..., row, :]
+
+
+def _products(
+    stack: NDArray[np.float64], dm: list[_Slot], first: int
+) -> tuple[dict[tuple[int, int], _Slot], slice]:
+    """``dmdm`` and ``b_rows`` of the terms: the products dm_i dm_j of the
+    entries that vary in t fill the stack's rows from ``first`` on."""
+    dmdm: dict[tuple[int, int], _Slot] = {}
+    row = first
+    for i, (ri, ci) in enumerate(dm):
+        for j, (rj, cj) in enumerate(dm[i:], start=i):
+            if ci is None and cj is None:
+                np.multiply(stack[..., ri, :], stack[..., rj, :], out=stack[..., row, :])
+                dmdm[i, j] = (row, None)
+                row += 1
+            elif ci is None or cj is None:
+                dmdm[i, j] = (ri, cj) if ci is None else (rj, ci)
+            else:
+                dmdm[i, j] = (ri, ci * cj)
+    # At least two rows, so that b_t multiplies a matrix (AR(1)).
+    used = min(min(r for r, _ in dmdm.values()), row - 2)
+    return dmdm, slice(used, row)
 
 
 def _terms(
@@ -217,24 +302,38 @@ def _terms(
     data: NDArray[np.float64],
     end: int,
     order: int,
+    products: bool = False,
 ) -> _Terms:
-    """Each family's per-observation terms, up to derivative ``order``."""
+    """Each family's per-observation terms, up to derivative ``order``.
+
+    At order 2, ``products`` adds the products dm_i dm_j to the stack;
+    only ``loglik_rows`` sums them.
+    """
     rows = thetas.shape[0]
     if spec.family is ModelFamily.AR:
-        lags = _ar_lags(data, spec.p, end)
+        p = spec.p
+        lags = _ar_lags(data, p, end)
         f = np.einsum("rp,pt->rt", thetas, lags)
         resid = data[:end] - f
-        a = b = None
-        if order >= 1:
-            q = resid * resid
-            a = resid
-            a *= -2.0
-        else:
+        if order < 1:
             # Line searches evaluate many rows at order 0: square in place.
-            q = np.square(resid, out=resid)
-        if order >= 2:
-            b = np.full(f.shape, 2.0)
-        return _Terms(m=f, q=q, a=a, b=b, dm=list(lags) if order >= 1 else [], d2m={})
+            return _Terms(m=f, q=np.square(resid, out=resid))
+        q = resid * resid
+        a = resid
+        a *= -2.0
+        # Shared by every row of thetas: the lags, after a row of ones for
+        # AR(1) only, so that a_t multiplies two rows.
+        ones = int(p == 1)
+        first = ones + p
+        stack = np.empty((first + (p * (p + 1) // 2 if order >= 2 and products else 0), end))
+        stack[:ones] = 1.0
+        stack[ones:first] = lags
+        dm: list[_Slot] = [(ones + i, None) for i in range(p)]
+        if order < 2:
+            return _Terms(m=f, q=q, a=a, stack=stack, a_rows=slice(0, first), dm=dm)
+        dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
+        return _Terms(m=f, q=q, a=a, b=np.full(f.shape, 2.0), stack=stack,
+                      a_rows=slice(0, first), b_rows=b_rows, dm=dm, dmdm=dmdm)
 
     # ARCH(1) and GARCH(1,1): f = 0, h from the truncated representation.
     garch = spec.family is ModelFamily.GARCH
@@ -242,35 +341,55 @@ def _terms(
     x2 = data[:end] ** 2
     # One row takes the filter's scalar path; its (end,) states serve that row.
     beta = (thetas[:, 2] if rows > 1 else thetas[0, 2]) if garch else 0.0
-    s, u, w = _garch_states(x2, beta, order if garch else 0)
     one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
+    if order < 1:
+        s = _garch_states(x2, beta, 0)[0]
+    else:
+        # The stack (ARCH: shared by every row of thetas): for GARCH at
+        # order 2, u = d2h/dalpha1 dbeta and d2h/dbeta^2 (from w); ones;
+        # s = dh/dalpha1; for GARCH dh/dbeta (from u, which goes there
+        # at order 1); then at order 2 the products.  The states are
+        # written straight into their rows.
+        ones = 2 if garch and order >= 2 else 0
+        first = ones + (3 if garch else 2)
+        extra = (3 if garch else 1) if order >= 2 and products else 0
+        stack = np.empty(((rows,) if garch else ()) + (first + extra, end))
+        stack[..., ones, :] = 1.0
+        dm = [(ones, 1.0 / one_minus_beta), (ones + 1, None)]
+        state_rows = [ones + 1]
+        if garch:
+            dm.append((ones + 2, None))
+            state_rows += [0, 1] if order >= 2 else [ones + 2]
+        s, u, w = _garch_states(x2, beta, len(state_rows) - 1,
+                                out=[stack[..., r, :] for r in state_rows])
     h = alpha1 * s
     h += alpha0 / one_minus_beta
     z_over_h = x2 / h
     q = np.log(h)
     q += z_over_h
-    a = b = None
-    dm: list[NDArray[np.float64]] = []
-    d2m: dict[tuple[int, int], NDArray[np.float64]] = {}
-    if order >= 1:
-        a = 1.0 - z_over_h
-        a /= h
-        dm = [1.0 / one_minus_beta, s]
-        if garch:
-            assert u is not None
-            dm.append(alpha0 / one_minus_beta**2 + alpha1 * u)
-    if order >= 2:
-        b = z_over_h
-        b *= 2.0
-        b -= 1.0
-        b /= h
-        b /= h
-        if garch:
-            assert u is not None and w is not None
-            d2m[0, 2] = 1.0 / one_minus_beta**2
-            d2m[1, 2] = u
-            d2m[2, 2] = 2.0 * alpha0 / one_minus_beta**3 + alpha1 * w
-    return _Terms(m=h, q=q, a=a, b=b, dm=dm, d2m=d2m)
+    if order < 1:
+        return _Terms(m=h, q=q)
+    a = 1.0 - z_over_h
+    a /= h
+    if garch:
+        dh_beta = stack[:, ones + 2]
+        np.multiply(alpha1, u, out=dh_beta)
+        dh_beta += alpha0 / one_minus_beta**2
+    if order < 2:
+        return _Terms(m=h, q=q, a=a, stack=stack, a_rows=slice(0, first), dm=dm)
+    b = z_over_h
+    b *= 2.0
+    b -= 1.0
+    b /= h
+    b /= h
+    d2m: dict[tuple[int, int], _Slot] = {}
+    if garch:
+        np.multiply(alpha1, w, out=w)
+        w += 2.0 * alpha0 / one_minus_beta**3
+        d2m = {(0, 2): (ones, 1.0 / one_minus_beta**2), (1, 2): (0, None), (2, 2): (1, None)}
+    dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
+    return _Terms(m=h, q=q, a=a, b=b, stack=stack, a_rows=slice(0, first),
+                  b_rows=b_rows, dm=dm, d2m=d2m, dmdm=dmdm)
 
 
 def _on_window(entry: NDArray[np.float64], sl: slice) -> NDArray[np.float64] | float:
@@ -299,14 +418,14 @@ def _eval_window(
     if order >= 1:
         a = terms.a[0, sl]
         dm = np.empty((end - start + 1, spec.d))
-        for i, entry in enumerate(terms.dm):
-            dm[:, i] = _on_window(entry, sl)
+        for i, slot in enumerate(terms.dm):
+            dm[:, i] = _on_window(terms.entry(slot), sl)
         dq = a[:, None] * dm
     if order >= 2:
         d2q = np.einsum("ti,tj->tij", dm, dm)
         d2q *= np.reshape(_on_window(terms.b, sl), (-1, 1, 1))
-        for (i, j), entry in terms.d2m.items():
-            term = a * _on_window(entry, sl)
+        for (i, j), slot in terms.d2m.items():
+            term = a * _on_window(terms.entry(slot), sl)
             d2q[:, i, j] += term
             if i != j:
                 d2q[:, j, i] += term
@@ -335,10 +454,10 @@ def volatility_path(
     moment, dh, d2h = terms.m[0, sl], np.zeros((d, m)), np.zeros((d, d, m))
     if spec.family is ModelFamily.AR:
         return VolatilityPath(f_hat=moment, h_hat=np.ones(m), dh=dh, d2h=d2h)
-    for i, entry in enumerate(terms.dm):
-        dh[i] = _on_window(entry, sl)
-    for (i, j), entry in terms.d2m.items():
-        d2h[i, j] = d2h[j, i] = _on_window(entry, sl)
+    for i, slot in enumerate(terms.dm):
+        dh[i] = _on_window(terms.entry(slot), sl)
+    for (i, j), slot in terms.d2m.items():
+        d2h[i, j] = d2h[j, i] = _on_window(terms.entry(slot), sl)
     return VolatilityPath(f_hat=np.zeros(m), h_hat=moment, dh=dh, d2h=d2h)
 
 
@@ -412,27 +531,6 @@ def loglik(
     )
 
 
-def _row_sum(
-    w: NDArray[np.float64], u: NDArray[np.float64], v: NDArray[np.float64] | None = None
-) -> NDArray[np.float64]:
-    """Per-row pairwise sum over t of w[r, t] * u * v.
-
-    ``u`` is (T,) when shared by all rows, (R, 1) when constant in t, or
-    (R, T); a constant ``u`` is pulled out of the sum.  ``v`` is (T,) or
-    (R, T): the hessian passes dm_i dm_j with i <= j, and the only entry
-    constant in t is dm_0, the ARCH/GARCH intercept's.  The sum is numpy's
-    pairwise reduction along each row, the one the values use, so a
-    row's result does not depend on how many rows ``w`` holds.
-    """
-    if v is not None:
-        if u.ndim == 2 and u.shape[1] == 1:
-            return _row_sum(w, v) * u[:, 0]
-        u = u * v
-    if u.ndim == 2 and u.shape[1] == 1:
-        return w.sum(axis=1) * u[:, 0]
-    return (w * u).sum(axis=1)
-
-
 def window_mask(
     starts: NDArray[np.int64], ends: NDArray[np.int64], n: int
 ) -> NDArray[np.float64]:
@@ -443,13 +541,16 @@ def window_mask(
 
 # Largest (row x observation) chunk that ``loglik_rows`` evaluates at
 # once.  Every (rows, T) array of a chunk then holds at most this many
-# float64 values (256 KiB), so the ten or so live in an order-2 call fit
-# a 2 MiB L2 cache.  At n = 2e4 a chunk is one row, at n = 500 65 rows.
-# Swept on a 2-core machine with 2 MiB of L2 per core (median of 12
-# scans each): the GARCH one-step scan at n = 2e4 took 132-140 ms at
-# 2^12 to 2^15 and 228-239 ms at 2^16 to 2^20, and the ARCH exact scan
-# at n = 500 was fastest at 2^15 (46 ms; 62 ms at 2^12, 63-70 ms at
-# 2^17 and above, where a block of ``qmle._fit_rows`` is one chunk).
+# float64 values (256 KiB): an order-2 call has about ten, q_t, a_t, b_t
+# and h_t among them, besides the kernel's stack of 3 to 8 rows, so a
+# chunk's arrays stay near a 2 MiB L2 cache.  At n = 2e4 a chunk is one
+# row, at n = 500 65 rows.  Swept on a 2-core machine with 2 MiB of L2
+# per core (median of 12 scans each, with the earlier pairwise
+# derivative sums): the GARCH one-step scan at n = 2e4 took 132-140 ms
+# at 2^12 to 2^15 and 228-239 ms at 2^16 to 2^20, and the ARCH exact
+# scan at n = 500 was fastest at 2^15 (46 ms; 62 ms at 2^12, 63-70 ms
+# at 2^17 and above, where a block of ``qmle._fit_rows`` is one chunk).
+# With the BLAS derivative sums, 2^13 and 2^14 were no faster.
 _CHUNK_VALUES = 2**15
 
 
@@ -477,9 +578,10 @@ def loglik_rows(
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
     beyond ``order`` are None.  The per-observation terms are those
-    ``loglik`` reads, bit for bit; only the sums differ.  Every sum is a
-    pairwise sum along each masked row (``_row_sum``; sequential value
-    sums were too coarse for Armijo tests near an optimum), with factors
+    ``loglik`` reads, bit for bit; only the sums differ.  A value is a
+    pairwise sum along its masked row (sequential value sums were too
+    coarse for Armijo tests near an optimum).  The derivatives are
+    per-row matrix-vector products (``_masked_sums``), with factors
     constant in t pulled out.  A row's result therefore depends only on
     that row, bit for bit, not on the other rows of the call or on the
     chunking (both are tested); it agrees with ``loglik`` to round-off
@@ -509,26 +611,49 @@ def _masked_sums(
     mask: NDArray[np.float64],
     order: int,
 ) -> list[NDArray[np.float64]]:
-    """Value, then up to ``order`` derivatives, of one chunk of rows."""
+    """Value, then up to ``order`` derivatives, of one chunk of rows.
+
+    The value is a pairwise sum along each masked row.  The derivative
+    sums are two matrix-vector products per row with the kernel's stack
+    (``_Terms``): its ``a_rows`` times a_t give the gradient and the
+    a_t d2m_t part of the hessian, its ``b_rows`` times b_t the
+    b_t dm_t dm_t' part.  An entry constant in t is pulled out of its
+    sum as a factor on the stack's row of ones.  A row's bits therefore
+    depend only on that row.
+    """
     rows, d = thetas.shape
-    terms = _terms(spec, thetas, data, mask.shape[1], order)
+    terms = _terms(spec, thetas, data, mask.shape[1], order, products=True)
     # The kernel's arrays belong to this call: mask q_t, a_t and b_t in place.
     q = terms.q
     q *= mask
     sums = [-0.5 * q.sum(axis=1)]
-    if terms.a is not None:
-        ma = terms.a
-        ma *= mask
-        sums.append(-0.5 * np.stack([_row_sum(ma, e) for e in terms.dm], axis=1))
-    if terms.b is not None:
-        mb = terms.b
-        mb *= mask
-        hessian = np.empty((rows, d, d))
-        for i in range(d):
-            for j in range(i, d):
-                hij = _row_sum(mb, terms.dm[i], terms.dm[j])
-                if (i, j) in terms.d2m:
-                    hij = hij + _row_sum(ma, terms.d2m[i, j])
-                hessian[:, i, j] = hessian[:, j, i] = -0.5 * hij
-        sums.append(hessian)
+    if order < 1:
+        return sums
+    stack = terms.stack
+    assert stack is not None and terms.a is not None and terms.a_rows is not None
+    ma = terms.a
+    ma *= mask
+    a_sums = (stack[..., terms.a_rows, :] @ ma[:, :, None])[..., 0]
+    sums.append(-0.5 * np.stack([_pulled(a_sums, 0, slot) for slot in terms.dm], axis=1))
+    if order < 2:
+        return sums
+    assert terms.b is not None and terms.b_rows is not None
+    mb = terms.b
+    mb *= mask
+    b_sums = (stack[..., terms.b_rows, :] @ mb[:, :, None])[..., 0]
+    hessian = np.empty((rows, d, d))
+    for (i, j), slot in terms.dmdm.items():
+        hij = _pulled(b_sums, terms.b_rows.start, slot)
+        if (i, j) in terms.d2m:
+            hij = hij + _pulled(a_sums, 0, terms.d2m[i, j])
+        hessian[:, i, j] = hessian[:, j, i] = -0.5 * hij
+    sums.append(hessian)
     return sums
+
+
+def _pulled(sums: NDArray[np.float64], first: int, slot: _Slot) -> NDArray[np.float64]:
+    """One entry's (R,) sums, from the (R, k) sums over the stack's rows
+    ``first`` .. ``first`` + k - 1."""
+    row, value = slot
+    out = sums[:, row - first]
+    return out if value is None else out * value[:, 0]

@@ -286,7 +286,9 @@ def _scan_pipeline(
     (``_exact_window_estimates``); one derivative pass at theta_full
     and the cumulative sums over t of its score outer products, hessian
     entries and (one-step) scores, after which the per-observation
-    arrays are released.  Then one loop over blocks of at most
+    arrays are released; the condition test of the full-sample mean
+    hessian (``_pooled_curvature``), which raises ScanError in either
+    mode.  Then one loop over blocks of at most
     ``_BLOCK_SPLITS`` splits: each block's prefix and suffix sums, G and
     F, Sigma, the deltas and the quadratic forms, written into the
     preallocated q1 and q2.  Every step of the loop is elementwise along
@@ -323,9 +325,10 @@ def _scan_pipeline(
     h_cum = _cumulative_sums(hessians[:, iu, ju])
     del hessians
     g_cum = _cumulative_sums(_products(grads, iu, ju))
+    # Either estimator needs an invertible full-sample curvature.
+    f_full = _pooled_curvature(h_cum[-1][pos] / n)
     if estimator == "one_step":
         score_cum = _cumulative_sums(grads)
-        f_full = _pooled_curvature(h_cum[-1][pos] / n)
     del grads
 
     q1 = np.empty(nk)

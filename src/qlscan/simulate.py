@@ -83,27 +83,37 @@ class SimPlan:
 def _ar_chunks(
     plan: SimPlan, eps: NDArray[np.float64], split: int
 ) -> NDArray[np.float64]:
-    # Imported here so that only AR simulation pays scipy's start-up
-    # cost; lfilter keeps simulated AR paths bit-identical.
-    from scipy.signal import lfilter, lfiltic
+    """The AR path, by the direct-form-II-transposed recursion of an IIR filter.
 
-    zi = np.zeros(plan.spec.p)
-    chunks = [(plan.theta0, eps[:split])]
-    if plan.theta1 is not None:
-        chunks.append((plan.theta1, eps[split:]))
-    out: list[NDArray[np.float64]] = []
-    for theta, innov in chunks:
-        a = np.concatenate(([1.0], -np.asarray(theta)))
-        if out:
-            # Rebuild the filter state from the trailing outputs so the
-            # new coefficients act on the carried lags from the very
-            # first post-break step; reusing the old state would apply
-            # theta0 to one more observation.
-            hist = out[-1][::-1][: plan.spec.p]
-            zi = lfiltic([1.0], a, hist)
-        y, zi = lfilter([1.0], a, innov, zi=zi)
-        out.append(y)
-    return np.concatenate(out)
+    The state z carries the lag terms into the next step: X_t = z_0 +
+    eps_t, then z_i = z_{i+1} + phi_{i+1} X_t and z_{p-1} = phi_p X_t.
+    So the lag terms add from phi_p X_{t-p} up to phi_1 X_{t-1}, and the
+    innovation comes last.  At step ``split`` (the break) the state is
+    rebuilt from the trailing outputs under theta1, so the new
+    coefficients act on the carried lags from the very first post-break
+    step; keeping the old state would apply theta0 to one more
+    observation.  These are the operations of ``scipy.signal.lfilter``
+    and ``lfiltic`` in their order, so paths are bit for bit theirs.
+    """
+    p = plan.spec.p
+    out = np.empty(eps.size)
+    z = [0.0] * p
+    phi = list(plan.theta0)
+    for t, e in enumerate(eps.tolist()):
+        if t == split and plan.theta1 is not None:
+            phi = list(plan.theta1)
+            # lfiltic's sums: z_m = 0 - sum_i (-phi_{m+1+i}) X_{t-1-i}.
+            hist = np.zeros(p)
+            trail = out[t - 1 :: -1][:p]
+            hist[: trail.size] = trail
+            neg = -np.asarray(phi)
+            z = [0.0 - float(np.sum(neg[m:] * hist[: p - m])) for m in range(p)]
+        x = z[0] + e
+        for i in range(p - 1):
+            z[i] = z[i + 1] + x * phi[i]
+        z[p - 1] = x * phi[p - 1]
+        out[t] = x
+    return out
 
 
 def _garch_path(plan: SimPlan, eps: NDArray[np.float64], split: int) -> NDArray[np.float64]:

@@ -110,6 +110,15 @@ class TestTestCommand:
         assert code == 1
         assert "error:" in err and "alpha=0.03" in err
 
+    @pytest.mark.parametrize("model", ["ar", "arch", "garch"])
+    def test_all_zero_series_exits_1(self, tmp_path, capsys, model):
+        # ARCH's default exact scan once returned Q = 0 and exit 0 here.
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n" * 400)
+        code, out, err = run_cli(["test", str(path), "--model", model], capsys)
+        assert code == 1
+        assert "numerically singular" in err and "decision" not in out
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["test", "/nonexistent.txt", "--model", "ar"], capsys)
         assert code == 1
@@ -293,10 +302,11 @@ class TestMakeSpec:
 
 
 class TestScipyFreeStartup:
-    """``import qlscan`` and ``qlscan test`` run on numpy and click alone.
+    """Every command runs on numpy and click alone.
 
     scipy's import costs more than the whole of a typical ``qlscan test``
-    call, so it is kept off that path; only AR simulation loads it.
+    call, and it is only a test dependency: AR simulation repeats
+    lfilter's operations in a loop of its own.
     """
 
     # Blocks scipy before anything else is imported, then runs the CLI.
@@ -335,6 +345,22 @@ class TestScipyFreeStartup:
         assert f"argmax_k  {res.argmax_k}\n" in proc.stdout
         decision = "reject" if res.reject else "fail_to_reject"
         assert f"decision  {decision}\n" in proc.stdout
+
+    def test_ar_simulation_without_scipy(self, tmp_path):
+        path = tmp_path / "ar.txt"
+        args = ["--model", "ar", "--order", "3", "--n", "400",
+                "--theta", "0.3,0.2,0.1", "--theta2", "0.1,0.1,0.1",
+                "--break", "200", "--seed", "4"]
+        proc = self._python(self.NO_SCIPY_MAIN, "simulate", *args, "--out", str(path))
+        assert proc.returncode == 0, proc.stderr
+        plan = SimPlan(spec=make_spec("ar", 3), n=400, theta0=(0.3, 0.2, 0.1),
+                       theta1=(0.1, 0.1, 0.1), break_index=200, seed=4)
+        got = np.array([float(v) for v in path.read_text().split()])
+        np.testing.assert_array_equal(got, generate(plan).data)
+        proc = self._python(self.NO_SCIPY_MAIN, "experiment", "--model", "ar",
+                            "--n", "300", "--theta", "0.5", "--reps", "2", "--seed", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert "replications  2" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
         proc = self._python(

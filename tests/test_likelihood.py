@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlscan import (
@@ -24,8 +26,9 @@ from qlscan import (
     volatility_path,
 )
 from qlscan import likelihood as likelihood_module
-from qlscan.likelihood import _garch_states, loglik_rows, window_mask
+from qlscan.likelihood import _first_order_filter, _garch_states, loglik_rows, window_mask
 from conftest import THETA0, make_series, theta_near
+import iteration_reference
 from per_k_sigma import InfoMatrices, fgf, info_matrices
 
 
@@ -359,6 +362,66 @@ class TestGarchStateRecursions:
                         garch_states_lfilter(x2, beta, order)):
                 for g, r in zip(got, ref):
                     assert_allclose(g, r, rtol=1e-13, atol=0.0)
+
+
+class _Recorder(np.ndarray):
+    """An array that records every scalar it is multiplied by."""
+
+    scalars: list[float] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.multiply:
+            self.scalars.extend(float(v) for v in inputs if np.ndim(v) == 0)
+
+        def plain(values):
+            return tuple(v.view(np.ndarray) if isinstance(v, _Recorder) else v
+                         for v in values)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs)
+
+
+class TestFilterEarlyStop:
+    """The doubling scan stops once no pass can change a bit: every
+    result equals the full-pass filter's, bit for bit."""
+
+    @given(
+        n=st.integers(1, 3000),
+        betas=st.lists(st.one_of(st.floats(0.0, 0.98), st.floats(0.48, 0.5)),
+                       min_size=1, max_size=4),
+        vector=st.booleans(),
+        exponent=st.floats(-150.0, 150.0),
+        leading=st.sampled_from([0.0, 0.001, 0.1, 1.0]),
+        zeros=st.sampled_from([0.0, 0.01, 0.3]),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_every_pass(self, n, betas, vector, exponent, leading,
+                                         zeros, negative, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) ** 2 * 10.0**exponent
+        x[: int(leading * n)] = 0.0
+        x[rng.random(n) < zeros] = 0.0
+        if negative:
+            x[rng.random(n) < 0.05] *= -1.0
+        beta = np.array(betas) if vector else betas[0]
+        got = _first_order_filter(x, beta)
+        assert np.array_equal(got, iteration_reference.first_order_filter(x, beta))
+
+    def test_no_subnormal_coefficient(self):
+        # Running the passes until beta^s underflows takes one with a
+        # subnormal beta^s (shift 1024 for beta = 0.5), which cost 2.5
+        # times a pass with a normal coefficient.
+        x = np.random.default_rng(7).standard_normal(20_000) ** 2
+        _Recorder.scalars = []
+        got = _first_order_filter(x, 0.5, out=np.empty_like(x).view(_Recorder))
+        assert _Recorder.scalars
+        tiny = np.finfo(float).tiny
+        assert all(c == 0.0 or abs(c) >= tiny for c in _Recorder.scalars)
+        assert np.array_equal(got.view(np.ndarray),
+                              iteration_reference.first_order_filter(x, 0.5))
 
 
 class TestFgf:

@@ -24,6 +24,7 @@ from qlscan import (
 )
 from qlscan import qmle as qmle_module
 from qlscan.qmle import estimate_windows
+import iteration_reference
 import scalar_ascent
 from conftest import THETA0, make_series
 
@@ -181,6 +182,115 @@ class TestFullStepReuse:
                 got.boundary_active) == (want.loglik_at_opt, want.grad_norm,
                                          want.iterations, want.converged,
                                          want.boundary_active)
+
+
+REPAIR_KINDS = ("spd", "near", "indefinite", "zero", "nonfinite")
+
+
+def _hessian_stack(d, seed, kinds):
+    """Symmetric d x d matrices, one per kind, scaled by 10^(-6..6).
+
+    ``spd`` rows have cond below 1e3; ``near`` rows have their smallest
+    eigenvalue 1e-6..1e-10 times the largest, around the repair's floor;
+    ``indefinite`` rows have 1 to d - 1 negative eigenvalues, so that
+    some have a positive determinant; ``zero`` rows are
+    zero; ``nonfinite`` rows hold a NaN or an infinity.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((len(kinds), d, d))
+    for r, kind in enumerate(kinds):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        ev = 10.0 ** -rng.uniform(0.0, 3.0, size=d)
+        ev[0] = 1.0
+        if kind == "near":
+            ev[-1] = 10.0 ** -rng.uniform(6.0, 10.0)
+        elif kind == "indefinite":
+            ev[1 : 1 + rng.integers(1, d)] *= -1.0
+        elif kind == "zero":
+            ev[:] = 0.0
+        m = 10.0 ** rng.uniform(-6.0, 6.0) * (q * ev) @ q.T
+        out[r] = (m + m.T) / 2.0
+        if kind == "nonfinite":
+            i, j = rng.integers(d, size=2)
+            out[r, i, j] = out[r, j, i] = rng.choice([np.nan, np.inf, -np.inf])
+    return out
+
+
+class TestRepairScreen:
+    """``_psd_repair`` returns the matrices its screen clears as they are,
+    and repairs only the others, through ``eigh``, as it always did."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repair_matches_the_always_repair_oracle(self, d, seed):
+        kinds = [REPAIR_KINDS[i % 4] for i in range(60)]
+        hess = _hessian_stack(d, seed, kinds)
+        cleared = qmle_module._clears_floor(hess)
+        got = qmle_module._psd_repair(hess)
+        want = iteration_reference.psd_repair(hess)
+        for r, kind in enumerate(kinds):
+            evals = np.linalg.eigvalsh(hess[r])
+            floor = 1e-8 * max(1.0, np.abs(evals).max())
+            # Well conditioned and not small: det / tr^(m-1) is at least
+            # lambda_min^2 / (9 lambda_max), far above the floor.
+            if evals.min() >= 1e-3 * evals.max() and evals.max() >= 1.0:
+                assert cleared[r]
+            if kind in ("indefinite", "zero"):
+                assert not cleared[r]
+            if cleared[r]:
+                # The screen is a proof: eigh finds every eigenvalue at or
+                # above the floor, so the oracle's repair is H itself.
+                assert evals.min() >= floor
+                assert np.array_equal(got[r], hess[r])
+                scale = np.abs(hess[r]).max()
+                assert_allclose(want[r], hess[r], rtol=0.0, atol=1e-12 * scale)
+            else:
+                np.testing.assert_array_equal(got[r], want[r])
+
+    @pytest.mark.parametrize("name", ["arch", "garch"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_directions_match_the_always_repair_oracle(self, all_specs, name, seed):
+        spec = all_specs[name]
+        kinds = [REPAIR_KINDS[i % 4] for i in range(40)]
+        hess = _hessian_stack(spec.d, seed, kinds)
+        rng = np.random.default_rng(seed)
+        # Interior points: every coordinate free, no binding face.
+        x = np.tile(THETA0[name], (len(kinds), 1))
+        grad = rng.normal(size=x.shape)
+        got = qmle_module._newton_directions(spec, x, grad, hess)
+        want = iteration_reference.newton_directions(spec, x, grad, hess)
+        cleared = qmle_module._clears_floor(hess)
+        for r in range(len(kinds)):
+            if cleared[r]:
+                # Both solve H, one as given and one rebuilt from its
+                # eigenvectors: they agree to round-off times cond(H).
+                tol = 1e-12 * np.linalg.cond(hess[r])
+                assert_allclose(got[r], want[r], rtol=tol, atol=tol * np.abs(want[r]).max())
+            else:
+                np.testing.assert_array_equal(got[r], want[r])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_nonfinite_rows_fail_as_before(self, garch_spec, seed):
+        # eigh raises for some non-finite matrices and returns NaN for
+        # others; either way both versions must end alike.
+        hess = _hessian_stack(3, seed, ["spd", "nonfinite", "near"])
+        assert not qmle_module._clears_floor(hess)[1]
+        x = np.tile(THETA0["garch"], (3, 1))
+        grad = np.ones((3, 3))
+        for new, old in ((qmle_module._psd_repair, iteration_reference.psd_repair),
+                         (qmle_module._newton_directions,
+                          iteration_reference.newton_directions)):
+            args = (hess,) if new is qmle_module._psd_repair else (garch_spec, x, grad, hess)
+            outcomes = []
+            for fn in (new, old):
+                try:
+                    outcomes.append(fn(*args)[1])
+                except np.linalg.LinAlgError as exc:
+                    outcomes.append(str(exc))
+            if isinstance(outcomes[0], str):
+                assert outcomes[0] == outcomes[1]
+            else:
+                np.testing.assert_array_equal(outcomes[0], outcomes[1])
 
 
 class TestEstimateContract:

@@ -807,6 +807,15 @@ class TestNumericBreakdown:
             scan(spec, huge)
         assert isinstance(exc_info.value.__cause__, cause)
 
+    @pytest.mark.parametrize("family", [ModelFamily.ARCH, ModelFamily.GARCH])
+    @pytest.mark.parametrize("mode", ["exact", "one_step"])
+    def test_all_zero_volatility_series_raises_scan_error(self, family, mode):
+        # cond(F_full) is infinite.  The exact scan skipped the check and
+        # returned Q = 0 and fail_to_reject, ARCH's default.
+        spec = ModelSpec(family=family, p=1)
+        with pytest.raises(ScanError, match="numerically singular"):
+            scan(spec, SeriesSegment.full(np.zeros(400)), window_estimator=mode)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_all_zero_series_raises_scan_error(self, p):
         # Every lag is zero, so the one-step scan's full-sample mean

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qlscan import (
@@ -35,6 +37,53 @@ class TestDeterminism:
         a = generate(SimPlan(spec=arch_spec, n=200, theta0=THETA0["arch"], seed=1))
         b = generate(SimPlan(spec=arch_spec, n=200, theta0=THETA0["arch"], seed=2))
         assert not np.array_equal(a.data, b.data)
+
+
+def ar_path_lfilter(plan):
+    """The AR path of ``generate`` through scipy's lfilter and lfiltic.
+
+    The same innovations, filtered in one chunk per regime; after the
+    break the filter state is rebuilt from the trailing outputs.
+    """
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(plan.seed)))
+    eps = rng.standard_normal(plan.burn_in + plan.n)
+    split = eps.size if plan.break_index is None else plan.burn_in + plan.break_index
+    zi = np.zeros(plan.spec.p)
+    chunks = [(plan.theta0, eps[:split])]
+    if plan.theta1 is not None:
+        chunks.append((plan.theta1, eps[split:]))
+    out = []
+    for theta, innov in chunks:
+        a = np.concatenate(([1.0], -np.asarray(theta)))
+        if out:
+            zi = signal.lfiltic([1.0], a, out[-1][::-1][: plan.spec.p])
+        y, zi = signal.lfilter([1.0], a, innov, zi=zi)
+        out.append(y)
+    return np.concatenate(out)[plan.burn_in :]
+
+
+class TestArLoopMatchesLfilter:
+    """AR paths come from a Python loop that must repeat lfilter bit for bit."""
+
+    @given(
+        phi=st.lists(st.floats(-0.24, 0.24), min_size=1, max_size=4),
+        shift=st.floats(-0.2, 0.2),
+        n=st.integers(2, 300),
+        burn_in=st.integers(0, 60),
+        break_at=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, phi, shift, n, burn_in, break_at, seed):
+        spec = ModelSpec(family=ModelFamily.AR, p=len(phi))
+        theta1 = break_index = None
+        if break_at is not None:
+            theta1 = tuple(np.clip(np.asarray(phi) + shift, -0.24, 0.24))
+            break_index = 1 + min(int(break_at * (n - 1)), n - 2)
+        plan = SimPlan(spec=spec, n=n, theta0=tuple(phi), theta1=theta1,
+                       break_index=break_index, burn_in=burn_in, seed=seed)
+        np.testing.assert_array_equal(generate(plan).data, ar_path_lfilter(plan))
 
 
 class TestBreakMechanics:

@@ -14,7 +14,10 @@ Gaussian random walk on the grid tau_j = j/m (increments scaled by
 records the maximum over the grid of the squared norm.  Replication r
 draws from its own counter-based stream derived from (seed, r), so the
 sample does not depend on evaluation order, and a parallel run would
-reproduce the sequential sample exactly.  Replication r of dimension d
+reproduce the sequential sample exactly.  The stream is Philox keyed
+by ``SeedSequence((seed, r))``; the keys of all replications are
+computed at once (``_stream_keys``), and one generator is set to each
+stream in turn.  Replication r of dimension d
 uses the first d * m normals of that stream, component i the normals
 i * m to (i + 1) * m - 1, and its squared norm adds the components in
 index order.  So the d-dimensional norm is the (d - 1)-dimensional one
@@ -36,6 +39,7 @@ sup |W_1|^2 is log(80)/2 = 2.191 up to exponentially small terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,6 +48,7 @@ import numpy as np
 from .models import CalibrationRequiredError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from pathlib import Path
 
     from numpy.typing import NDArray
@@ -67,6 +72,77 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, reps: int) -> NDArray[np.uint64]:
+    """(reps, 2) Philox keys: row r is the key that
+    ``Philox(SeedSequence((seed, r)))`` draws, for r = 0..reps-1.
+
+    SeedSequence hashes its entropy words, here those of seed then the
+    single word r, into a pool of four words, and draws the key from the
+    pool.  Every step is uint32 arithmetic whose constants do not depend
+    on the data, so it runs once on a vector over r, in numpy's order.
+    The seed is checked by SeedSequence itself, so a negative or
+    non-integer seed raises its ValueError or TypeError.
+    """
+    np.random.SeedSequence((seed, 0))
+    if reps > 2**32:
+        raise ValueError(f"at most 2^32 replications, got {reps}")
+    seed = operator.index(seed)
+    words = []
+    while True:
+        words.append(np.full(reps, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy = [*words, np.arange(reps, dtype=np.uint32)]
+
+    def hasher(
+        const: int, mult: int
+    ) -> Callable[[NDArray[np.uint32]], NDArray[np.uint32]]:
+        # numpy's hashmix; its multiplier advances with every call.
+        def hash_word(value: NDArray[np.uint32]) -> NDArray[np.uint32]:
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & _MASK32
+            value *= np.uint32(const)
+            value ^= value >> np.uint32(16)
+            return value
+        return hash_word
+
+    def mix(x: NDArray[np.uint32], y: NDArray[np.uint32]) -> NDArray[np.uint32]:
+        out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        out ^= out >> np.uint32(16)
+        return out
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(reps, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four words, paired little-endian.
+    draw = hasher(_INIT_B, _MULT_B)
+    state = [draw(word).astype(np.uint64) for word in pool]
+    keys = np.empty((reps, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
 def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float64]:
     """Samples of sup_tau ||W_d(tau)||^2 for every d = 1, ..., d_max at once.
 
@@ -86,12 +162,22 @@ def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float
     tau = np.arange(1, m + 1) / m
     chunk = max(1, _CHUNK_VALUES // (d_max * m))
     buf = np.empty((min(chunk, reps), d_max, m))
+    # One generator, set to stream (seed, r) by assigning the state that
+    # Philox(SeedSequence((seed, r))) starts in: key, counter 0, empty buffer.
+    bits = np.random.Philox(0)
+    normals = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    keys = _stream_keys(seed, reps)
     for pos in range(0, reps, chunk):
         w = buf[: min(chunk, reps - pos)]
         rows = slice(pos, pos + w.shape[0])
         for j in range(w.shape[0]):
-            ss = np.random.SeedSequence((seed, pos + j))
-            np.random.Generator(np.random.Philox(ss)).standard_normal(out=w[j])
+            state["state"]["key"] = keys[pos + j]
+            bits.state = state
+            normals.standard_normal(out=w[j])
         # Walk, bridge and squared norm, all in place; the norm adds the
         # components in index order, and its maximum after component i
         # is the dimension-(i + 1) sup.

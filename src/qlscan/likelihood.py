@@ -51,7 +51,10 @@ AR takes the same form with f_t in place of h_t: a_t = -2 (X_t - f_t),
 b_t = 2 and d2f = 0.  One kernel (``_terms``) computes these terms for
 each family once, on t = 1..end for a stack of parameter rows.  No term
 depends on the window, so ``loglik``, ``qhat_t`` and ``volatility_path``
-slice one row to their window and ``loglik_rows`` takes masked sums.
+slice one row to their window, and ``loglik_rows`` takes window bounds
+and evaluates each window's row only up to its own span, the window's
+end rounded up to a multiple of 128 observations, with 0/1 weights
+selecting the window.
 
 Every sum accumulates in float64, whatever the window length, so no
 result depends on the platform's extended-precision type.  ``loglik``
@@ -59,7 +62,8 @@ sums with numpy's pairwise reductions.  ``loglik_rows`` does so for
 the values, which the optimizer's Armijo tests compare; its derivative
 sums are per-row BLAS matrix-vector products with the kernel's stack
 of the entries of dm_t, d2m_t and dm_t dm_t' that vary in t.  Each row
-is reduced on its own, so a row's bits never depend on the other rows.
+is reduced on its own, over a span fixed by its own window, so a row's
+bits never depend on the other rows.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ __all__ = [
     "loglik_rows",
     "qhat_t",
     "volatility_path",
-    "window_mask",
 ]
 
 
@@ -114,14 +117,17 @@ class LikelihoodEval:
     ``gradient`` and ``hessian`` are derivatives of the log-likelihood
     itself (not of the q_t sum, which carries the opposite sign and a
     factor 2).  ``per_t_grads`` holds the rows dq_t/dtheta for t in T
-    when requested, which the information matrix estimate needs;
-    ``per_t_hessians`` stacks d2q_t/dtheta2 the same way, which lets a
-    scan turn one full-sample pass into every prefix and suffix average.
+    when requested, which the information matrix estimate needs, and
+    ``per_t_values`` the terms q_t alongside; ``per_t_hessians`` stacks
+    d2q_t/dtheta2 the same way.  They let a scan turn one full-sample
+    pass into every prefix and suffix average, and into the value,
+    gradient and hessian of every window's likelihood at that point.
     """
 
     value: float
     gradient: NDArray[np.float64] | None = None
     hessian: NDArray[np.float64] | None = None
+    per_t_values: NDArray[np.float64] | None = None
     per_t_grads: NDArray[np.float64] | None = None
     per_t_hessians: NDArray[np.float64] | None = None
 
@@ -496,8 +502,8 @@ def loglik(
         hessian.  Lower orders skip derivative recursions entirely,
         which matters inside line searches.
     keep_per_t_grads
-        Retain the matrix of per-observation gradient rows dq_t/dtheta
-        (requires order >= 1).
+        Retain the matrix of per-observation gradient rows dq_t/dtheta,
+        and the per-observation terms q_t (requires order >= 1).
     keep_per_t_hessians
         Retain the stack of per-observation hessians d2q_t/dtheta2
         (requires order >= 2).
@@ -526,31 +532,30 @@ def loglik(
         value=value,
         gradient=gradient,
         hessian=hessian,
+        per_t_values=q if keep_per_t_grads else None,
         per_t_grads=dq if keep_per_t_grads else None,
         per_t_hessians=d2q if keep_per_t_hessians else None,
     )
 
 
-def window_mask(
-    starts: NDArray[np.int64], ends: NDArray[np.int64], n: int
-) -> NDArray[np.float64]:
-    """(R, n) 0/1 weights over t = 1..n; row r selects {starts[r]..ends[r]}."""
-    t = np.arange(1, n + 1)
-    return ((t >= starts[:, None]) & (t <= ends[:, None])).astype(float)
-
+# Row r of a batched evaluation runs on t = 1..span, where span is the
+# end of its window rounded up to a multiple of this many observations,
+# at most n.  Rows of one span form a class and share chunks, and since
+# a row's span depends only on its own window, so do its bits.
+_SPAN_STEP = 128
 
 # Largest (row x observation) chunk that ``loglik_rows`` evaluates at
-# once.  Every (rows, T) array of a chunk then holds at most this many
-# float64 values (256 KiB): an order-2 call has about ten, q_t, a_t, b_t
-# and h_t among them, besides the kernel's stack of 3 to 8 rows, so a
-# chunk's arrays stay near a 2 MiB L2 cache.  At n = 2e4 a chunk is one
-# row, at n = 500 65 rows.  Swept on a 2-core machine with 2 MiB of L2
-# per core (median of 12 scans each, with the earlier pairwise
-# derivative sums): the GARCH one-step scan at n = 2e4 took 132-140 ms
-# at 2^12 to 2^15 and 228-239 ms at 2^16 to 2^20, and the ARCH exact
-# scan at n = 500 was fastest at 2^15 (46 ms; 62 ms at 2^12, 63-70 ms
-# at 2^17 and above, where a block of ``qmle._fit_rows`` is one chunk).
-# With the BLAS derivative sums, 2^13 and 2^14 were no faster.
+# once.  Every (rows, span) array of a chunk then holds at most this
+# many float64 values (256 KiB): an order-2 call has about ten, q_t,
+# a_t, b_t and h_t among them, besides the kernel's stack of 3 to 8
+# rows, so a chunk's arrays stay near a 2 MiB L2 cache.  At n = 2e4 a
+# chunk is one row, at n = 500 65 rows.  Swept on a 2-core machine with
+# 2 MiB of L2 per core (median of 12 scans each, with the earlier
+# pairwise derivative sums): the GARCH one-step scan at n = 2e4 took
+# 132-140 ms at 2^12 to 2^15 and 228-239 ms at 2^16 to 2^20, and the
+# ARCH exact scan at n = 500 was fastest at 2^15 (46 ms; 62 ms at 2^12,
+# 63-70 ms at 2^17 and above).  With the BLAS derivative sums, 2^13 and
+# 2^14 were no faster.
 _CHUNK_VALUES = 2**15
 
 
@@ -558,7 +563,8 @@ def loglik_rows(
     spec: ModelSpec,
     thetas: NDArray[np.float64],
     data: NDArray[np.float64],
-    mask: NDArray[np.float64],
+    starts: NDArray[np.int64],
+    ends: NDArray[np.int64],
     *,
     order: int = 2,
 ) -> tuple[
@@ -566,26 +572,32 @@ def loglik_rows(
 ]:
     """``loglik`` for many windows of one series, one parameter row each.
 
-    Row r evaluates L(T_r, thetas[r]), where row r of the (R, T) ``mask``
-    holds the 0/1 weights of the window T_r over t = 1..T
-    (``window_mask``; T may stop at the last window end).  Because q_t
-    never depends on the window (module docstring), every window is a
-    masked sum of per-observation terms on t = 1..T: q_t, a_t dh_t and
-    b_t dh_t dh_t' + a_t d2h_t.  The s/u/w recursions run once per row
-    for GARCH and are shared by all rows for ARCH and AR.  Rows are
-    evaluated in chunks of at most ``_CHUNK_VALUES`` (row, observation)
-    values, so that a chunk's arrays stay in cache.
+    Row r evaluates L(T_r, thetas[r]) on the window T_r = {starts[r],
+    ..., ends[r]} of ``data`` (n observations).  Because q_t never
+    depends on the window (module docstring), every window is a weighted
+    sum of per-observation terms: q_t, a_t dh_t and b_t dh_t dh_t' +
+    a_t d2h_t.  Row r is evaluated on t = 1..span_r, its end rounded up
+    to a multiple of ``_SPAN_STEP`` and capped at n, with 0/1 weights
+    that select its window.  Rows of one span (a span class) are
+    evaluated together, in chunks of at most ``_CHUNK_VALUES`` (row,
+    observation) values, so that a chunk's arrays stay in cache.  A
+    chunk's weights are one gather from a step template
+    (``_weights``); a chunk whose windows all cover their span, like
+    the rows of a full-sample fit, is summed unweighted.  The s/u/w
+    recursions run once per row for GARCH and are shared by the rows of
+    a chunk for ARCH and AR.
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
     beyond ``order`` are None.  The per-observation terms are those
     ``loglik`` reads, bit for bit; only the sums differ.  A value is a
-    pairwise sum along its masked row (sequential value sums were too
+    pairwise sum along its weighted row (sequential value sums were too
     coarse for Armijo tests near an optimum).  The derivatives are
-    per-row matrix-vector products (``_masked_sums``), with factors
+    per-row matrix-vector products (``_weighted_sums``), with factors
     constant in t pulled out.  A row's result therefore depends only on
-    that row, bit for bit, not on the other rows of the call or on the
-    chunking (both are tested); it agrees with ``loglik`` to round-off
-    (under 1e-13 relative per entry in the tests), not bit for bit.
+    its own window and parameters, bit for bit, not on the other rows
+    of the call or on the chunking (both are tested); it agrees with
+    ``loglik`` to round-off (under 1e-12 relative per entry in the
+    tests), not bit for bit.
 
     Raises
     ------
@@ -596,51 +608,98 @@ def loglik_rows(
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape
     out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: order + 1]
-    step = max(1, _CHUNK_VALUES // mask.shape[1])
-    for lo in range(0, rows, step):
-        sl = slice(lo, lo + step)
-        for arr, part in zip(out, _masked_sums(spec, thetas[sl], data, mask[sl], order)):
-            arr[sl] = part
+    spans = np.minimum(data.shape[0], -(-ends // _SPAN_STEP) * _SPAN_STEP)
+    whole = (starts == 1) & (ends == spans)
+    # The step template, only when some window needs weights: at the
+    # length of a long series, making it costs more than a small chunk.
+    steps = None
+    if not np.all(whole):
+        length = int(np.max(spans))
+        steps = np.zeros(3 * length)
+        steps[length : 2 * length] = 1.0
+    # The classes are runs of the spans in sorted order; callers pass
+    # their rows ordered by window end, so the stable sort is one pass.
+    by_span = np.argsort(spans, kind="stable")
+    ordered = spans[by_span]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), rows]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        span = int(ordered[lo])
+        size = max(1, _CHUNK_VALUES // span)
+        for first in range(lo, hi, size):
+            r = by_span[first : min(first + size, hi)]
+            weights = None if steps is None or np.all(whole[r]) else _weights(
+                steps, starts[r], ends[r], span)
+            for arr, part in zip(out, _weighted_sums(spec, thetas[r], data, span,
+                                                     weights, order)):
+                arr[r] = part
     return out + (None,) * (2 - order)
 
 
-def _masked_sums(
+def _weights(
+    steps: NDArray[np.float64],
+    starts: NDArray[np.int64],
+    ends: NDArray[np.int64],
+    span: int,
+) -> NDArray[np.float64]:
+    """0/1 weights (rows, span) of the windows {starts..ends} over
+    t = 1..span.
+
+    Row i is the slice of the step template ``steps`` (L zeros, L ones,
+    L zeros, with L >= span) at offset o_i, which holds ones on
+    t = L - o_i + 1 .. 2L - o_i.  A window reaching the span's end takes
+    the offset that starts its ones at its start; any other the offset
+    that ends them at its end, so they cover t = 1..end, and a window
+    that starts later has its head zeroed.
+    """
+    at_end = ends == span
+    third = steps.size // 3
+    offsets = np.where(at_end, third + 1 - starts, 2 * third - ends)
+    weights = np.lib.stride_tricks.sliding_window_view(steps, span)[offsets]
+    for i in np.flatnonzero(~at_end & (starts > 1)):
+        weights[i, : starts[i] - 1] = 0.0
+    return weights
+
+
+def _weighted_sums(
     spec: ModelSpec,
     thetas: NDArray[np.float64],
     data: NDArray[np.float64],
-    mask: NDArray[np.float64],
+    span: int,
+    weights: NDArray[np.float64] | None,
     order: int,
 ) -> list[NDArray[np.float64]]:
     """Value, then up to ``order`` derivatives, of one chunk of rows.
 
-    The value is a pairwise sum along each masked row.  The derivative
-    sums are two matrix-vector products per row with the kernel's stack
+    The rows are evaluated on t = 1..span and their terms multiplied by
+    ``weights`` (rows, span), unless that is None.  The value is a
+    pairwise sum along each row.  The derivative sums are two
+    matrix-vector products per row with the kernel's stack
     (``_Terms``): its ``a_rows`` times a_t give the gradient and the
     a_t d2m_t part of the hessian, its ``b_rows`` times b_t the
     b_t dm_t dm_t' part.  An entry constant in t is pulled out of its
     sum as a factor on the stack's row of ones.  A row's bits therefore
-    depend only on that row.
+    depend only on that row and its span.
     """
     rows, d = thetas.shape
-    terms = _terms(spec, thetas, data, mask.shape[1], order, products=True)
-    # The kernel's arrays belong to this call: mask q_t, a_t and b_t in place.
-    q = terms.q
-    q *= mask
-    sums = [-0.5 * q.sum(axis=1)]
+    terms = _terms(spec, thetas, data, span, order, products=True)
+
+    def weigh(x: NDArray[np.float64]) -> NDArray[np.float64]:
+        # The kernel's arrays belong to this call: weigh them in place.
+        if weights is not None:
+            x *= weights
+        return x
+
+    sums = [-0.5 * weigh(terms.q).sum(axis=1)]
     if order < 1:
         return sums
     stack = terms.stack
     assert stack is not None and terms.a is not None and terms.a_rows is not None
-    ma = terms.a
-    ma *= mask
-    a_sums = (stack[..., terms.a_rows, :] @ ma[:, :, None])[..., 0]
+    a_sums = (stack[..., terms.a_rows, :] @ weigh(terms.a)[:, :, None])[..., 0]
     sums.append(-0.5 * np.stack([_pulled(a_sums, 0, slot) for slot in terms.dm], axis=1))
     if order < 2:
         return sums
     assert terms.b is not None and terms.b_rows is not None
-    mb = terms.b
-    mb *= mask
-    b_sums = (stack[..., terms.b_rows, :] @ mb[:, :, None])[..., 0]
+    b_sums = (stack[..., terms.b_rows, :] @ weigh(terms.b)[:, :, None])[..., 0]
     hessian = np.empty((rows, d, d))
     for (i, j), slot in terms.dmdm.items():
         hij = _pulled(b_sums, terms.b_rows.start, slot)

@@ -14,8 +14,12 @@ small deterministic multi-start (domain centre plus quasi-random
 points; the centre alone for AR, whose quasi-likelihood is concave) as
 rows on one window; warm calls pass ``init`` and climb one row.
 ``estimate_windows`` climbs the exact scan's prefixes and suffixes from
-one warm start, and ``retry_cold`` the cold starts on every window it
-leaves unconverged.
+one warm start, seeded with each window's likelihood, gradient and
+hessian there, and ``retry_cold`` the cold starts on every window it
+leaves unconverged.  Every fit climbs all its rows in one ``_run_rows``
+call, and each evaluation is one ``loglik_rows`` call on the rows'
+window bounds, so a row is evaluated only over its window's span and
+its bits depend on its window alone.
 
 The optimizer's policy is fixed, in module constants that no caller
 sets: five cold starts (one for AR, as above), at most 200 iterations
@@ -37,7 +41,7 @@ import numpy as np
 
 # ``loglik`` is not called here, but stays importable from this module:
 # the span wrappers of perfbench/spans.py patch ``qlscan.qmle.loglik``.
-from .likelihood import loglik, loglik_rows, window_mask  # noqa: F401
+from .likelihood import loglik, loglik_rows  # noqa: F401
 from .models import (
     DomainError,
     ModelFamily,
@@ -50,13 +54,15 @@ from .models import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable
 
     from numpy.typing import ArrayLike, NDArray
 
     # Per row: x, f = -L, projected-gradient norm, iterations, converged.
     _Fits = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
                   NDArray[np.int64], NDArray[np.bool_]]
+    # Per row: L, its gradient and its hessian, as ``loglik_rows`` returns them.
+    _Evals = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 __all__ = [
     "EstimateResult",
@@ -371,22 +377,6 @@ def estimate(
     )
 
 
-# Largest (rows x observations) block that ``_fit_rows`` climbs at once
-# in ``_run_rows``, and that ``retry_cold`` evaluates at once.  The
-# block's 0/1 window mask holds at most this many float64 values
-# (1 MiB) and is its one array of that size: ``loglik_rows`` evaluates
-# the block in cache-sized chunks of ``likelihood._CHUNK_VALUES``
-# values.  So this bounds the memory of a batch, not its speed.
-_BLOCK_VALUES = 2**17
-
-
-def _blocks(rows: int, data: NDArray[np.float64]) -> Iterator[slice]:
-    """Consecutive slices over ``rows`` rows, each row a window of ``data``,
-    of at most ``_BLOCK_VALUES`` (row, observation) values each."""
-    step = max(1, _BLOCK_VALUES // data.size)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
-
-
 def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """``project_to_domain`` for every row of x.
 
@@ -486,23 +476,28 @@ def _run_rows(
     ends: NDArray[np.int64],
     x0: NDArray[np.float64],
     grad_tol: NDArray[np.float64],
+    seeds: _Evals | None = None,
 ) -> _Fits:
     """Projected Newton descent on f = -L for every row at once.
 
     Row r climbs the window {starts[r], ..., ends[r]} of ``data`` from
-    the feasible x0[r].  Each iteration works on the rows still live:
-    rows meeting the stopping rule leave as converged, rows finding no
-    acceptable step along either direction leave as not converged.
-    Each line search evaluates its full step at order 2, so a row that
-    accepts it already holds f, g and H at its next iterate; only rows
-    that backtracked are evaluated again.
+    the feasible x0[r].  ``seeds``, if given, holds L, its gradient and
+    its hessian at x0 on every row's window, so the climb starts without
+    evaluating x0; otherwise one ``loglik_rows`` call does.  Each
+    iteration works on the rows still live: rows meeting the stopping
+    rule leave as converged, rows finding no acceptable step along
+    either direction leave as not converged.  Each line search
+    evaluates its full step at order 2, so a row that accepts it
+    already holds f, g and H at its next iterate; only rows that
+    backtracked are evaluated again.  Every evaluation is one
+    ``loglik_rows`` call on the rows' window bounds, which evaluates
+    each row only over its own span.
     """
     n_rows = starts.size
-    mask = window_mask(starts, ends, int(np.max(ends)))
 
     def evaluate(rows, points, order):
-        rows_mask = mask if rows.size == n_rows else mask[rows]
-        value, grad, hess = loglik_rows(spec, points, data, rows_mask, order=order)
+        value, grad, hess = loglik_rows(spec, points, data, starts[rows], ends[rows],
+                                        order=order)
         if order == 0:
             return -value, None, None
         return -value, -grad, -hess if order >= 2 else None
@@ -519,7 +514,10 @@ def _run_rows(
         return f_full[rows]
 
     x = np.array(x0, dtype=float)
-    f, g, hess = evaluate(np.arange(n_rows), x, 2)
+    if seeds is None:
+        f, g, hess = evaluate(np.arange(n_rows), x, 2)
+    else:
+        f, g, hess = (-np.asarray(seed, dtype=float) for seed in seeds)
     # f, g and H at each row's latest full-step trial.
     f_full, g_full, h_full = np.empty_like(f), np.empty_like(g), np.empty_like(hess)
     pg_norm = np.empty(n_rows)
@@ -571,18 +569,19 @@ def _fit_rows(
     starts: NDArray[np.int64],
     ends: NDArray[np.int64],
     x0: NDArray[np.float64],
+    seeds: _Evals | None = None,
 ) -> _Fits:
     """Climb each window from each of its starts; keep its best fit.
 
     Window w is {starts[w], ..., ends[w]} of ``data``.  ``x0`` (S, W, d)
     holds the starts, or broadcasts to that shape: (S, 1, d) shares S
     starts among all windows, (1, W, d) gives each window its own.  The
-    S x W rows climb in ``_run_rows`` in blocks of at most
-    ``_BLOCK_VALUES`` (row, observation) values, each with ``grad_tol``
-    ``_GRAD_TOL_PER_OBS`` times its window's size.  Each
-    window returns its row of least f, the earliest start breaking
-    exact ties.  Raises SizingError if a window holds fewer than d + 1
-    observations.
+    S x W rows climb in one ``_run_rows`` call, each with ``grad_tol``
+    ``_GRAD_TOL_PER_OBS`` times its window's size, and with ``seeds``
+    (for S = 1, L, its gradient and hessian at x0 on every window) when
+    given.  Each window returns its row of least f, the earliest start
+    breaking exact ties.  Raises SizingError if a window holds fewer
+    than d + 1 observations.
     """
     n_starts, n_win = x0.shape[0], starts.size
     cards = ends - starts + 1
@@ -594,13 +593,7 @@ def _fit_rows(
     grad_tol = np.tile(_GRAD_TOL_PER_OBS * cards, n_starts)
     starts, ends = np.tile(starts, n_starts), np.tile(ends, n_starts)
     x0 = np.broadcast_to(x0, (n_starts, n_win, spec.d)).reshape(-1, spec.d)
-    rows = starts.size
-    out = (np.empty((rows, spec.d)), np.empty(rows), np.empty(rows),
-           np.empty(rows, dtype=np.int64), np.empty(rows, dtype=bool))
-    for sl in _blocks(rows, data):
-        parts = _run_rows(spec, data, starts[sl], ends[sl], x0[sl], grad_tol[sl])
-        for arr, part in zip(out, parts):
-            arr[sl] = part
+    out = _run_rows(spec, data, starts, ends, x0, grad_tol, seeds)
     best = np.argmin(out[1].reshape(n_starts, n_win), axis=0) * n_win + np.arange(n_win)
     return tuple(arr[best] for arr in out)
 
@@ -611,22 +604,26 @@ def estimate_windows(
     starts: NDArray[np.int64],
     ends: NDArray[np.int64],
     init: ArrayLike,
+    seeds: _Evals | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Warm-started QMLE on many windows of one series at once.
 
     Window r is {starts[r], ..., ends[r]} of the full series ``data``.
-    Every window is climbed from the projection of ``init``, one row of
-    the batched ascent that a warm ``estimate`` call runs on its single
-    window, so each row takes that call's steps.  Windows are processed
-    in blocks of at most ``_BLOCK_VALUES`` (window, observation) values.
+    Every window is climbed from the projection of ``init``, all as rows
+    of one climb of the batched ascent that a warm ``estimate`` call
+    runs on its single window, so each row takes that call's steps.
+    ``seeds``, if given, holds (value (W,), gradient (W, d), hessian
+    (W, d, d)) of L at that point on every window, as ``loglik_rows``
+    returns them; a scan takes them from the cumulative sums of its
+    derivative pass, and the climb then skips its first evaluation.
 
     Returns (theta (W, d), converged (W,)).  A row that is not converged
     reached ``_MAX_ITER`` iterations or found no acceptable step, and holds its
     last iterate; ``retry_cold`` gives such windows the cold multi-start.
-    A row's sums do not depend on which other rows its block holds, but
-    they run over the block's span of observations, so a row agrees
-    with a warm ``estimate`` call on its window to round-off rather than
-    bit for bit.
+    A row's sums depend only on its window, not on the other rows, so
+    without seeds a row takes the steps of a warm ``estimate`` call on
+    its window bit for bit; seeds agree with that call's first
+    evaluation to round-off.
 
     Raises
     ------
@@ -636,6 +633,7 @@ def estimate_windows(
     theta, _, _, _, converged = _fit_rows(
         spec, np.asarray(data, dtype=float), np.asarray(starts, dtype=np.int64),
         np.asarray(ends, dtype=np.int64), project_to_domain(spec, init)[None, None, :],
+        seeds,
     )
     return theta, converged
 
@@ -650,17 +648,14 @@ def retry_cold(
     """Cold multi-start on windows whose warm climb did not converge.
 
     ``theta`` holds the warm fits.  Every window climbs from every start
-    of a cold ``estimate`` call, all (start, window) rows in one batch,
+    of a cold ``estimate`` call, all (start, window) rows in one climb,
     and takes its best cold fit when that converged or has a higher
     log-likelihood than the warm fit, whose values take one order-0
-    ``loglik_rows`` call a block.  Returns (theta (W, d), converged (W,)).
+    ``loglik_rows`` call.  Returns (theta (W, d), converged (W,)).
     """
     x, f, _, _, ok = _fit_rows(
         spec, data, starts, ends, _default_starts(spec)[:, None, :]
     )
-    warm_f = np.empty(starts.size)
-    for sl in _blocks(starts.size, data):
-        mask = window_mask(starts[sl], ends[sl], int(np.max(ends[sl])))
-        warm_f[sl] = -loglik_rows(spec, theta[sl], data, mask, order=0)[0]
+    warm_f = -loglik_rows(spec, theta, data, starts, ends, order=0)[0]
     # A kept warm fit is unconverged, and then so is the best cold fit.
     return np.where((ok | (f < warm_f))[:, None], x, theta), ok

@@ -70,13 +70,20 @@ Every scan runs one pipeline: the full-sample fit, one derivative pass
 at th_full and its cumulative sums, then, one block of splits at a
 time, Sigma, the side deltas and the quadratic forms.  Only the side
 deltas depend on the window estimator; exact-mode window estimates are
-made before the derivative pass, one row per window.
+climbed after the derivative pass, one row per window (AR closed forms
+are solved before it).
 In exact mode every prefix T_k and every complement is climbed from
 th_full, so no window depends on its neighbours.  All windows are
-climbed together in one batched projected-Newton pass over a stack of
+climbed together in one batched projected-Newton climb over a stack of
 parameter rows (``qmle.estimate_windows``), the ascent a warm
-``estimate`` call runs on its one window; the windows that pass leaves
-unconverged get the cold multi-start in one more batch, whose rows are
+``estimate`` call runs on its one window.  The climb starts from data
+the scan already has: the cumulative sums of the derivative pass's
+q_t, scores and hessian entries give every window's likelihood,
+gradient and hessian at th_full, so no window is evaluated at its
+start.  Each window is evaluated only over its own span, its end
+rounded up to a multiple of 128 observations
+(``likelihood.loglik_rows``).  The windows the climb leaves
+unconverged get the cold multi-start in one more climb, whose rows are
 (start x window) (``qmle.retry_cold``).  For AR models the
 quasi-likelihood is exactly quadratic, so window estimates are
 constrained least squares, solved in closed form for every k, a block
@@ -282,18 +289,22 @@ def _scan_pipeline(
 ) -> ScanResult:
     """One scan, in stages.
 
-    The full fit; in exact mode, every window's estimate
-    (``_exact_window_estimates``); one derivative pass at theta_full
-    and the cumulative sums over t of its score outer products, hessian
-    entries and (one-step) scores, after which the per-observation
-    arrays are released; the condition test of the full-sample mean
+    The full fit; in exact mode, the AR windows' closed form
+    (``_closed_form_windows``); one derivative pass at theta_full, with
+    the cumulative sums over t of its hessian entries
+    (``_derivative_pass``); the condition test of the full-sample mean
     hessian (``_pooled_curvature``), which raises ScanError in either
-    mode.  Then one loop over blocks of at most
-    ``_BLOCK_SPLITS`` splits: each block's prefix and suffix sums, G and
-    F, Sigma, the deltas and the quadratic forms, written into the
-    preallocated q1 and q2.  Every step of the loop is elementwise along
-    the split axis, so the block size changes no bit of the result; it
-    only bounds the loop's stacks to (d, d, 2 * block).
+    mode; in exact mode, every other window's estimate
+    (``_exact_window_estimates``), climbed from its value, gradient and
+    hessian at theta_full, read off cumulative sums of the pass's q_t,
+    scores and hessian entries; the cumulative sums of the score outer
+    products and, in one-step mode, of the scores.  Then one
+    loop over blocks of at most ``_BLOCK_SPLITS`` splits: each block's
+    prefix and suffix sums, G and F, Sigma, the deltas and the quadratic
+    forms, written into the preallocated q1 and q2.  Every step of the
+    loop is elementwise along the split axis, so the block size changes
+    no bit of the result; it only bounds the loop's stacks to
+    (d, d, 2 * block).
     """
     ks = window.indices
     n = series.n
@@ -301,35 +312,20 @@ def _scan_pipeline(
     full = estimate(spec, series)
     theta_full = full.theta_hat
     if estimator == "exact":
-        windows = _exact_window_estimates(spec, series.data, ks, theta_full)
-
-    # One full-sample derivative pass at theta_full yields every side's
-    # G and F: the truncated recursions start at time 1 regardless of
-    # the window, so per-observation terms of a prefix or suffix match
-    # the full-sample terms and the averages are cumulative sums.  Both
-    # per-observation matrices are symmetric (the hessian terms by
-    # construction), so only their distinct entries are cumulated; the
-    # per-observation arrays are dropped once the sums are taken.
-    ev = loglik(
-        spec,
-        theta_full,
-        series,
-        order=2,
-        keep_per_t_grads=True,
-        keep_per_t_hessians=True,
-    )
-    assert ev.per_t_grads is not None and ev.per_t_hessians is not None
-    grads, hessians = ev.per_t_grads, ev.per_t_hessians
-    del ev
+        # Before the derivative pass, so that the AR closed form's arrays
+        # of length n and the pass's are never alive together.
+        closed = _closed_form_windows(spec, series.data, ks)
+    sums = _derivative_pass(spec, series, theta_full)
     iu, ju, pos = _distinct_entries(spec.d)
-    h_cum = _cumulative_sums(hessians[:, iu, ju])
-    del hessians
-    g_cum = _cumulative_sums(_products(grads, iu, ju))
     # Either estimator needs an invertible full-sample curvature.
-    f_full = _pooled_curvature(h_cum[-1][pos] / n)
+    f_full = _pooled_curvature(sums.hessian[-1][pos] / n)
+    if estimator == "exact":
+        windows = _exact_window_estimates(spec, series.data, ks, theta_full, sums, closed)
+    # G's sums are taken only now, so the window fits run beside fewer
+    # arrays of length n.
+    g_cum = _cumulative_sums(_products(sums.scores, iu, ju))
     if estimator == "one_step":
-        score_cum = _cumulative_sums(grads)
-    del grads
+        score_cum = _cumulative_sums(sums.scores)
 
     q1 = np.empty(nk)
     q2 = np.empty(nk)
@@ -339,7 +335,7 @@ def _scan_pipeline(
         cards = np.concatenate((k, n - k)).astype(float)
         left, right = cards[: k.size], cards[k.size :]
         g = (_window_sums(g_cum, idx) / cards)[pos]
-        fgf, _ = _batched_fgf((_window_sums(h_cum, idx) / cards)[pos], g)
+        fgf, _ = _batched_fgf((_window_sums(sums.hessian, idx) / cards)[pos], g)
         sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
         if estimator == "one_step":
             dl, ok_l, dr, ok_r = _one_step_deltas(score_cum, f_full, idx, cards)
@@ -355,6 +351,68 @@ def _scan_pipeline(
     return _finalize(spec, window, ks, q1, q2, theta_full, alpha, table)
 
 
+@dataclass(frozen=True)
+class _PassSums:
+    """The derivative pass at theta_full.
+
+    ``hessian`` (n, m) holds the cumulative sums over t of the
+    m = d(d+1)/2 distinct entries of d2q_t (``_distinct_entries``).
+    ``scores`` (n, d) and ``values`` (n,) hold dq_t and q_t themselves:
+    the scan cumulates the score outer products, and in one-step mode
+    the scores in place, only after any window fits, and
+    ``window_seeds`` cumulates both for the windows an exact scan climbs.
+    """
+
+    hessian: NDArray[np.float64]
+    scores: NDArray[np.float64]
+    values: NDArray[np.float64]
+
+    def window_seeds(
+        self, k: NDArray[np.int64], suffix: NDArray[np.bool_]
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+        """L, its gradient and its hessian at theta_full on the prefixes
+        {1..k}, or where ``suffix`` on their complements {k+1..n}: the
+        value (W,), gradient (W, d) and hessian (W, d, d) that
+        ``loglik_rows`` would return there, up to round-off."""
+        out = []
+        for cum in (np.cumsum(self.values)[:, None], np.cumsum(self.scores, axis=0),
+                    self.hessian):
+            head = cum[k - 1]
+            out.append(-0.5 * np.where(suffix[:, None], cum[-1] - head, head))
+        value, gradient, hessian = out
+        pos = _distinct_entries(self.scores.shape[1])[2]
+        return value[:, 0], gradient, hessian[:, pos]
+
+
+def _derivative_pass(
+    spec: ModelSpec, series: SeriesSegment, theta_full: NDArray[np.float64]
+) -> _PassSums:
+    """One full-sample derivative pass at theta_full.
+
+    The truncated recursions start at time 1 regardless of the window,
+    so per-observation terms of a prefix or suffix match the
+    full-sample terms, and every side's G, F, mean score and likelihood
+    are differences of cumulative sums.  The per-observation hessians
+    are symmetric by construction, so only their distinct entries are
+    cumulated, and the per-observation array is dropped.
+    """
+    ev = loglik(
+        spec,
+        theta_full,
+        series,
+        order=2,
+        keep_per_t_grads=True,
+        keep_per_t_hessians=True,
+    )
+    assert ev.per_t_grads is not None and ev.per_t_hessians is not None
+    assert ev.per_t_values is not None
+    grads, hessians, values = ev.per_t_grads, ev.per_t_hessians, ev.per_t_values
+    del ev
+    iu, ju, _ = _distinct_entries(spec.d)
+    return _PassSums(hessian=_cumulative_sums(hessians[:, iu, ju]), scores=grads,
+                     values=values)
+
+
 def _split_blocks(nk: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_BLOCK_SPLITS`` splits covering 0..nk-1."""
     step = _BLOCK_SPLITS
@@ -366,6 +424,8 @@ def _exact_window_estimates(
     data: NDArray[np.float64],
     ks: NDArray[np.int64],
     theta_full: NDArray[np.float64],
+    sums: _PassSums,
+    closed: tuple[NDArray[np.float64], NDArray[np.bool_]],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Argmax estimates for every prefix T_k and suffix complement.
 
@@ -380,32 +440,45 @@ def _exact_window_estimates(
     window's result independent of scan order.
 
     Since no window depends on another, all of them are climbed in one
-    batched projected-Newton pass (``estimate_windows``).  AR windows
-    first take the closed form (``_ar_window_least_squares``), and only
-    the rows it cannot settle enter the batch; the AR quasi-likelihood
-    is concave, so a warm climb reaches the same optimum as a cold one.
-    The windows the batch leaves unconverged are retried cold, all in
-    one batch (``retry_cold``); each takes its cold fit if that
-    converged or has the higher log-likelihood.
+    batched projected-Newton climb (``estimate_windows``), seeded with
+    each window's likelihood, gradient and hessian at theta_full from
+    the derivative pass's cumulative sums ``sums``.  Only the windows
+    that ``closed`` (``_closed_form_windows``) leaves unsettled enter
+    the climb: AR windows take the closed form first, and the AR
+    quasi-likelihood is concave, so a warm climb from theta_full reaches
+    the same optimum as a cold one.  The windows the climb leaves unconverged
+    are retried cold, all in one climb (``retry_cold``); each takes its
+    cold fit if that converged or has the higher log-likelihood.
     """
     nk = ks.size
     n = data.shape[0]
     starts = np.concatenate((np.ones(nk, dtype=np.int64), ks + 1))
     ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
-    if spec.family is ModelFamily.AR:
-        theta, ok = _ar_window_least_squares(spec, data, ks)
-    else:
-        theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
+    theta, ok = closed
     rows = np.flatnonzero(~ok)
-    theta[rows], ok[rows] = estimate_windows(
-        spec, data, starts[rows], ends[rows], theta_full
-    )
+    if rows.size:
+        theta[rows], ok[rows] = estimate_windows(
+            spec, data, starts[rows], ends[rows], theta_full,
+            sums.window_seeds(ks[rows % nk], rows >= nk),
+        )
     rows = rows[~ok[rows]]
     if rows.size:
         theta[rows], ok[rows] = retry_cold(
             spec, data, starts[rows], ends[rows], theta[rows]
         )
     return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
+
+
+def _closed_form_windows(
+    spec: ModelSpec, data: NDArray[np.float64], ks: NDArray[np.int64]
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """The exact windows solved without the optimizer, prefixes then
+    suffixes, as (theta (2 |ks|, d), settled (2 |ks|,)): the AR windows
+    that ``_ar_window_least_squares`` settles, and no ARCH or GARCH
+    window."""
+    if spec.family is ModelFamily.AR:
+        return _ar_window_least_squares(spec, data, ks)
+    return np.empty((2 * ks.size, spec.d)), np.zeros(2 * ks.size, dtype=bool)
 
 
 def _ar_window_least_squares(

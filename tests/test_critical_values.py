@@ -75,6 +75,27 @@ class TestSimulateSupBB:
                     simulate_sup_bb(dim, m=m, reps=reps, seed=5), want[dim - 1]
                 )
 
+    @pytest.mark.parametrize("seed", [0, 1, 20260401, 2**32 - 1, 2**32, 2**70 + 3,
+                                      2**100 + 7])
+    def test_stream_keys_are_seed_sequence_keys(self, seed):
+        # The keys are computed for every replication at once; each must
+        # be the Philox key that SeedSequence((seed, r)) gives.  Seeds of
+        # one to four 32-bit words: with r, four words fill the pool, and
+        # more are mixed in afterwards.
+        want = np.array([np.random.SeedSequence((seed, r)).generate_state(2, np.uint64)
+                         for r in range(3000)])
+        np.testing.assert_array_equal(critical_values._stream_keys(seed, 3000), want)
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**40), ValueError),
+                                             (1.5, TypeError)])
+    def test_bad_seeds_raise_what_seed_sequence_raises(self, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence((seed, 0))
+        with pytest.raises(error):
+            critical_values._stream_keys(seed, 3)
+        with pytest.raises(error):
+            simulate_sup_bb(1, m=10, reps=3, seed=seed)
+
     def test_nonnegative(self):
         s = simulate_sup_bb(3, m=40, reps=200, seed=1)
         assert np.all(s >= 0.0)

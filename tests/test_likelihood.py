@@ -26,7 +26,7 @@ from qlscan import (
     volatility_path,
 )
 from qlscan import likelihood as likelihood_module
-from qlscan.likelihood import _first_order_filter, _garch_states, loglik_rows, window_mask
+from qlscan.likelihood import _first_order_filter, _garch_states, loglik_rows
 from conftest import THETA0, make_series, theta_near
 import iteration_reference
 from per_k_sigma import InfoMatrices, fgf, info_matrices
@@ -269,8 +269,8 @@ class TestLoglikRows:
         ends = np.array([n, 120, 4, n, n, 260, 150])
         rng = np.random.default_rng(431)
         thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
-        mask = window_mask(starts, ends, n)
-        value, grad, hess = loglik_rows(spec, thetas, series.data, mask, order=order)
+        value, grad, hess = loglik_rows(spec, thetas, series.data, starts, ends,
+                                        order=order)
         assert (grad is None) == (order < 1) and (hess is None) == (order < 2)
         for r, (start, end) in enumerate(zip(starts, ends)):
             segment = SeriesSegment(series.data, int(start), int(end))
@@ -304,19 +304,53 @@ class TestLoglikRows:
         ends = np.array([n, 8000, n, 15000, 18000])
         rng = np.random.default_rng(433)
         thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
-        mask = window_mask(starts, ends, n)
-        stacked = loglik_rows(spec, thetas, series.data, mask, order=order)
+        stacked = loglik_rows(spec, thetas, series.data, starts, ends, order=order)
         for r in range(starts.size):
-            alone = loglik_rows(spec, thetas[r:r + 1], series.data, mask[r:r + 1],
-                                order=order)
+            alone = loglik_rows(spec, thetas[r:r + 1], series.data, starts[r:r + 1],
+                                ends[r:r + 1], order=order)
             for got, want in zip(stacked[: order + 1], alone[: order + 1]):
                 assert np.array_equal(got[r], want[0])
 
+    # 2^12 values split the span classes into chunks (16 rows at span
+    # 256, 5 at span 700); 2^22 holds each class in one chunk.
+    @pytest.mark.parametrize("chunk", [None, 2**12, 2**22])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name, theta0", [
+        ("ar2", (0.5, 0.2)),
+        ("arch", THETA0["arch"]),
+        ("garch", THETA0["garch"]),
+    ])
+    def test_mixed_windows_do_not_depend_on_the_row_count(self, monkeypatch, all_specs,
+                                                          name, theta0, order, chunk):
+        # Prefixes, suffixes, full windows and an interior window, shuffled,
+        # in several span classes: each row's bits are those it gets alone.
+        if chunk is not None:
+            monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=2)
+        n = 700
+        series = make_series(spec, n, theta0, seed=(434, 0))
+        ks = np.arange(60, 641, 7)
+        starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1, [1, 1, 90]))
+        ends = np.concatenate((ks, np.full(ks.size, n), [n, n, 400]))
+        rng = np.random.default_rng(435)
+        order_rows = rng.permutation(starts.size)
+        starts, ends = starts[order_rows], ends[order_rows]
+        thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
+        stacked = loglik_rows(spec, thetas, series.data, starts, ends, order=order)
+        for r in range(starts.size):
+            alone = loglik_rows(spec, thetas[r:r + 1], series.data, starts[r:r + 1],
+                                ends[r:r + 1], order=order)
+            for got, want in zip(stacked[: order + 1], alone[: order + 1]):
+                assert np.array_equal(got[r], want[0])
+            segment = SeriesSegment(series.data, int(starts[r]), int(ends[r]))
+            want = loglik(spec, thetas[r], segment, order=0).value
+            assert_allclose(stacked[0][r], want, rtol=1e-12)
+
     def test_row_outside_the_domain_raises(self, garch_spec, garch_series):
         thetas = np.array([THETA0["garch"], [1.0, 0.6, 0.5]])
-        mask = window_mask(np.array([1, 1]), np.array([50, 50]), 50)
         with pytest.raises(DomainError):
-            loglik_rows(garch_spec, thetas, garch_series.data, mask)
+            loglik_rows(garch_spec, thetas, garch_series.data, np.array([1, 1]),
+                        np.array([50, 50]))
 
 
 def garch_states_loop(x2, beta, order):

@@ -330,9 +330,9 @@ class TestEstimateContract:
         run_rows = qmle_module._run_rows
         climbed = []
 
-        def counting_run_rows(spec, data, starts, ends, x0, grad_tol):
+        def counting_run_rows(spec, data, starts, ends, x0, grad_tol, seeds=None):
             climbed.append(len(x0))
-            return run_rows(spec, data, starts, ends, x0, grad_tol)
+            return run_rows(spec, data, starts, ends, x0, grad_tol, seeds)
 
         monkeypatch.setattr(qmle_module, "_run_rows", counting_run_rows)
         multi = estimate(garch_spec, seg)

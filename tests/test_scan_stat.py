@@ -40,11 +40,14 @@ from qlscan import (
 from qlscan import likelihood as likelihood_module
 from qlscan import qmle as qmle_module
 from qlscan import scan_stat as scan_stat_module
+from qlscan.likelihood import loglik_rows
 from qlscan.qmle import estimate_windows
 from qlscan.scan_stat import (
     _ar_window_least_squares,
     _batched_fgf,
     _cholesky_rows,
+    _closed_form_windows,
+    _derivative_pass,
     _exact_window_estimates,
     _invertible,
     _solve_rows,
@@ -308,8 +311,8 @@ class TestMissingPolicy:
         def flaky(real):
             # The targeted prefixes come back unconverged from the warm
             # batch, so they reach the cold retry, and from that as well.
-            def fit(spec, data, starts, ends, x):
-                theta, converged = real(spec, data, starts, ends, x)
+            def fit(spec, data, starts, ends, x, *seeds):
+                theta, converged = real(spec, data, starts, ends, x, *seeds)
                 for r, (start, end) in enumerate(zip(starts, ends)):
                     if start == 1 and int(end) in bad_ks:
                         converged[r] = False
@@ -336,7 +339,14 @@ class TestMissingPolicy:
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
 
 
-def _scalar_window_fits(spec, data, ks, theta_full):
+def _window_inputs(spec, series, ks, theta_full):
+    """What the scan hands ``_exact_window_estimates``: its derivative
+    pass at theta_full and the windows solved in closed form."""
+    return (_derivative_pass(spec, series, theta_full),
+            _closed_form_windows(spec, series.data, ks))
+
+
+def _scalar_window_fits(spec, data, ks, theta_full, sums=None, closed=None):
     """Per-window fits by the scalar reference ascent, warm then cold,
     prefixes then suffixes, in the layout of ``_exact_window_estimates``."""
     fits = {"l": [], "r": []}
@@ -378,7 +388,8 @@ class TestWindowBatch:
         ends = np.concatenate((ks, np.full(ks.size, n)))
         _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
         assert batch_ok.all()  # so the comparison below tests the batch itself
-        got = _exact_window_estimates(spec, series.data, ks, theta_full)
+        got = _exact_window_estimates(spec, series.data, ks, theta_full,
+                                      *_window_inputs(spec, series, ks, theta_full))
         want = _scalar_window_fits(spec, series.data, ks, theta_full)
         for side in (0, 2):
             assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
@@ -426,7 +437,9 @@ class TestWindowBatch:
 
         monkeypatch.setattr(scan_stat_module, "estimate_windows", stalled_batch)
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(garch_spec, data, ks, theta_full)
+        got = _exact_window_estimates(garch_spec, data, ks, theta_full,
+                                      *_window_inputs(garch_spec, garch_series, ks,
+                                                      theta_full))
         assert calls == [(starts.tolist(), ends.tolist())]
         assert got[1].all() and got[3].all()
         cold = [scalar_ascent.estimate(garch_spec, SeriesSegment(data, int(a), int(b)))
@@ -454,7 +467,8 @@ class TestWindowBatch:
             return real(spec, data, starts, ends, theta)
 
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full)
+        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full,
+                                      *_window_inputs(arch_spec, series, ks, theta_full))
         assert 0 < np.count_nonzero(~batch_ok)
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
         want = _scalar_window_fits(arch_spec, series.data, ks, theta_full)
@@ -480,23 +494,68 @@ class TestWindowBatch:
         else:
             assert_allclose(batched, scalar, rtol=1e-6, atol=1e-9)
 
-    def test_retry_spans_blocks(self, monkeypatch, arch_spec):
-        # One iteration leaves every window unconverged.  With blocks of
-        # 2^12 values the retry evaluates the warm fits and climbs the
-        # cold starts in many blocks; by default, in one.
-        series = make_series(arch_spec, 150, THETA0["arch"], seed=(425, 0))
-        ks = ScanWindow(n=150, v_n=40).indices
+    def test_retry_climbs_every_window_at_once(self, monkeypatch, arch_spec):
+        # One iteration leaves every window unconverged.  The retry climbs
+        # every (start, window) row of a few hundred windows, whose spans
+        # fall in several span classes, in one climb, and each window gets
+        # the cold fit that a retry of that window alone gives it.
+        series = make_series(arch_spec, 600, THETA0["arch"], seed=(425, 1))
+        ks = ScanWindow(n=600, v_n=40).indices
         theta_full = estimate(arch_spec, series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
-        monkeypatch.setattr(qmle_module, "_MAX_ITER", 1)
-        theta, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
+        with monkeypatch.context() as m:
+            m.setattr(qmle_module, "_MAX_ITER", 1)
+            theta, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
         assert not ok.any()
-        want = qmle_module.retry_cold(arch_spec, series.data, starts, ends, theta)
-        monkeypatch.setattr(qmle_module, "_BLOCK_VALUES", 2**12)
+        climbs = []
+        real = qmle_module._run_rows
+
+        def counting(spec, data, starts, ends, x0, grad_tol, seeds=None):
+            climbs.append(starts.size)
+            return real(spec, data, starts, ends, x0, grad_tol, seeds)
+
+        monkeypatch.setattr(qmle_module, "_run_rows", counting)
         got = qmle_module.retry_cold(arch_spec, series.data, starts, ends, theta)
-        assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
-        np.testing.assert_array_equal(got[1], want[1])
+        assert climbs == [qmle_module._N_STARTS * starts.size]
+        # One window's best cold start stalls just short of the tolerance,
+        # beside four converged starts at the same optimum; check it too.
+        assert np.count_nonzero(got[1]) >= 0.99 * starts.size
+        for r in sorted({*range(0, starts.size, 37), *np.flatnonzero(~got[1])}):
+            one = slice(r, r + 1)
+            alone = qmle_module.retry_cold(arch_spec, series.data, starts[one], ends[one],
+                                           theta[one])
+            np.testing.assert_array_equal(got[0][r], alone[0][0])
+            assert got[1][r] == alone[1][0]
+            want = scalar_ascent.estimate(
+                arch_spec, SeriesSegment(series.data, int(starts[r]), int(ends[r])))
+            assert_allclose(got[0][r], want.theta_hat, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("name, theta0", [
+        ("arch", THETA0["arch"]),
+        ("garch", THETA0["garch"]),
+        ("ar2", (0.5, 0.2)),
+    ])
+    def test_seeds_match_loglik_rows(self, all_specs, name, theta0):
+        # The climb's seeds, read off the derivative pass's cumulative
+        # sums, are the value, gradient and hessian that ``loglik_rows``
+        # gives at theta_full on each prefix and suffix.
+        spec = {**all_specs, **AR_SPECS}[name]
+        series = make_series(spec, 700, theta0, seed=(427, 0))
+        ks = default_window(spec, series.n).indices
+        theta_full = estimate(spec, series).theta_hat
+        k = np.concatenate((ks, ks))
+        suffix = np.arange(k.size) >= ks.size
+        starts = np.where(suffix, k + 1, 1)
+        ends = np.where(suffix, series.n, k)
+        seeds = _derivative_pass(spec, series, theta_full).window_seeds(k, suffix)
+        want = loglik_rows(spec, np.tile(theta_full, (k.size, 1)), series.data,
+                           starts, ends, order=2)
+        for got, exact in zip(seeds, want):
+            assert got.shape == exact.shape
+            # Relative to each quantity's largest entry: near theta_full a
+            # window's gradient can sum to almost zero.
+            assert_allclose(got, exact, rtol=1e-12, atol=1e-12 * np.max(np.abs(exact)))
 
     def test_no_window_stalls_short_of_the_tolerance(self, arch_spec):
         # Value sums taken sequentially along t once left 2 windows of this
@@ -592,6 +651,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / self.N < self.LIMIT, peak / self.N / 8
+
+    def test_exact_window_climb(self, arch_spec):
+        # The exact window fits of an ARCH scan climb every window in one
+        # batch, and their evaluation chunks, about 2^15 values each, set
+        # the peak at this n.  A dense (rows x observations) window mask
+        # would take about 5,300 values per observation here.
+        n = 3000
+        series = make_series(arch_spec, n, THETA0["arch"], seed=(446, 0))
+        tracemalloc.start()
+        try:
+            scan(arch_spec, series, window_estimator="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 400 * 8, peak / n / 8
 
 
 SCREEN_KINDS = ("straddle", "rank", "indefinite", "zero", "nonfinite")

@@ -86,6 +86,61 @@ class TestArLoopMatchesLfilter:
         np.testing.assert_array_equal(generate(plan).data, ar_path_lfilter(plan))
 
 
+def garch_path_numpy(plan):
+    """The ARCH/GARCH path of ``generate`` by a loop on numpy float64
+    scalars, as ``simulate._garch_path`` once ran it."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(plan.seed)))
+    eps = rng.standard_normal(plan.burn_in + plan.n)
+    split = eps.size if plan.break_index is None else plan.burn_in + plan.break_index
+    theta0 = np.asarray(plan.theta0)
+    has_beta = plan.spec.family is ModelFamily.GARCH
+    a0, a1 = theta0[0], theta0[1]
+    b1 = theta0[2] if has_beta else 0.0
+    x = np.empty(eps.size)
+    h = a0 / (1.0 - a1 - b1)
+    x_prev = 0.0
+    for t in range(eps.size):
+        if t == split and plan.theta1 is not None:
+            theta1 = np.asarray(plan.theta1)
+            a0, a1 = theta1[0], theta1[1]
+            b1 = theta1[2] if has_beta else 0.0
+        if t > 0:
+            h = a0 + a1 * x_prev * x_prev + b1 * h
+        x_prev = np.sqrt(h) * eps[t]
+        x[t] = x_prev
+    return x[plan.burn_in :]
+
+
+class TestGarchLoopMatchesNumpyScalars:
+    """ARCH/GARCH paths run on Python floats and must repeat the numpy
+    float64 scalar loop bit for bit."""
+
+    @given(
+        garch=st.booleans(),
+        alpha0=st.floats(0.01, 5.0),
+        alpha1=st.floats(0.0, 0.6),
+        beta1=st.floats(0.0, 0.35),
+        theta1=st.one_of(st.none(), st.tuples(st.floats(0.01, 5.0), st.floats(0.0, 0.6),
+                                              st.floats(0.0, 0.35))),
+        n=st.integers(2, 300),
+        burn_in=st.integers(0, 60),
+        break_at=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, garch, alpha0, alpha1, beta1, theta1, n, burn_in,
+                           break_at, seed):
+        spec = ModelSpec(family=ModelFamily.GARCH if garch else ModelFamily.ARCH)
+        theta0 = (alpha0, alpha1, beta1) if garch else (alpha0, alpha1)
+        break_index = None
+        if theta1 is not None:
+            theta1 = theta1 if garch else theta1[:2]
+            break_index = 1 + min(int(break_at * (n - 1)), n - 2)
+        plan = SimPlan(spec=spec, n=n, theta0=theta0, theta1=theta1,
+                       break_index=break_index, burn_in=burn_in, seed=seed)
+        np.testing.assert_array_equal(generate(plan).data, garch_path_numpy(plan))
+
+
 class TestBreakMechanics:
     def test_break_noop_is_exactly_the_null_path(self, all_specs):
         # theta1 == theta0 with any break index must reproduce the

@@ -157,6 +157,8 @@ def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float
         raise ValueError(f"grid size must be >= 2, got {m}")
     if reps < 1:
         raise ValueError(f"replication count must be >= 1, got {reps}")
+    # Checks reps and the seed before anything of size reps is allocated.
+    keys = _stream_keys(seed, reps)
     out = np.empty((d_max, reps))
     scale = 1.0 / math.sqrt(m)
     tau = np.arange(1, m + 1) / m
@@ -170,7 +172,6 @@ def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    keys = _stream_keys(seed, reps)
     for pos in range(0, reps, chunk):
         w = buf[: min(chunk, reps - pos)]
         rows = slice(pos, pos + w.shape[0])

@@ -19,7 +19,11 @@ hessian there, and ``retry_cold`` the cold starts on every window it
 leaves unconverged.  Every fit climbs all its rows in one ``_run_rows``
 call, and each evaluation is one ``loglik_rows`` call on the rows'
 window bounds, so a row is evaluated only over its window's span and
-its bits depend on its window alone.
+its bits depend on its window alone.  The steps are batched too: the
+active-set Newton directions (``_newton_directions``) are solved as
+stacks of rows sharing a free set and face state, and the projection
+(``_project_rows``) finds every row's exact single multiplier at once;
+``project_to_domain`` is that projection on one row.
 
 The optimizer's policy is fixed, in module constants that no caller
 sets: five cold starts (one for AR, as above), at most 200 iterations
@@ -50,6 +54,7 @@ from .models import (
     SizingError,
     ar1_interval,
     in_domain,
+    in_domain_rows,
     stationarity_stat,
 )
 
@@ -101,100 +106,14 @@ class EstimateResult:
     boundary_active: bool
 
 
-def _clipped_sum_root(
-    x: NDArray[np.float64],
-    lo: NDArray[np.float64],
-    hi: NDArray[np.float64],
-    target: float,
-) -> float:
-    """Solve sum(clip(x - mu, lo, hi)) == target for mu.
-
-    The left side is a piecewise-linear nonincreasing function of mu with
-    breakpoints at x - hi and x - lo; the caller guarantees a root exists
-    (value above target at the smallest breakpoint, at or below it at the
-    largest).
-    """
-    bps = np.unique(np.concatenate((x - hi, x - lo)))
-
-    def val(mu: float) -> float:
-        return float(np.sum(np.clip(x - mu, lo, hi)))
-
-    prev = bps[0]
-    for bp in bps:
-        if val(bp) <= target:
-            v_left, v_right = val(prev), val(bp)
-            if v_right == target or v_left == v_right:
-                return float(bp)
-            return float(prev + (v_left - target) * (bp - prev) / (v_left - v_right))
-        prev = bp
-    return float(bps[-1])
-
-
-def _project_box_halfspace(
-    x: NDArray[np.float64],
-    lo: NDArray[np.float64],
-    hi: NDArray[np.float64],
-    c: float,
-) -> NDArray[np.float64]:
-    """Project onto {lo <= y <= hi, sum(y[1:]) <= c} exactly.
-
-    Coordinate 0 only sees the box.  When the sum constraint binds, the
-    KKT conditions give y_i = clip(x_i - mu, lo_i, hi_i) on the summed
-    coordinates with a single multiplier mu > 0 fixed by sum == c.
-    """
-    y = np.clip(x, lo, hi)
-    if float(np.sum(y[1:])) <= c:
-        return y
-    mu = _clipped_sum_root(x[1:], lo[1:], hi[1:], c)
-    y[1:] = np.clip(x[1:] - mu, lo[1:], hi[1:])
-    return y
-
-
-def _project_box_l1(
-    x: NDArray[np.float64],
-    lo: NDArray[np.float64],
-    hi: NDArray[np.float64],
-    c: float,
-) -> NDArray[np.float64]:
-    """Project onto {lo <= y <= hi, sum|y| <= c} exactly.
-
-    Each y_i keeps one sign s_i: the box's sign when it excludes zero,
-    else x_i's (flipping a sign never brings y closer).  In magnitudes
-    the problem is then the half-space case: |y_i| = clip(s_i x_i - mu,
-    a_i, b_i), with [a_i, b_i] the box seen on s_i's side (0 to the box
-    edge when the box spans zero) and mu > 0 fixed by sum == c.
-    """
-    y = np.clip(x, lo, hi)
-    if float(np.sum(np.abs(y))) <= c:
-        return y
-    s = np.where(hi <= 0.0, -1.0, 1.0)
-    spans = (lo < 0.0) & (hi > 0.0)
-    s[spans] = np.where(x[spans] >= 0.0, 1.0, -1.0)
-    a = np.where(s > 0.0, np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
-    b = np.where(s > 0.0, hi, -lo)
-    mu = _clipped_sum_root(s * x, a, b, c)
-    return s * np.clip(s * x - mu, a, b)
-
-
 def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
     """Euclidean projection onto the feasible set of ``spec``.
 
-    The feasible set is a box intersected with one stationarity
-    constraint (l1 ball for AR, half-space on the summed coordinates for
-    ARCH/GARCH), so the projection has an exact single-multiplier form
-    for every box, sign-restricted AR boxes included; no iterative
-    scheme is needed.  AR(1) short-circuits to a clamp.
+    One row of ``_project_rows``, whose exact single-multiplier form
+    covers every box, sign-restricted AR boxes included.  Raises
+    ``DomainError`` if the result is not feasible.
     """
-    y = spec.check_theta(theta)
-    if spec.family is ModelFamily.AR and spec.p == 1:
-        return np.clip(y, *ar1_interval(spec))
-
-    lo, hi = spec.domain.as_arrays()
-    c = spec.domain.bound
-    if spec.family is ModelFamily.AR:
-        x = _project_box_l1(y, lo, hi, c)
-    else:
-        x = _project_box_halfspace(y, lo, hi, c)
+    x = _project_rows(spec, spec.check_theta(theta)[None, :])[0]
     if not in_domain(spec, x):
         raise DomainError("projection failed; the feasible set may be empty")
     return x
@@ -211,18 +130,17 @@ def _radical_inverse(i: int, base: int) -> float:
 
 
 def _default_starts(spec: ModelSpec) -> NDArray[np.float64]:
-    """Domain centre plus quasi-random in-domain points, all projected."""
+    """Domain centre plus quasi-random points, projected in one call."""
     lo, hi = spec.domain.as_arrays()
-    starts = [project_to_domain(spec, (lo + hi) / 2.0)]
+    points = [(lo + hi) / 2.0]
     primes = [2, 3, 5, 7, 11, 13, 17][: spec.d]
     n_starts = 1 if spec.family is ModelFamily.AR else _N_STARTS
     for i in range(1, n_starts):
         unit = np.array([_radical_inverse(i, b) for b in primes])
         # Pull toward the centre a little so starts stay strictly interior
         # even after projection.
-        point = lo + (0.05 + 0.9 * unit) * (hi - lo)
-        starts.append(project_to_domain(spec, point))
-    return np.array(starts)
+        points.append(lo + (0.05 + 0.9 * unit) * (hi - lo))
+    return _project_rows(spec, np.array(points))
 
 
 def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
@@ -284,62 +202,6 @@ def _clears_floor(h: NDArray[np.float64]) -> NDArray[np.bool_]:
 _ACTIVE_EPS = 1e-9
 
 
-def _newton_direction(
-    spec: ModelSpec,
-    x: NDArray[np.float64],
-    grad: NDArray[np.float64],
-    hess: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Active-set Newton step for minimising f over the feasible set.
-
-    Box coordinates pressed against a bound by the gradient are frozen,
-    and when descent pushes outward through the binding stationarity
-    face the step is solved with that face as an equality.  Without this
-    reduction a raw Newton step at a boundary optimum points outside the
-    domain and the projected step degrades to a crawl along the face.
-    """
-    lo, hi = spec.domain.as_arrays()
-    eps = _ACTIVE_EPS * (1.0 + float(np.max(np.abs(x))))
-
-    fixed = ((x - lo <= eps) & (grad > 0.0)) | ((hi - x <= eps) & (grad < 0.0))
-    on_face = spec.domain.bound - float(stationarity_stat(spec, x)) <= eps
-    face: NDArray[np.float64] | None = None
-    if spec.family is ModelFamily.AR:
-        if on_face:
-            # On a binding l1 face a coordinate at zero cannot move at
-            # all without pushing the sum outward, so freeze it.
-            fixed = fixed | (np.abs(x) <= eps)
-            normal = np.sign(x)
-            if float(normal @ grad) < 0.0:
-                face = normal
-    else:
-        normal = np.zeros(spec.d)
-        normal[1:] = 1.0
-        if on_face and float(normal @ grad) < 0.0:
-            face = normal
-
-    free = ~fixed
-    m = int(np.count_nonzero(free))
-    if m == 0:
-        return np.zeros_like(x)
-    h_ff = _psd_repair(hess[np.ix_(free, free)])
-    g_f = grad[free]
-    step_f: NDArray[np.float64]
-    if face is not None and np.any(face[free] != 0.0):
-        n_f = face[free]
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = h_ff
-        kkt[:m, m] = n_f
-        kkt[m, :m] = n_f
-        rhs = np.append(-g_f, 0.0)
-        step_f = np.linalg.solve(kkt, rhs)[:m]
-    else:
-        step_f = np.linalg.solve(h_ff, -g_f)
-    step = np.zeros_like(x)
-    step[free] = step_f
-    return step
-
-
 def estimate(
     spec: ModelSpec,
     segment: SeriesSegment,
@@ -378,18 +240,60 @@ def estimate(
 
 
 def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``project_to_domain`` for every row of x.
+    """Euclidean projection of every row of x onto the feasible set.
 
-    A row that the box clip leaves inside the stationarity constraint
-    gets that clip, which is what ``project_to_domain`` returns for it;
-    the other rows go through ``project_to_domain`` one by one.
+    AR(1) clamps.  Otherwise a row that the box clip leaves inside the
+    stationarity constraint keeps that clip.  On the other rows the
+    constraint binds, and the KKT conditions give each constrained
+    coordinate as y_i = s_i clip(s_i x_i - mu, a_i, b_i) with a single
+    multiplier mu > 0 fixed by sum(s_i y_i) == c.  For ARCH/GARCH the
+    constrained coordinates are those after alpha_0, with s_i = 1 and
+    [a_i, b_i] the box.  For AR they are all of them, and y_i keeps one
+    sign s_i: the box's sign when it excludes zero, else x_i's (flipping
+    a sign never brings y closer); [a_i, b_i] is the box seen on s_i's
+    side (0 to the box edge when the box spans zero).
+
+    The clipped sum is piecewise linear and nonincreasing in mu, with
+    breakpoints at s_i x_i - b_i and s_i x_i - a_i.  Each row evaluates
+    it at every breakpoint, takes the first one at or below c and
+    interpolates from the one before.  Raises ``DomainError`` if a
+    projected row is not feasible.
     """
     if spec.family is ModelFamily.AR and spec.p == 1:
         return np.clip(x, *ar1_interval(spec))
     lo, hi = spec.domain.as_arrays()
+    c = spec.domain.bound
     y = np.clip(x, lo, hi)
-    for r in np.flatnonzero(~(stationarity_stat(spec, y) <= spec.domain.bound)):
-        y[r] = project_to_domain(spec, x[r])
+    bad = np.flatnonzero(~(stationarity_stat(spec, y) <= c))
+    if bad.size == 0:
+        return y
+    if spec.family is ModelFamily.AR:
+        part = slice(None)
+        z = x[bad]
+        s = np.where((lo < 0.0) & (hi > 0.0), np.where(z >= 0.0, 1.0, -1.0),
+                     np.where(hi <= 0.0, -1.0, 1.0))
+        a = np.where(s > 0.0, np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
+        b = np.where(s > 0.0, hi, -lo)
+    else:
+        part = slice(1, None)
+        z = x[bad, part]
+        s = np.ones_like(z)
+        a, b = np.broadcast_to(lo[part], z.shape), np.broadcast_to(hi[part], z.shape)
+    u = s * z
+    bps = np.sort(np.concatenate((u - b, u - a), axis=1), axis=1)
+    vals = np.sum(np.clip(u[:, None, :] - bps[..., None], a[:, None, :], b[:, None, :]),
+                  axis=2)
+    below = vals <= c
+    rows = np.arange(bad.size)
+    j = np.argmax(below, axis=1)
+    i = np.maximum(j - 1, 0)
+    bp, prev, v_right, v_left = bps[rows, j], bps[rows, i], vals[rows, j], vals[rows, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = prev + (v_left - c) * (bp - prev) / (v_left - v_right)
+    mu = np.where((v_right == c) | (v_left == v_right), bp, mu)
+    y[bad, part] = s * np.clip(u - mu[:, None], a, b)
+    if not np.all(in_domain_rows(spec, y[bad])):
+        raise DomainError("projection failed; the feasible set may be empty")
     return y
 
 
@@ -399,29 +303,47 @@ def _newton_directions(
     grad: NDArray[np.float64],
     hess: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """``_newton_direction`` for every row.
+    """Active-set Newton step for minimising f over the feasible set, per row.
 
-    Rows on the binding stationarity face take it one at a time.  The
-    others only freeze box coordinates, so rows with the same free set
-    are solved as one stack of repaired systems.
+    Box coordinates pressed against a bound by the gradient are frozen.
+    On a binding AR l1 face a coordinate at zero cannot move at all
+    without pushing the sum outward, so it is frozen too.  When descent
+    pushes outward through the binding stationarity face (normal n), the
+    step is solved with that face as an equality: the bordered system
+    [[H_ff, n_f], [n_f', 0]] against [-g_f, 0], with H_ff the repaired
+    free block.  Without this reduction a raw Newton step at a boundary
+    optimum points outside the domain and the projected step degrades
+    to a crawl along the face.  Rows with the same free set and face
+    state are solved as one stack; a row with every coordinate frozen
+    gets a zero step.
     """
     lo, hi = spec.domain.as_arrays()
-    eps = _ACTIVE_EPS * (1.0 + np.max(np.abs(x), axis=1))
-    on_face = spec.domain.bound - stationarity_stat(spec, x) <= eps
-    fixed = ((x - lo <= eps[:, None]) & (grad > 0.0)) | (
-        (hi - x <= eps[:, None]) & (grad < 0.0)
-    )
+    eps = _ACTIVE_EPS * (1.0 + np.max(np.abs(x), axis=1, keepdims=True))
+    on_face = spec.domain.bound - stationarity_stat(spec, x) <= eps[:, 0]
+    fixed = ((x - lo <= eps) & (grad > 0.0)) | ((hi - x <= eps) & (grad < 0.0))
+    if spec.family is ModelFamily.AR:
+        fixed |= on_face[:, None] & (np.abs(x) <= eps)
+        normal = np.sign(x)
+    else:
+        normal = np.zeros_like(x)
+        normal[:, 1:] = 1.0
+    free = ~fixed
+    face = (on_face & (np.sum(normal * grad, axis=1) < 0.0)
+            & np.any(free & (normal != 0.0), axis=1))
+    keys = np.column_stack((free, face)).astype(np.int64) @ (1 << np.arange(spec.d + 1))
     out = np.zeros_like(x)
-    for r in np.flatnonzero(on_face):
-        out[r] = _newton_direction(spec, x[r], grad[r], hess[r])
-    keys = (~fixed).astype(np.int64) @ (1 << np.arange(spec.d))
-    keys[on_face] = 0
     for key in np.unique(keys[keys > 0]):
         rows = np.flatnonzero(keys == key)
-        cols = np.flatnonzero((int(key) >> np.arange(spec.d)) & 1)
-        h_ff = _psd_repair(hess[np.ix_(rows, cols, cols)])
+        cols = np.flatnonzero(free[rows[0]])
+        m = cols.size
+        lhs = _psd_repair(hess[np.ix_(rows, cols, cols)])
         rhs = -grad[np.ix_(rows, cols)]
-        out[np.ix_(rows, cols)] = np.linalg.solve(h_ff, rhs[..., None])[..., 0]
+        if face[rows[0]]:
+            kkt = np.zeros((rows.size, m + 1, m + 1))
+            kkt[:, :m, :m] = lhs
+            kkt[:, :m, m] = kkt[:, m, :m] = normal[np.ix_(rows, cols)]
+            lhs, rhs = kkt, np.append(rhs, np.zeros((rows.size, 1)), axis=1)
+        out[np.ix_(rows, cols)] = np.linalg.solve(lhs, rhs[..., None])[:, :m, 0]
     return out
 
 

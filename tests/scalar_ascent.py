@@ -1,12 +1,17 @@
 """A scalar projected-Newton ascent: the reference for the batched optimizer.
 
 ``qmle`` climbs every fit as rows of one vectorised ascent.  This module
-climbs one start at a time with plain ``loglik`` calls and the scalar
-``project_to_domain``, taking the steps the batch must take: the same
-projected-gradient stopping rule, active-set Newton direction then -g,
-and Armijo backtracking along the projection arc, under the policy
-constants of ``qmle``, read at call time so that a test patching them
-limits both.  Tests compare the batch against it.
+climbs one start at a time with plain ``loglik`` calls, taking the steps
+the batch must take: the same projected-gradient stopping rule, the
+active-set Newton direction then -g, and Armijo backtracking along the
+projection arc, under the policy constants of ``qmle``, read at call
+time so that a test patching them limits both.  It projects with
+``project_to_domain`` and takes its Newton direction from
+``qmle._newton_directions`` on one row, so it checks how the ascent is
+batched, not the step's math: the projection has its own SLSQP and
+brute-force oracles (``TestProjection``, ``TestSignRestrictedProjection``
+in test_qmle.py) and the face step its own property test
+(``TestNewtonDirections``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from qlscan import EstimateResult, loglik, project_to_domain
 from qlscan import qmle
-from qlscan.qmle import _boundary_active, _default_starts, _newton_direction
+from qlscan.qmle import _boundary_active, _default_starts, _newton_directions
 
 
 def run_single_start(spec, segment, x0, grad_tol):
@@ -38,7 +43,8 @@ def run_single_start(spec, segment, x0, grad_tol):
         if float(np.linalg.norm(pg)) <= grad_tol:
             return x, f, float(np.linalg.norm(pg)), iterations, True
         accepted = None
-        for direction in (_newton_direction(spec, x, g, hess), -g):
+        newton = _newton_directions(spec, x[None], g[None], hess[None])[0]
+        for direction in (newton, -g):
             alpha = 1.0
             for _ in range(qmle._MAX_BACKTRACKS):
                 trial = project_to_domain(spec, x + alpha * direction)

@@ -56,6 +56,12 @@ def main_silent(args):
     raise AssertionError("main must raise SystemExit")
 
 
+class TestHelp:
+    def test_help_exits_zero_in_process(self, capsys):
+        assert main_silent(["--help"]) == 0
+        assert "Usage:" in capsys.readouterr().out
+
+
 class TestTestCommand:
     def test_no_change_exits_zero(self, fixture_dir, capsys):
         code, out, _ = run_cli(

@@ -96,6 +96,19 @@ class TestSimulateSupBB:
         with pytest.raises(error):
             simulate_sup_bb(1, m=10, reps=3, seed=seed)
 
+    def test_replication_bound_is_checked_before_allocating(self, monkeypatch):
+        # 2^32 + 1 replications would ask numpy for about 34 GB: the bound
+        # must raise before any array of that length is requested.
+        empty = np.empty
+
+        def guarded(shape, *args, **kwargs):
+            assert np.prod(shape) < 2**20, f"np.empty{shape} before the reps check"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", guarded)
+        with pytest.raises(ValueError, match=r"at most 2\^32 replications"):
+            simulate_sup_bb(1, m=2, reps=2**32 + 1)
+
     def test_nonnegative(self):
         s = simulate_sup_bb(3, m=40, reps=200, seed=1)
         assert np.all(s >= 0.0)

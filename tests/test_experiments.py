@@ -196,12 +196,15 @@ class TestConfigFile:
 
 
 class TestReportOutputs:
-    def test_table_lists_the_essentials(self, ar1_spec):
+    def test_table_lists_the_essentials(self, ar1_spec, garch_spec):
         report = run_experiment(small_config(ar1_spec, reps=3))
         text = report.table()
         assert "AR(1)" in text
         assert "rejection" in text
         assert "replications  3 (0 flagged)" in text
+        plan = SimPlan(spec=garch_spec, n=120, theta0=THETA0["garch"])
+        report = run_experiment(ExperimentConfig(plan=plan, replications=1))
+        assert report.table().splitlines()[0] == "model         GARCH(1,1)"
 
     def test_csv_round_trip(self, ar1_spec, tmp_path):
         report = run_experiment(small_config(ar1_spec, reps=3))

@@ -23,6 +23,7 @@ from qlscan import (
     project_to_domain,
 )
 from qlscan import qmle as qmle_module
+from qlscan.models import stationarity_stat
 from qlscan.qmle import estimate_windows
 import iteration_reference
 import scalar_ascent
@@ -293,6 +294,77 @@ class TestRepairScreen:
                 np.testing.assert_array_equal(outcomes[0], outcomes[1])
 
 
+def _face_spec(name):
+    if name == "ar-signed":
+        return _ar_box_spec((0.1, -0.9, -0.5), (0.9, -0.05, 0.5))
+    if name[2:].isdigit():
+        return ModelSpec(family=ModelFamily.AR, p=int(name[2:]))
+    return ModelSpec(family=ModelFamily(name), p=1)
+
+
+class TestNewtonDirections:
+    """The active-set step on the stationarity face, checked on its own terms."""
+
+    @given(st.sampled_from(["ar1", "ar2", "ar4", "ar-signed", "arch", "garch"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_face_rows_solve_the_bordered_system(self, name, seed):
+        # Points whose box clip is not inside the stationarity constraint
+        # project onto its face, some of them on box bounds and, for AR,
+        # at zero in some coordinates.
+        spec = _face_spec(name)
+        lo, hi = spec.domain.as_arrays()
+        rng = np.random.default_rng(seed)
+        raw = 3.0 * rng.normal(size=(80, spec.d))
+        raw[rng.random(raw.shape) < 0.2] = 0.0
+        raw = raw[stationarity_stat(spec, np.clip(raw, lo, hi)) >= spec.domain.bound]
+        x = qmle_module._project_rows(spec, raw)
+        n = len(x)
+        grad = rng.normal(size=x.shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        kinds = REPAIR_KINDS[:4] if spec.d > 1 else ("spd", "near", "zero")
+        hess = _hessian_stack(spec.d, seed, [kinds[r % len(kinds)] for r in range(n)])
+        step = qmle_module._newton_directions(spec, x, grad, hess)
+        for r in range(n):
+            xr, g = x[r], grad[r]
+            eps = qmle_module._ACTIVE_EPS * (1.0 + np.abs(xr).max())
+            assert spec.domain.bound - stationarity_stat(spec, xr) <= eps
+            frozen = ((xr - lo <= eps) & (g > 0.0)) | ((hi - xr <= eps) & (g < 0.0))
+            if spec.family is ModelFamily.AR:
+                frozen |= np.abs(xr) <= eps
+                normal = np.sign(xr)
+            else:
+                normal = np.r_[0.0, np.ones(spec.d - 1)]
+            assert np.all(step[r, frozen] == 0.0)
+            free = ~frozen
+            if not np.any(free):
+                continue
+            h_ff = qmle_module._psd_repair(hess[r][np.ix_(free, free)])
+            s_f, g_f, n_f = step[r, free], g[free], normal[free]
+            resid = h_ff @ s_f + g_f
+            scale = np.linalg.norm(h_ff, 2) * np.linalg.norm(s_f) + np.linalg.norm(g_f)
+            if normal @ g < 0.0 and np.any(n_f != 0.0):
+                # Descent pushes outward: the step stays on the face, and
+                # H s + g is the face's multiplier times its normal.
+                newton = np.linalg.norm(np.linalg.solve(h_ff, g_f))
+                assert abs(n_f @ s_f) <= 1e-12 * np.linalg.norm(n_f) * newton
+                resid -= (resid @ n_f) / (n_f @ n_f) * n_f
+            assert np.linalg.norm(resid) <= 1e-12 * scale
+
+    def test_fully_frozen_rows_take_no_step(self, garch_spec):
+        # GARCH at its lower corner with every partial pointing down, and
+        # an AR(2) row on its face at its upper bound, with the zero
+        # coordinate frozen by the face: neither row has a free coordinate.
+        # Each stack also holds an interior row, which takes -g under H = I.
+        ar2 = ModelSpec(family=ModelFamily.AR, p=2)
+        cases = ((garch_spec, [1e-4, 0.0, 0.0], THETA0["garch"], [1.0, 2.0, 3.0]),
+                 (ar2, [0.98, 0.0], [0.2, -0.3], [-1.0, 5.0]))
+        for spec, frozen, interior, grad in cases:
+            g = np.array([grad, grad])
+            step = qmle_module._newton_directions(spec, np.array([frozen, interior]), g,
+                                                  np.tile(np.eye(spec.d), (2, 1, 1)))
+            np.testing.assert_array_equal(step, [np.zeros(spec.d), -g[1]])
+
+
 class TestEstimateContract:
     def test_result_fields(self, arch_spec, arch_series):
         res = estimate(arch_spec, SeriesSegment.full(arch_series.data))
@@ -348,6 +420,19 @@ class TestEstimateContract:
         assert_allclose(single.theta_hat, multi.theta_hat, atol=1e-8)
 
 
+def _assert_stack_matches_rows(spec, raws, seed):
+    """``_project_rows`` on a shuffled stack of the raw rows, their box
+    clips and their projections (feasible rows) gives every row what
+    ``project_to_domain`` gives it alone, bit for bit."""
+    lo, hi = spec.domain.as_arrays()
+    rows = np.concatenate((raws, np.clip(raws, lo, hi),
+                           [project_to_domain(spec, raw) for raw in raws]))
+    rows = rows[np.random.default_rng(seed).permutation(len(rows))]
+    got = qmle_module._project_rows(spec, rows)
+    for row, out in zip(rows, got):
+        assert out.tobytes() == project_to_domain(spec, row).tobytes()
+
+
 class TestProjection:
     def test_interior_points_are_fixed(self, all_specs):
         for name, spec in all_specs.items():
@@ -356,14 +441,16 @@ class TestProjection:
 
     def test_idempotent_and_feasible(self, all_specs):
         rng = np.random.default_rng(9)
-        for spec in all_specs.values():
-            for _ in range(200):
-                raw = rng.uniform(-3, 3, size=spec.d)
+        ar = [ModelSpec(family=ModelFamily.AR, p=p) for p in (2, 3, 4)]
+        for spec in [*all_specs.values(), *ar]:
+            raws = rng.uniform(-3, 3, size=(200, spec.d))
+            for raw in raws:
                 proj = project_to_domain(spec, raw)
                 assert in_domain(spec, proj)
                 assert_allclose(
                     project_to_domain(spec, proj), proj, atol=1e-10
                 )
+            _assert_stack_matches_rows(spec, raws, seed=spec.d)
 
     def test_ar1_projection_is_clipping(self, ar1_spec):
         assert_allclose(project_to_domain(ar1_spec, [2.0]), [0.98])
@@ -397,6 +484,8 @@ class TestProjection:
             )
             assert in_domain(spec, cand)
             assert np.linalg.norm(raw_arr - cand) >= dist - 1e-9
+        others = rng.uniform(-4, 4, size=(8, 3))
+        _assert_stack_matches_rows(spec, np.vstack((raw_arr, others)), rng.integers(2**32))
 
 
 def _ar_box_spec(lower, upper):
@@ -441,11 +530,12 @@ class TestSignRestrictedProjection:
             st.lists(st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)),
                      min_size=d, max_size=d),
             st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d),
+            st.integers(0, 2**32 - 1),
         ))
     )
     @settings(max_examples=200, deadline=None)
     def test_projection_is_nearest_feasible(self, case):
-        bounds, raw = case
+        bounds, raw, seed = case
         lower = [min(u, v) for u, v in bounds]
         upper = [max(u, v) for u, v in bounds]
         assume(all(hi - lo >= 1e-3 for lo, hi in zip(lower, upper)))
@@ -458,3 +548,5 @@ class TestSignRestrictedProjection:
         assert in_domain(spec, proj)
         ref = _reference_projection(spec, x)
         assert np.linalg.norm(proj - x) <= np.linalg.norm(ref - x) + 1e-9
+        others = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(8, len(raw)))
+        _assert_stack_matches_rows(spec, np.vstack((x, others)), seed)

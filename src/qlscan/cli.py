@@ -269,8 +269,6 @@ def main(argv: Sequence[str] | None = None) -> None:
     """Entry point translating outcomes into the stable exit codes."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        raise SystemExit(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         raise SystemExit(1)

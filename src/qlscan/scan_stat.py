@@ -39,7 +39,7 @@ critical value C(d, alpha) from the Brownian-bridge table.
 
 Invertibility uses a condition-number threshold (1e12) rather than a
 determinant test, so scale changes in the data do not flip the
-indicator.  The stacked G and AR least-squares matrices are screened
+indicator.  The stacked G matrices and AR window hessians are screened
 without an SVD: each is divided by its trace, which makes the screen
 scale-free, and factored by a Cholesky pass vectorised over the stack.
 For an SPD matrix of trace 1 the largest eigenvalue is at most 1 and
@@ -53,14 +53,13 @@ Every stack of small matrices in this assembly is kept stack-last, as
 (d, d, rows) with the prefixes then the suffixes along the last axis,
 so each matrix entry is one contiguous vector and the screen, the
 substitutions, Sigma and the quadratic forms are whole-vector
-operations.  G, F and the AR normal equations are symmetric, so only
-their d(d+1)/2 distinct entries are cumulated over t.  The rows the
-screen cannot clear are handed to ``np.linalg.cond`` and
-``np.linalg.solve`` as (rows, d, d).  The cumulative sums over t are
-taken once; everything after them works on one block of splits at a
-time, and every step is elementwise along the split axis, so the
-blocks change no result and the scan's memory is a few cumulative sums
-of length n plus one block's stacks.
+operations.  G and F are symmetric, so only their d(d+1)/2 distinct
+entries are cumulated over t.  The rows the screen cannot clear are
+handed to ``np.linalg.cond`` and ``np.linalg.solve`` as (rows, d, d).
+The cumulative sums over t are taken once; everything after them works
+on one block of splits at a time, and every step is elementwise along
+the split axis, so the blocks change no result and the scan's memory is
+a few cumulative sums of length n plus one block's stacks.
 
 A sub-sample whose estimation fails marks that k missing; missing k are
 excluded from the maxima, and a scan with more than 10% of Pi_n missing
@@ -69,9 +68,8 @@ raises ScanError rather than returning a maximum over too thin a grid.
 Every scan runs one pipeline: the full-sample fit, one derivative pass
 at th_full and its cumulative sums, then, one block of splits at a
 time, Sigma, the side deltas and the quadratic forms.  Only the side
-deltas depend on the window estimator; exact-mode window estimates are
-climbed after the derivative pass, one row per window (AR closed forms
-are solved before it).
+deltas depend on the window estimator, and both estimators read them
+off the pass's cumulative sums.
 In exact mode every prefix T_k and every complement is climbed from
 th_full, so no window depends on its neighbours.  All windows are
 climbed together in one batched projected-Newton climb over a stack of
@@ -85,14 +83,14 @@ rounded up to a multiple of 128 observations
 (``likelihood.loglik_rows``).  The windows the climb leaves
 unconverged get the cold multi-start in one more climb, whose rows are
 (start x window) (``qmle.retry_cold``).  For AR models the
-quasi-likelihood is exactly quadratic, so window estimates are
-constrained least squares, solved in closed form for every k, a block
-of splits at a time, from cumulative sums of lags lags' and X_t lags,
-at any order.  Only
-the windows whose least-squares system is ill-conditioned or whose
-solution leaves the domain go through the batch; the quasi-likelihood
-is concave, so that warm climb reaches the same optimum as a cold one,
-and a test checks the closed form against per-window optimizer fits.
+quasi-likelihood is exactly quadratic, so one Newton step from th_full
+on a window's sums of the pass's scores and hessian entries lands on
+the window's least-squares optimum, at any order; every AR window takes
+that step, a block of splits at a time.  Only the windows whose hessian
+sum is ill-conditioned or whose step leaves the domain go through the
+climb; the quasi-likelihood is concave, so that warm climb reaches the
+same optimum as a cold one, and a test checks the steps against
+per-window optimizer fits.
 
 GARCH windows use a different sub-sample estimator by default.  A
 window of a few hundred observations cannot pin down three GARCH
@@ -146,7 +144,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .critical_values import CriticalTable
-from .likelihood import _ar_lags, loglik
+from .likelihood import loglik
 from .models import (
     DomainError,
     ModelFamily,
@@ -289,43 +287,31 @@ def _scan_pipeline(
 ) -> ScanResult:
     """One scan, in stages.
 
-    The full fit; in exact mode, the AR windows' closed form
-    (``_closed_form_windows``); one derivative pass at theta_full, with
-    the cumulative sums over t of its hessian entries
+    The full fit; one derivative pass at theta_full, with the cumulative
+    sums over t of everything the scan reads from it
     (``_derivative_pass``); the condition test of the full-sample mean
     hessian (``_pooled_curvature``), which raises ScanError in either
-    mode; in exact mode, every other window's estimate
-    (``_exact_window_estimates``), climbed from its value, gradient and
-    hessian at theta_full, read off cumulative sums of the pass's q_t,
-    scores and hessian entries; the cumulative sums of the score outer
-    products and, in one-step mode, of the scores.  Then one
-    loop over blocks of at most ``_BLOCK_SPLITS`` splits: each block's
-    prefix and suffix sums, G and F, Sigma, the deltas and the quadratic
-    forms, written into the preallocated q1 and q2.  Every step of the
-    loop is elementwise along the split axis, so the block size changes
-    no bit of the result; it only bounds the loop's stacks to
-    (d, d, 2 * block).
+    mode; in exact mode, every window's estimate
+    (``_exact_window_estimates``): a Newton step on the pass's sums for
+    AR, otherwise a climb from the window's value, gradient and hessian
+    at theta_full, read off the same sums.  Then one loop over blocks of
+    at most ``_BLOCK_SPLITS`` splits: each block's prefix and suffix
+    sums, G and F, Sigma, the deltas and the quadratic forms, written
+    into the preallocated q1 and q2.  Every step of the loop is
+    elementwise along the split axis, so the block size changes no bit
+    of the result; it only bounds the loop's stacks to (d, d, 2 * block).
     """
     ks = window.indices
     n = series.n
     nk = ks.size
     full = estimate(spec, series)
     theta_full = full.theta_hat
-    if estimator == "exact":
-        # Before the derivative pass, so that the AR closed form's arrays
-        # of length n and the pass's are never alive together.
-        closed = _closed_form_windows(spec, series.data, ks)
     sums = _derivative_pass(spec, series, theta_full)
-    iu, ju, pos = _distinct_entries(spec.d)
+    pos = _distinct_entries(spec.d)[2]
     # Either estimator needs an invertible full-sample curvature.
     f_full = _pooled_curvature(sums.hessian[-1][pos] / n)
     if estimator == "exact":
-        windows = _exact_window_estimates(spec, series.data, ks, theta_full, sums, closed)
-    # G's sums are taken only now, so the window fits run beside fewer
-    # arrays of length n.
-    g_cum = _cumulative_sums(_products(sums.scores, iu, ju))
-    if estimator == "one_step":
-        score_cum = _cumulative_sums(sums.scores)
+        windows = _exact_window_estimates(spec, series.data, ks, theta_full, sums)
 
     q1 = np.empty(nk)
     q2 = np.empty(nk)
@@ -334,11 +320,11 @@ def _scan_pipeline(
         idx = k - 1
         cards = np.concatenate((k, n - k)).astype(float)
         left, right = cards[: k.size], cards[k.size :]
-        g = (_window_sums(g_cum, idx) / cards)[pos]
+        g = (_window_sums(sums.outer, idx) / cards)[pos]
         fgf, _ = _batched_fgf((_window_sums(sums.hessian, idx) / cards)[pos], g)
         sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
         if estimator == "one_step":
-            dl, ok_l, dr, ok_r = _one_step_deltas(score_cum, f_full, idx, cards)
+            dl, ok_l, dr, ok_r = _one_step_deltas(sums.scores, f_full, idx, cards)
         else:
             theta_l, ok_l, theta_r, ok_r = (side[sl] for side in windows)
             dl = (theta_l - theta_full).T
@@ -353,17 +339,17 @@ def _scan_pipeline(
 
 @dataclass(frozen=True)
 class _PassSums:
-    """The derivative pass at theta_full.
+    """The derivative pass at theta_full, as cumulative sums over t.
 
-    ``hessian`` (n, m) holds the cumulative sums over t of the
-    m = d(d+1)/2 distinct entries of d2q_t (``_distinct_entries``).
-    ``scores`` (n, d) and ``values`` (n,) hold dq_t and q_t themselves:
-    the scan cumulates the score outer products, and in one-step mode
-    the scores in place, only after any window fits, and
-    ``window_seeds`` cumulates both for the windows an exact scan climbs.
+    ``hessian`` and ``outer`` (n, m) hold those of the m = d(d+1)/2
+    distinct entries (``_distinct_entries``) of d2q_t and of the score
+    outer product dq_t dq_t'; ``scores`` (n, d) and ``values`` (n,)
+    those of dq_t and q_t.  A window's sums are differences of them
+    (``_window_sums``).
     """
 
     hessian: NDArray[np.float64]
+    outer: NDArray[np.float64]
     scores: NDArray[np.float64]
     values: NDArray[np.float64]
 
@@ -375,8 +361,7 @@ class _PassSums:
         value (W,), gradient (W, d) and hessian (W, d, d) that
         ``loglik_rows`` would return there, up to round-off."""
         out = []
-        for cum in (np.cumsum(self.values)[:, None], np.cumsum(self.scores, axis=0),
-                    self.hessian):
+        for cum in (self.values[:, None], self.scores, self.hessian):
             head = cum[k - 1]
             out.append(-0.5 * np.where(suffix[:, None], cum[-1] - head, head))
         value, gradient, hessian = out
@@ -394,7 +379,8 @@ def _derivative_pass(
     full-sample terms, and every side's G, F, mean score and likelihood
     are differences of cumulative sums.  The per-observation hessians
     are symmetric by construction, so only their distinct entries are
-    cumulated, and the per-observation array is dropped.
+    cumulated, and the per-observation array is dropped before the score
+    products are formed.  Every sum is taken in place.
     """
     ev = loglik(
         spec,
@@ -409,8 +395,11 @@ def _derivative_pass(
     grads, hessians, values = ev.per_t_grads, ev.per_t_hessians, ev.per_t_values
     del ev
     iu, ju, _ = _distinct_entries(spec.d)
-    return _PassSums(hessian=_cumulative_sums(hessians[:, iu, ju]), scores=grads,
-                     values=values)
+    hessian = _cumulative_sums(hessians[:, iu, ju])
+    del hessians
+    outer = _cumulative_sums(_products(grads, iu, ju))
+    return _PassSums(hessian=hessian, outer=outer, scores=_cumulative_sums(grads),
+                     values=_cumulative_sums(values))
 
 
 def _split_blocks(nk: int) -> Iterator[slice]:
@@ -425,7 +414,6 @@ def _exact_window_estimates(
     ks: NDArray[np.int64],
     theta_full: NDArray[np.float64],
     sums: _PassSums,
-    closed: tuple[NDArray[np.float64], NDArray[np.bool_]],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
     """Argmax estimates for every prefix T_k and suffix complement.
 
@@ -442,9 +430,9 @@ def _exact_window_estimates(
     Since no window depends on another, all of them are climbed in one
     batched projected-Newton climb (``estimate_windows``), seeded with
     each window's likelihood, gradient and hessian at theta_full from
-    the derivative pass's cumulative sums ``sums``.  Only the windows
-    that ``closed`` (``_closed_form_windows``) leaves unsettled enter
-    the climb: AR windows take the closed form first, and the AR
+    the derivative pass's cumulative sums ``sums``.  AR windows first
+    take one Newton step on the same sums (``_ar_window_steps``), and
+    only the windows it leaves unsettled enter the climb: the AR
     quasi-likelihood is concave, so a warm climb from theta_full reaches
     the same optimum as a cold one.  The windows the climb leaves unconverged
     are retried cold, all in one climb (``retry_cold``); each takes its
@@ -452,9 +440,12 @@ def _exact_window_estimates(
     """
     nk = ks.size
     n = data.shape[0]
+    if spec.family is ModelFamily.AR:
+        theta, ok = _ar_window_steps(spec, ks, theta_full, sums)
+    else:
+        theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
     starts = np.concatenate((np.ones(nk, dtype=np.int64), ks + 1))
     ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
-    theta, ok = closed
     rows = np.flatnonzero(~ok)
     if rows.size:
         theta[rows], ok[rows] = estimate_windows(
@@ -469,52 +460,37 @@ def _exact_window_estimates(
     return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
 
 
-def _closed_form_windows(
-    spec: ModelSpec, data: NDArray[np.float64], ks: NDArray[np.int64]
+def _ar_window_steps(
+    spec: ModelSpec,
+    ks: NDArray[np.int64],
+    theta_full: NDArray[np.float64],
+    sums: _PassSums,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """The exact windows solved without the optimizer, prefixes then
-    suffixes, as (theta (2 |ks|, d), settled (2 |ks|,)): the AR windows
-    that ``_ar_window_least_squares`` settles, and no ARCH or GARCH
-    window."""
-    if spec.family is ModelFamily.AR:
-        return _ar_window_least_squares(spec, data, ks)
-    return np.empty((2 * ks.size, spec.d)), np.zeros(2 * ks.size, dtype=bool)
+    """Exact AR estimates for every prefix T_k, then every suffix.
 
-
-def _ar_window_least_squares(
-    spec: ModelSpec, data: NDArray[np.float64], ks: NDArray[np.int64]
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Closed-form AR estimates for every prefix T_k, then every suffix.
-
-    The AR quasi-likelihood is -1/2 times a residual sum of squares, so
-    a window's interior optimum solves the normal equations A theta = b
-    with A and b the window's sums of lags lags' and X_t lags.  Those
-    are differences of cumulative sums, since the truncated lags do not
-    depend on the window; A is symmetric, so only its distinct entries
-    are cumulated.  The systems are solved one block of splits at a
-    time by ``_solve_rows``: forward and back substitution with the
-    Cholesky factor where the screen clears A, LU where only the SVD
-    passes it.
+    q_t is a squared residual, so a window's sums of the pass's hessian
+    entries and scores at theta_full are H = 2A and g = -2 (b - A
+    theta_full), with A and b the window's sums of lags lags' and X_t
+    lags.  One Newton step theta_full - H^(-1) g is therefore the
+    window's least-squares solution A^(-1) b, its interior optimum.  The
+    steps are solved one block of splits at a time by ``_solve_rows``.
     Returns (theta (2 |ks|, p), settled mask).
     For p = 1 the constrained optimum is the vertex clamped into the
     interval; for p > 1 a solution outside the domain is not the
-    constrained optimum, so that row, like any whose system fails the
+    constrained optimum, so that row, like any whose H fails the
     condition test, comes back unsettled for the optimizer.
     """
     p = spec.p
-    lags = _ar_lags(data, p, data.shape[0]).T
-    iu, ju, pos = _distinct_entries(p)
-    a_cum = _cumulative_sums(_products(lags, iu, ju))
-    b_cum = _cumulative_sums(data[:, None] * lags)
+    pos = _distinct_entries(p)[2]
     nk = ks.size
     # Prefixes then suffixes, so (2, nk, p) flattens to the row layout.
     theta = np.empty((2, nk, p))
     ok = np.empty((2, nk), dtype=bool)
     for sl in _split_blocks(nk):
         idx = ks[sl] - 1
-        a, b = _window_sums(a_cum, idx)[pos], _window_sums(b_cum, idx)
-        x, settled = _solve_rows(a, b[:, None])
-        x = x[:, 0].T
+        step, settled = _solve_rows(_window_sums(sums.hessian, idx)[pos],
+                                    _window_sums(sums.scores, idx)[:, None])
+        x = theta_full - step[:, 0].T
         if p == 1:
             x = np.clip(x, *ar1_interval(spec))
         else:
@@ -573,7 +549,7 @@ def _distinct_entries(
 
 
 def _cumulative_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Overwrite ``values`` (n, m) with its sequential cumulative sums over t."""
+    """Overwrite ``values`` (n, ...) with its sequential cumulative sums over t."""
     return np.cumsum(values, axis=0, out=values)
 
 

@@ -4,8 +4,15 @@
 (d, d, rows), so that every matrix entry is one contiguous vector.  This
 module is the row-first (rows, d, d) version it replaced, built on
 einsums over the short axes: the Cholesky screen, the substitutions,
-F G^(-1) F, the stacked solve and the closed-form AR window fits.  Tests
-compare the stack-last code against it.
+F G^(-1) F and the stacked solve.  Tests compare the stack-last code
+against it.
+
+It also holds the oracle for exact AR windows: each window's normal
+equations A theta = b, with A and b cumulated from the window's own
+lags lags' and X_t lags, solved by the reference stacked solve.  The
+scan instead takes one Newton step from theta_full on the derivative
+pass's sums, which reaches the same least-squares solution through
+different sums.
 """
 
 from __future__ import annotations

@@ -43,10 +43,9 @@ from qlscan import scan_stat as scan_stat_module
 from qlscan.likelihood import loglik_rows
 from qlscan.qmle import estimate_windows
 from qlscan.scan_stat import (
-    _ar_window_least_squares,
+    _ar_window_steps,
     _batched_fgf,
     _cholesky_rows,
-    _closed_form_windows,
     _derivative_pass,
     _exact_window_estimates,
     _invertible,
@@ -119,8 +118,8 @@ class TestOneStepReplica:
 
 
 class TestExactModeAlgebra:
-    # AR(3) windows take the closed form, checked here against the
-    # optimizer's window fits.
+    # AR(3) windows take the Newton step on the derivative pass's sums,
+    # checked here against the optimizer's window fits.
     @pytest.mark.parametrize("name, theta0", [
         ("arch", THETA0["arch"]), ("ar3", (0.3, 0.2, 0.1)),
     ], ids=["arch", "ar3"])
@@ -227,7 +226,8 @@ class TestFrozenValues:
         assert not res.reject
 
     def test_ar3_exact_spot_value(self):
-        # Exact mode takes the closed-form AR window solve.
+        # Exact mode takes every AR window from the Newton step on the
+        # derivative pass's sums.
         spec = AR_SPECS["ar3"]
         series = make_series(spec, 400, (0.3, -0.2, 0.1), seed=(104, 0))
         res = scan(spec, series, window_estimator="exact")
@@ -339,14 +339,7 @@ class TestMissingPolicy:
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
 
 
-def _window_inputs(spec, series, ks, theta_full):
-    """What the scan hands ``_exact_window_estimates``: its derivative
-    pass at theta_full and the windows solved in closed form."""
-    return (_derivative_pass(spec, series, theta_full),
-            _closed_form_windows(spec, series.data, ks))
-
-
-def _scalar_window_fits(spec, data, ks, theta_full, sums=None, closed=None):
+def _scalar_window_fits(spec, data, ks, theta_full, sums=None):
     """Per-window fits by the scalar reference ascent, warm then cold,
     prefixes then suffixes, in the layout of ``_exact_window_estimates``."""
     fits = {"l": [], "r": []}
@@ -370,10 +363,10 @@ class TestWindowBatch:
         ("garch", 300, 130, THETA0["garch"], (422, 0)),
         # No ARCH effect: most window optima sit on the alpha_1 = 0 bound.
         ("arch", 400, None, (1.0, 0.0), (423, 0)),
-        # AR windows take the closed form.  Near the unit root some AR(1)
-        # vertices lie past the bound and are clamped; near the AR(2)
-        # stationarity face many solutions leave the domain and fall back
-        # to the batch.
+        # AR windows take the Newton step on the derivative pass's sums.
+        # Near the unit root some AR(1) vertices lie past the bound and are
+        # clamped; near the AR(2) stationarity face many steps leave the
+        # domain and fall back to the batch.
         ("ar3", 300, None, (0.3, 0.2, 0.1), (426, 0)),
         ("ar2", 400, None, (0.9, 0.05), (424, 0)),
         ("ar", 300, None, (0.95,), (428, 0)),
@@ -388,14 +381,14 @@ class TestWindowBatch:
         ends = np.concatenate((ks, np.full(ks.size, n)))
         _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
         assert batch_ok.all()  # so the comparison below tests the batch itself
-        got = _exact_window_estimates(spec, series.data, ks, theta_full,
-                                      *_window_inputs(spec, series, ks, theta_full))
+        sums = _derivative_pass(spec, series, theta_full)
+        got = _exact_window_estimates(spec, series.data, ks, theta_full, sums)
         want = _scalar_window_fits(spec, series.data, ks, theta_full)
         for side in (0, 2):
             assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
             np.testing.assert_array_equal(got[side + 1], want[side + 1])
         if name == "ar2":
-            _, settled = _ar_window_least_squares(spec, series.data, ks)
+            _, settled = _ar_window_steps(spec, ks, theta_full, sums)
             assert not settled.all()
         if name == "ar":
             assert np.any(got[0] >= 0.98 - 1e-12) or np.any(got[2] >= 0.98 - 1e-12)
@@ -403,6 +396,23 @@ class TestWindowBatch:
             on_bound = np.count_nonzero(got[0][:, 1] == 0.0) + np.count_nonzero(
                 got[2][:, 1] == 0.0)
             assert on_bound > ks.size
+
+    def test_ar3_spot_design_climbs_no_window(self, monkeypatch):
+        # The Newton step on the derivative pass's sums settles every
+        # window of the AR(3) exact spot design, so the scan climbs none.
+        calls = []
+        real = scan_stat_module.estimate_windows
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scan_stat_module, "estimate_windows", counting)
+        spec = AR_SPECS["ar3"]
+        series = make_series(spec, 400, (0.3, -0.2, 0.1), seed=(104, 0))
+        res = scan(spec, series, window_estimator="exact")
+        assert calls == []
+        assert res.n_missing == 0
 
     def test_stalled_window_is_handed_back_unconverged(self, monkeypatch, garch_spec,
                                                        garch_series):
@@ -438,8 +448,8 @@ class TestWindowBatch:
         monkeypatch.setattr(scan_stat_module, "estimate_windows", stalled_batch)
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
         got = _exact_window_estimates(garch_spec, data, ks, theta_full,
-                                      *_window_inputs(garch_spec, garch_series, ks,
-                                                      theta_full))
+                                      _derivative_pass(garch_spec, garch_series,
+                                                       theta_full))
         assert calls == [(starts.tolist(), ends.tolist())]
         assert got[1].all() and got[3].all()
         cold = [scalar_ascent.estimate(garch_spec, SeriesSegment(data, int(a), int(b)))
@@ -468,7 +478,7 @@ class TestWindowBatch:
 
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
         got = _exact_window_estimates(arch_spec, series.data, ks, theta_full,
-                                      *_window_inputs(arch_spec, series, ks, theta_full))
+                                      _derivative_pass(arch_spec, series, theta_full))
         assert 0 < np.count_nonzero(~batch_ok)
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
         want = _scalar_window_fits(arch_spec, series.data, ks, theta_full)
@@ -588,7 +598,7 @@ class TestChunkSize:
     @pytest.mark.parametrize("name, n, theta0, mode, zeros", [
         ("garch", 10_000, THETA0["garch"], "one_step", 0),
         ("arch", 500, THETA0["arch"], "exact", 0),
-        # The closed form leaves 22 of 662 windows to the optimizer.
+        # The Newton step leaves 22 of 662 windows to the optimizer.
         ("ar2", 400, (0.9, 0.05), "exact", 0),
         # A zero start: 8 of 662 sides fail the condition test and are
         # zeroed.
@@ -774,7 +784,7 @@ class TestCholeskyScreen:
         # stack of matrices when every row clears the screen.  The full
         # fit runs before the recorders go in: its batched Newton solves
         # belong to the optimizer, not to the Sigma/q assembly or the AR
-        # closed form checked here.
+        # window steps checked here.
         stacked = []
 
         def recording(fn):
@@ -851,17 +861,20 @@ class TestStackLastAlgebra:
         (5, (0.2, 0.1, -0.1, 0.05, 0.1), (429, 0)),
     ])
     def test_ar_windows_match_the_row_first_reference(self, p, theta0, seed):
+        # The Newton step on the derivative pass's sums against the normal
+        # equations solved from the window's own sums of lags: the same
+        # least-squares solution reached by a different sum, so they agree
+        # to round-off, not bit for bit.
         spec = ModelSpec(family=ModelFamily.AR, p=p)
         series = make_series(spec, 400, theta0, seed=seed)
         ks = default_window(spec, 400).indices
-        theta, ok = _ar_window_least_squares(spec, series.data, ks)
+        theta_full = estimate(spec, series).theta_hat
+        theta, ok = _ar_window_steps(spec, ks, theta_full,
+                                     _derivative_pass(spec, series, theta_full))
         theta_ref, ok_ref = stacked_reference.ar_window_least_squares(
             spec, series.data, ks)
         np.testing.assert_array_equal(ok, ok_ref)
-        if p <= 3:
-            np.testing.assert_array_equal(theta, theta_ref)
-        else:
-            _assert_rows_close(theta, theta_ref, 1e-13)
+        assert_allclose(theta[ok], theta_ref[ok], rtol=0.0, atol=1e-12)
 
 
 class TestNumericBreakdown:

@@ -50,19 +50,20 @@ b_t = (2 X_t^2 / h_t - 1) / h_t^2,
 AR takes the same form with f_t in place of h_t: a_t = -2 (X_t - f_t),
 b_t = 2 and d2f = 0.  One kernel (``_terms``) computes these terms for
 each family once, on t = 1..end for a stack of parameter rows.  No term
-depends on the window, so ``loglik``, ``qhat_t`` and ``volatility_path``
-slice one row to their window, and ``loglik_rows`` takes window bounds
-and evaluates each window's row only up to its own span, the window's
-end rounded up to a multiple of 128 observations, with 0/1 weights
-selecting the window.
+depends on the window, so ``loglik_rows`` takes window bounds and
+evaluates each window's row only up to its own span, the window's end
+rounded up to a multiple of 128 observations, with 0/1 weights
+selecting the window.  ``loglik`` is one row of it.  The
+per-observation arrays (``_per_t``: q_t, dq_t and the d(d+1)/2 distinct
+entries of d2q_t, in ``_distinct_entries`` order) and
+``volatility_path`` slice one row of ``_terms`` to their window.
 
 Every sum accumulates in float64, whatever the window length, so no
-result depends on the platform's extended-precision type.  ``loglik``
-sums with numpy's pairwise reductions.  ``loglik_rows`` does so for
-the values, which the optimizer's Armijo tests compare; its derivative
-sums are per-row BLAS matrix-vector products with the kernel's stack
-of the entries of dm_t, d2m_t and dm_t dm_t' that vary in t.  Each row
-is reduced on its own, over a span fixed by its own window, so a row's
+result depends on the platform's extended-precision type.  Values are
+pairwise sums, which the optimizer's Armijo tests compare; derivative
+sums are per-row BLAS matrix-vector products with the kernel's stack of
+the entries of dm_t, d2m_t and dm_t dm_t' that vary in t.  Each row is
+reduced on its own, over a span fixed by its own window, so a row's
 bits never depend on the other rows.
 """
 
@@ -116,12 +117,14 @@ class LikelihoodEval:
 
     ``gradient`` and ``hessian`` are derivatives of the log-likelihood
     itself (not of the q_t sum, which carries the opposite sign and a
-    factor 2).  ``per_t_grads`` holds the rows dq_t/dtheta for t in T
-    when requested, which the information matrix estimate needs, and
-    ``per_t_values`` the terms q_t alongside; ``per_t_hessians`` stacks
-    d2q_t/dtheta2 the same way.  They let a scan turn one full-sample
-    pass into every prefix and suffix average, and into the value,
-    gradient and hessian of every window's likelihood at that point.
+    factor 2).  When requested, ``per_t_values`` (m,) holds the terms
+    q_t for the m observations of T, ``per_t_grads`` (m, d) the rows
+    dq_t/dtheta, which the information matrix estimate needs, and
+    ``per_t_hessians`` (m, d(d+1)/2) the distinct entries (i, j), i <= j,
+    of d2q_t/dtheta2 in ``np.triu_indices(d)`` order.  They let a scan
+    turn one full-sample pass into every prefix and suffix average, and
+    into the value, gradient and hessian of every window's likelihood at
+    that point.
     """
 
     value: float
@@ -404,38 +407,49 @@ def _on_window(entry: NDArray[np.float64], sl: slice) -> NDArray[np.float64] | f
     return row[sl] if row.size > 1 else row[0]
 
 
-def _eval_window(
+def _distinct_entries(
+    d: int,
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
+    """(iu, ju, pos) for the d(d+1)/2 distinct entries of a symmetric matrix.
+
+    Entry e of a stack of distinct entries is (iu[e], ju[e]), iu <= ju;
+    indexing that stack with ``pos`` (d, d) rebuilds the full matrices.
+    """
+    iu, ju = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return iu, ju, pos
+
+
+def _per_t(
     spec: ModelSpec,
     theta: NDArray[np.float64],
     data: NDArray[np.float64],
     start: int,
     end: int,
-    order: int,
-):
-    """Per-observation q, dq and d2q of one theta on t = start..end.
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Per-observation q_t, dq_t and d2q_t of one theta on t = start..end.
 
-    Returns (q (m,), dq (m, d), d2q (m, d, d)), m = end - start + 1;
-    entries beyond ``order`` are None.
+    Returns q (m,), dq (m, d) and the distinct entries of d2q (m, M),
+    m = end - start + 1 and M = d(d+1)/2, in ``_distinct_entries``
+    order.  dq_t = a_t dm_t; entry (i, j) of d2q_t is the product
+    dm_i dm_j, times b_t, plus a_t d2m_ij, in that order.
     """
-    terms = _terms(spec, theta[None, :], data, end, order)
+    terms = _terms(spec, theta[None, :], data, end, order=2)
+    assert terms.a is not None and terms.b is not None
     sl = slice(start - 1, end)
-    q = terms.q[0, sl]
-    dq = d2q = None
-    if order >= 1:
-        a = terms.a[0, sl]
-        dm = np.empty((end - start + 1, spec.d))
-        for i, slot in enumerate(terms.dm):
-            dm[:, i] = _on_window(terms.entry(slot), sl)
-        dq = a[:, None] * dm
-    if order >= 2:
-        d2q = np.einsum("ti,tj->tij", dm, dm)
-        d2q *= np.reshape(_on_window(terms.b, sl), (-1, 1, 1))
-        for (i, j), slot in terms.d2m.items():
-            term = a * _on_window(terms.entry(slot), sl)
-            d2q[:, i, j] += term
-            if i != j:
-                d2q[:, j, i] += term
-    return q, dq, d2q
+    a, b = terms.a[0, sl], _on_window(terms.b, sl)
+    dm = [_on_window(terms.entry(slot), sl) for slot in terms.dm]
+    iu, ju, _ = _distinct_entries(spec.d)
+    dq, d2q = np.empty((a.size, spec.d)), np.empty((a.size, iu.size))
+    for i, dm_i in enumerate(dm):
+        np.multiply(a, dm_i, out=dq[:, i])
+    for e, (i, j) in enumerate(zip(iu, ju)):
+        np.multiply(dm[i], dm[j], out=d2q[:, e])
+        d2q[:, e] *= b
+        if (i, j) in terms.d2m:
+            d2q[:, e] += a * _on_window(terms.entry(terms.d2m[i, j]), sl)
+    return terms.q[0, sl], dq, d2q
 
 
 def _check(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
@@ -479,9 +493,8 @@ def qhat_t(
             f"t={t} outside window [{segment.start}, {segment.end}]"
         )
     arr = _check(spec, theta)
-    q, dq, d2q = _eval_window(spec, arr, segment.data, t, t, order=2)
-    hess = d2q[0]
-    return float(q[0]), dq[0], (hess + hess.T) / 2.0
+    q, dq, d2q = _per_t(spec, arr, segment.data, t, t)
+    return float(q[0]), dq[0], d2q[0][_distinct_entries(spec.d)[2]]
 
 
 def loglik(
@@ -490,10 +503,12 @@ def loglik(
     segment: SeriesSegment,
     *,
     order: int = 2,
-    keep_per_t_grads: bool = False,
-    keep_per_t_hessians: bool = False,
+    keep_per_t: bool = False,
 ) -> LikelihoodEval:
     """Evaluate L(T, theta) with derivatives up to ``order``.
+
+    The value, gradient and hessian are row 0 of a one-row
+    ``loglik_rows`` call on the segment's window, bit for bit.
 
     Parameters
     ----------
@@ -501,41 +516,33 @@ def loglik(
         0 for the value only, 1 to add the gradient, 2 to add the
         hessian.  Lower orders skip derivative recursions entirely,
         which matters inside line searches.
-    keep_per_t_grads
-        Retain the matrix of per-observation gradient rows dq_t/dtheta,
-        and the per-observation terms q_t (requires order >= 1).
-    keep_per_t_hessians
-        Retain the stack of per-observation hessians d2q_t/dtheta2
-        (requires order >= 2).
+    keep_per_t
+        Also return the per-observation terms q_t, gradient rows
+        dq_t/dtheta and distinct hessian entries of d2q_t/dtheta2
+        (``LikelihoodEval``; requires order 2).
 
     Raises
     ------
+    ValueError
+        If ``order`` is not 0, 1 or 2, or ``keep_per_t`` is set below
+        order 2.
     DomainError
         If theta is outside the feasible domain.
     """
-    if keep_per_t_grads and order < 1:
-        raise ValueError("per-observation gradients require order >= 1")
-    if keep_per_t_hessians and order < 2:
-        raise ValueError("per-observation hessians require order >= 2")
+    _check_order(order)
+    if keep_per_t and order != 2:
+        raise ValueError("per-observation terms require order 2")
     arr = _check(spec, theta)
-    q, dq, d2q = _eval_window(
-        spec, arr, segment.data, segment.start, segment.end, order=order
-    )
-    value = -0.5 * float(q.sum())
-    gradient = hessian = None
-    if order >= 1:
-        gradient = -0.5 * dq.sum(axis=0)
-    if order >= 2:
-        hessian = -0.5 * d2q.sum(axis=0)
-        hessian = (hessian + hessian.T) / 2.0
-    return LikelihoodEval(
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        per_t_values=q if keep_per_t_grads else None,
-        per_t_grads=dq if keep_per_t_grads else None,
-        per_t_hessians=d2q if keep_per_t_hessians else None,
-    )
+    sums = loglik_rows(spec, arr[None, :], segment.data, np.array([segment.start]),
+                       np.array([segment.end]), order=order)
+    per_t = _per_t(spec, arr, segment.data, segment.start, segment.end) if keep_per_t else ()
+    return LikelihoodEval(float(sums[0][0]), *(None if s is None else s[0] for s in sums[1:]),
+                          *per_t)
+
+
+def _check_order(order: int) -> None:
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
 # Row r of a batched evaluation runs on t = 1..span, where span is the
@@ -570,7 +577,7 @@ def loglik_rows(
 ) -> tuple[
     NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None
 ]:
-    """``loglik`` for many windows of one series, one parameter row each.
+    """L(T, theta) for many windows of one series, one parameter row each.
 
     Row r evaluates L(T_r, thetas[r]) on the window T_r = {starts[r],
     ..., ends[r]} of ``data`` (n observations).  Because q_t never
@@ -588,22 +595,22 @@ def loglik_rows(
     a chunk for ARCH and AR.
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
-    beyond ``order`` are None.  The per-observation terms are those
-    ``loglik`` reads, bit for bit; only the sums differ.  A value is a
-    pairwise sum along its weighted row (sequential value sums were too
-    coarse for Armijo tests near an optimum).  The derivatives are
-    per-row matrix-vector products (``_weighted_sums``), with factors
-    constant in t pulled out.  A row's result therefore depends only on
-    its own window and parameters, bit for bit, not on the other rows
-    of the call or on the chunking (both are tested); it agrees with
-    ``loglik`` to round-off (under 1e-12 relative per entry in the
-    tests), not bit for bit.
+    beyond ``order`` are None.  A value is a pairwise sum along its
+    weighted row (sequential value sums were too coarse for Armijo tests
+    near an optimum).  The derivatives are per-row matrix-vector
+    products (``_weighted_sums``), with factors constant in t pulled
+    out.  A row's result therefore depends only on its own window and
+    parameters, bit for bit, not on the other rows of the call or on
+    the chunking (both are tested); ``loglik`` is such a row.
 
     Raises
     ------
+    ValueError
+        If ``order`` is not 0, 1 or 2.
     DomainError
         If any row is outside the feasible domain.
     """
+    _check_order(order)
     if not np.all(in_domain_rows(spec, thetas)):
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape

@@ -86,6 +86,9 @@ _N_STARTS = 5
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 40
+# Starts whose f = -L lies within this fraction of a window's least f
+# reached one optimum up to round-off; the earliest converged one wins.
+_TIE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -211,10 +214,10 @@ def estimate(
 
     With ``init`` given the optimizer runs a single start from the
     projection of ``init`` (warm start).  Without it, a deterministic
-    multi-start is used and the best local maximiser wins, earliest
-    start breaking exact ties: ``_N_STARTS`` starts, or for AR fits the
-    first, the domain centre, alone.  Each start climbs at most
-    ``_MAX_ITER`` iterations.
+    multi-start is used and the best local maximiser wins, the earliest
+    converged start breaking ties within round-off (``_fit_rows``):
+    ``_N_STARTS`` starts, or for AR fits the first, the domain centre,
+    alone.  Each start climbs at most ``_MAX_ITER`` iterations.
 
     Raises
     ------
@@ -501,9 +504,13 @@ def _fit_rows(
     S x W rows climb in one ``_run_rows`` call, each with ``grad_tol``
     ``_GRAD_TOL_PER_OBS`` times its window's size, and with ``seeds``
     (for S = 1, L, its gradient and hessian at x0 on every window) when
-    given.  Each window returns its row of least f, the earliest start
-    breaking exact ties.  Raises SizingError if a window holds fewer
-    than d + 1 observations.
+    given.  Each window returns its earliest converged row among those
+    whose f lies within ``_TIE_RTOL`` of its least f, or, when none of
+    them converged, its row of least f, the earliest start breaking
+    exact ties.  So a start that stalled just short of the stopping
+    rule cannot leave the fit unconverged when another start reached
+    the same optimum.  Raises SizingError if a window holds fewer than
+    d + 1 observations.
     """
     n_starts, n_win = x0.shape[0], starts.size
     cards = ends - starts + 1
@@ -516,8 +523,11 @@ def _fit_rows(
     starts, ends = np.tile(starts, n_starts), np.tile(ends, n_starts)
     x0 = np.broadcast_to(x0, (n_starts, n_win, spec.d)).reshape(-1, spec.d)
     out = _run_rows(spec, data, starts, ends, x0, grad_tol, seeds)
-    best = np.argmin(out[1].reshape(n_starts, n_win), axis=0) * n_win + np.arange(n_win)
-    return tuple(arr[best] for arr in out)
+    f = out[1].reshape(n_starts, n_win)
+    least = f.min(axis=0)
+    tied = (f <= least + _TIE_RTOL * np.abs(least)) & out[4].reshape(n_starts, n_win)
+    best = np.where(tied.any(axis=0), np.argmax(tied, axis=0), np.argmin(f, axis=0))
+    return tuple(arr[best * n_win + np.arange(n_win)] for arr in out)
 
 
 def estimate_windows(

@@ -144,7 +144,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .critical_values import CriticalTable
-from .likelihood import loglik
+from .likelihood import _distinct_entries, loglik
 from .models import (
     DomainError,
     ModelFamily,
@@ -342,10 +342,10 @@ class _PassSums:
     """The derivative pass at theta_full, as cumulative sums over t.
 
     ``hessian`` and ``outer`` (n, m) hold those of the m = d(d+1)/2
-    distinct entries (``_distinct_entries``) of d2q_t and of the score
-    outer product dq_t dq_t'; ``scores`` (n, d) and ``values`` (n,)
-    those of dq_t and q_t.  A window's sums are differences of them
-    (``_window_sums``).
+    distinct entries of d2q_t and of the score outer product dq_t dq_t',
+    in ``likelihood._distinct_entries`` order, as ``loglik`` returns the
+    former; ``scores`` (n, d) and ``values`` (n,) those of dq_t and q_t.
+    A window's sums are differences of them (``_window_sums``).
     """
 
     hessian: NDArray[np.float64]
@@ -377,26 +377,16 @@ def _derivative_pass(
     The truncated recursions start at time 1 regardless of the window,
     so per-observation terms of a prefix or suffix match the
     full-sample terms, and every side's G, F, mean score and likelihood
-    are differences of cumulative sums.  The per-observation hessians
-    are symmetric by construction, so only their distinct entries are
-    cumulated, and the per-observation array is dropped before the score
-    products are formed.  Every sum is taken in place.
+    are differences of cumulative sums.  ``loglik`` returns only the
+    distinct entries of the symmetric per-observation hessians, and
+    every cumulative sum is taken in place over its per-observation
+    array.
     """
-    ev = loglik(
-        spec,
-        theta_full,
-        series,
-        order=2,
-        keep_per_t_grads=True,
-        keep_per_t_hessians=True,
-    )
-    assert ev.per_t_grads is not None and ev.per_t_hessians is not None
-    assert ev.per_t_values is not None
-    grads, hessians, values = ev.per_t_grads, ev.per_t_hessians, ev.per_t_values
-    del ev
+    ev = loglik(spec, theta_full, series, order=2, keep_per_t=True)
+    assert ev.per_t_hessians is not None
+    grads, values = ev.per_t_grads, ev.per_t_values
+    hessian = _cumulative_sums(ev.per_t_hessians)
     iu, ju, _ = _distinct_entries(spec.d)
-    hessian = _cumulative_sums(hessians[:, iu, ju])
-    del hessians
     outer = _cumulative_sums(_products(grads, iu, ju))
     return _PassSums(hessian=hessian, outer=outer, scores=_cumulative_sums(grads),
                      values=_cumulative_sums(values))
@@ -532,20 +522,6 @@ def _one_step_deltas(
     ok = np.isfinite(steps).all(axis=0)
     nk = idx.size
     return steps[:, :nk], ok[:nk], steps[:, nk:], ok[nk:]
-
-
-def _distinct_entries(
-    d: int,
-) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
-    """(iu, ju, pos) for the d(d+1)/2 distinct entries of a symmetric matrix.
-
-    Entry e of a stack of distinct entries is (iu[e], ju[e]), iu <= ju;
-    indexing that stack with ``pos`` (d, d) rebuilds the full matrices.
-    """
-    iu, ju = np.triu_indices(d)
-    pos = np.empty((d, d), dtype=np.intp)
-    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    return iu, ju, pos
 
 
 def _cumulative_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -4,8 +4,8 @@
 sums of one full-sample derivative pass and stacked linear algebra.
 This module builds it for a single k from first principles: one
 ``loglik`` pass per side, G from the gradient rows, F from the side's
-hessian, the SVD condition test and a Cholesky solve.  Tests compare
-the scan's q1/q2 and the normalizer's limit against it.
+per-observation hessians, the SVD condition test and a Cholesky solve.
+Tests compare the scan's q1/q2 and the normalizer's limit against it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class InfoMatrices:
     """Empirical information matrices of one sub-sample.
 
     ``g_hat`` averages outer products of the per-observation gradient
-    rows, ``f_hat`` rescales the likelihood hessian; both are evaluated
-    at the parameter the caller supplies and symmetrised.
+    rows, ``f_hat`` averages the per-observation hessians; both are
+    evaluated at the parameter the caller supplies and symmetric.
     """
 
     g_hat: np.ndarray
@@ -35,10 +35,14 @@ class InfoMatrices:
 
 def info_matrices(spec, segment, theta_hat):
     """Compute G and F on a segment at the given parameter."""
-    ev = loglik(spec, theta_hat, segment, order=2, keep_per_t_grads=True)
+    ev = loglik(spec, theta_hat, segment, order=2, keep_per_t=True)
     g = ev.per_t_grads.T @ ev.per_t_grads / segment.card
     g = (g + g.T) / 2.0
-    f = (-2.0 / segment.card) * ev.hessian
+    # F is the mean per-observation hessian, rebuilt from its distinct
+    # entries (upper triangle, row-major).
+    iu, ju = np.triu_indices(spec.d)
+    f = np.empty((spec.d, spec.d))
+    f[iu, ju] = f[ju, iu] = ev.per_t_hessians.sum(axis=0) / segment.card
     cond = float(np.linalg.cond(g))
     return InfoMatrices(
         g_hat=g,

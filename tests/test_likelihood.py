@@ -29,6 +29,7 @@ from qlscan import likelihood as likelihood_module
 from qlscan.likelihood import _first_order_filter, _garch_states, loglik_rows
 from conftest import THETA0, make_series, theta_near
 import iteration_reference
+import per_t_reference
 from per_k_sigma import InfoMatrices, fgf, info_matrices
 
 
@@ -172,7 +173,7 @@ class TestSubSampleSemantics:
             series = make_series(spec, 40, THETA0[name], seed=(34, 0))
             theta = THETA0[name]
             seg = SeriesSegment(series.data, 11, 30)
-            ev = loglik(spec, theta, seg, keep_per_t_grads=True)
+            ev = loglik(spec, theta, seg, keep_per_t=True)
             qs, dqs = [], []
             for t in range(11, 31):
                 q, dq, _ = qhat_t(spec, theta, seg, t)
@@ -231,10 +232,17 @@ class TestValidation:
 
     def test_per_t_flags_require_order(self, ar1_spec):
         seg = SeriesSegment.full([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            loglik(ar1_spec, [0.5], seg, order=0, keep_per_t_grads=True)
-        with pytest.raises(ValueError):
-            loglik(ar1_spec, [0.5], seg, order=1, keep_per_t_hessians=True)
+        for order in (0, 1):
+            with pytest.raises(ValueError):
+                loglik(ar1_spec, [0.5], seg, order=order, keep_per_t=True)
+        # An order outside {0, 1, 2} once gave a bare value (-1), acted as
+        # 2 (3), or returned (None, None, None) from loglik_rows.
+        for order in (-1, 3):
+            with pytest.raises(ValueError):
+                loglik(ar1_spec, [0.5], seg, order=order)
+            with pytest.raises(ValueError):
+                loglik_rows(ar1_spec, np.array([[0.5]]), seg.data, np.array([1]),
+                            np.array([3]), order=order)
 
     def test_order_skips_derivatives(self, garch_spec):
         seg = SeriesSegment.full([1.0, 2.0, 1.0])
@@ -249,8 +257,63 @@ class TestValidation:
         assert_allclose(ev.hessian, ev.hessian.T)
 
 
+def assert_sums_close(got, terms, rtol=1e-12):
+    """``got`` against -1/2 the sum of ``terms`` over t (axis 0), within
+    ``rtol`` of -1/2 the sum of their absolute values."""
+    want = -0.5 * terms.sum(axis=0)
+    scale = 0.5 * np.abs(terms).sum(axis=0)
+    assert np.all(np.abs(got - want) <= rtol * scale), np.max(np.abs(got - want) / scale)
+
+
+class TestPerObservation:
+    """``loglik``'s per-observation arrays against explicit recursions,
+    and ``loglik``'s sums as one row of ``loglik_rows``."""
+
+    SPECS = [("ar", THETA0["ar"]), ("ar3", (0.3, 0.2, 0.1)),
+             ("arch", THETA0["arch"]), ("garch", THETA0["garch"])]
+
+    @pytest.mark.parametrize("name, theta0", SPECS)
+    def test_arrays_match_the_reference(self, all_specs, name, theta0):
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=3)
+        series = make_series(spec, 300, theta0, seed=(436, 0))
+        rng = np.random.default_rng(437)
+        iu, ju = np.triu_indices(spec.d)
+        for start, end in ((1, 300), (57, 260), (1, 1), (150, 150)):
+            theta = theta_near(rng, spec, theta0)
+            ev = loglik(spec, theta, SeriesSegment(series.data, start, end), keep_per_t=True)
+            q, dq, d2q = per_t_reference.per_t_terms(spec, theta, series.data)
+            sl = slice(start - 1, end)
+            m = end - start + 1
+            assert ev.per_t_hessians.shape == (m, spec.d * (spec.d + 1) // 2)
+            for got, want in ((ev.per_t_values, q[sl]), (ev.per_t_grads, dq[sl]),
+                              (ev.per_t_hessians, d2q[sl][:, iu, ju])):
+                assert got.shape == want.shape
+                assert_allclose(got, want, rtol=1e-11, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name, theta0", SPECS)
+    def test_keep_per_t_changes_no_bit(self, all_specs, name, theta0):
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=3)
+        series = make_series(spec, 700, theta0, seed=(438, 0))
+        theta = theta_near(np.random.default_rng(439), spec, theta0)
+        for start, end in ((1, 700), (1, 333), (201, 700), (90, 400)):
+            seg = SeriesSegment(series.data, start, end)
+            for order in (0, 1, 2):
+                ev = loglik(spec, theta, seg, order=order)
+                row = loglik_rows(spec, theta[None, :], series.data, np.array([start]),
+                                  np.array([end]), order=order)
+                assert ev.value == row[0][0]
+                for got, want in ((ev.gradient, row[1]), (ev.hessian, row[2])):
+                    assert (got is None) == (want is None)
+                    assert got is None or np.array_equal(got, want[0])
+            kept = loglik(spec, theta, seg, keep_per_t=True)
+            assert kept.value == ev.value
+            assert np.array_equal(kept.gradient, ev.gradient)
+            assert np.array_equal(kept.hessian, ev.hessian)
+
+
 class TestLoglikRows:
-    """Each row of the batched evaluation against ``loglik`` on its window."""
+    """Each row of the batched evaluation against the reference sums on
+    its window."""
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     @pytest.mark.parametrize("name, theta0", [
@@ -260,6 +323,8 @@ class TestLoglikRows:
         ("garch", THETA0["garch"]),
     ])
     def test_rows_match_loglik(self, all_specs, name, theta0, order):
+        # ``loglik`` is itself a one-row call, so the oracle is the sum of
+        # the reference recursions' terms over each window.
         spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=3)
         series = make_series(spec, 300, theta0, seed=(430, 0))
         n = series.n
@@ -273,13 +338,10 @@ class TestLoglikRows:
                                         order=order)
         assert (grad is None) == (order < 1) and (hess is None) == (order < 2)
         for r, (start, end) in enumerate(zip(starts, ends)):
-            segment = SeriesSegment(series.data, int(start), int(end))
-            ev = loglik(spec, thetas[r], segment, order=order)
-            assert_allclose(value[r], ev.value, rtol=1e-12)
-            if order >= 1:
-                assert_allclose(grad[r], ev.gradient, rtol=1e-12)
-            if order >= 2:
-                assert_allclose(hess[r], ev.hessian, rtol=1e-12)
+            terms = per_t_reference.per_t_terms(spec, thetas[r], series.data)
+            sl = slice(start - 1, end)
+            for got, per_t in zip((value, grad, hess)[: order + 1], terms):
+                assert_sums_close(got[r], per_t[sl])
 
     # 2^22 values hold all five rows of the test below in one chunk.
     @pytest.mark.parametrize("chunk", [None, 2**22])

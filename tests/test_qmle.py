@@ -391,6 +391,26 @@ class TestEstimateContract:
                         continue
                     assert loglik(spec, theta, seg, order=0).value <= base + 1e-9
 
+    def test_stalled_start_does_not_unconverge_the_fit(self, arch_spec):
+        # Start 1 has the least f but stalls at a projected-gradient norm
+        # of 3.386e-6 against a tolerance of 3.36e-6; the other four
+        # starts converge to the same optimum, f within 2e-16 relative.
+        data = make_series(arch_spec, 600, (1.0, 0.3), seed=(425, 1)).data
+        res = estimate(arch_spec, SeriesSegment(data, 265, 600))
+        assert res.converged
+        assert_allclose(res.theta_hat, [1.146749236732903, 0.21859487403591712],
+                        rtol=0.0, atol=1e-6)
+
+    def test_earliest_converged_start_wins_a_tie(self, garch_spec, garch_series):
+        # All five starts reach one optimum, with f equal to round-off;
+        # start 1's f is the least, but start 0, the domain centre, is
+        # kept: the cold fit is that start's warm climb, bit for bit.
+        cold = estimate(garch_spec, garch_series)
+        warm = estimate(garch_spec, garch_series, init=qmle_module._default_starts(garch_spec)[0])
+        assert cold.converged
+        assert cold.theta_hat.tobytes() == warm.theta_hat.tobytes()
+        assert cold.iterations == warm.iterations
+
     def test_too_short_segment_raises(self, garch_spec):
         with pytest.raises(SizingError):
             estimate(garch_spec, SeriesSegment.full([1.0, -0.5, 0.3]))

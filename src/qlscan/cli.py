@@ -35,7 +35,7 @@ from .models import (
     make_spec,
     scan_window,
 )
-from .scan_stat import scan
+from .scan_stat import ScanResult, scan
 from .simulate import SimPlan, generate
 
 _FAMILIES = ("ar", "arch", "garch")
@@ -76,6 +76,24 @@ def _load_table(table_path: str | None) -> CriticalTable:
     return CriticalTable.load(table_path)
 
 
+def _scan_file(series_file: str, model: str, order: int, alpha: float,
+               vn: int | None, table_path: str | None) -> ScanResult:
+    """Read SERIES_FILE and scan it under the model, window and table flags."""
+    spec = make_spec(model, order)
+    series = read_series(series_file)
+    return scan(spec, series, window=scan_window(spec, series.n, vn), alpha=alpha,
+                table=_load_table(table_path))
+
+
+def _sim_plan(model: str, order: int, n: int, theta: str, theta2: str | None,
+              break_index: int | None, seed: int = 0) -> SimPlan:
+    """The simulation plan of the model flags and comma-separated thetas."""
+    return SimPlan(spec=make_spec(model, order), n=n,
+                   theta0=tuple(float(v) for v in theta.split(",")),
+                   theta1=tuple(float(v) for v in theta2.split(",")) if theta2 else None,
+                   break_index=break_index, seed=seed)
+
+
 _model_opt = click.option(
     "--model", type=click.Choice(_FAMILIES), required=True,
     help="Model family.")
@@ -112,17 +130,14 @@ def cmd_test(series_file: str, model: str, order: int, alpha: float,
 
     Exit code 2 when a change is detected, 0 when not, 1 on error.
     """
-    spec = make_spec(model, order)
-    series = read_series(series_file)
-    res = scan(spec, series, window=scan_window(spec, series.n, vn), alpha=alpha,
-               table=_load_table(table_path))
-    click.echo(f"n         {series.n}")
-    click.echo(f"d         {spec.d}")
+    res = _scan_file(series_file, model, order, alpha, vn, table_path)
+    click.echo(f"n         {res.window.n}")
+    click.echo(f"d         {res.spec.d}")
     click.echo(f"v_n       {res.window.v_n}")
     click.echo(f"Q1        {res.q1_max:.6g}")
     click.echo(f"Q2        {res.q2_max:.6g}")
     click.echo(f"Q         {res.q_max:.6g}")
-    click.echo(f"C_alpha   {res.c_alpha:.6g} (alpha={alpha:g}, d={spec.d})")
+    click.echo(f"C_alpha   {res.c_alpha:.6g} (alpha={alpha:g}, d={res.spec.d})")
     click.echo(f"argmax_k  {res.argmax_k}")
     click.echo(f"decision  {'reject' if res.reject else 'fail_to_reject'}")
     return 2 if res.reject else 0
@@ -140,10 +155,7 @@ def cmd_test(series_file: str, model: str, order: int, alpha: float,
 def cmd_scan_curve(series_file: str, model: str, order: int, alpha: float,
                    vn: int | None, table_path: str | None, out: str) -> int:
     """Write the per-k scan statistics of SERIES_FILE to a file."""
-    spec = make_spec(model, order)
-    series = read_series(series_file)
-    res = scan(spec, series, window=scan_window(spec, series.n, vn), alpha=alpha,
-               table=_load_table(table_path))
+    res = _scan_file(series_file, model, order, alpha, vn, table_path)
     res.save(out)
     click.echo(f"wrote {res.ks.size} rows to {out}")
     click.echo(f"Q         {res.q_max:.6g}")
@@ -169,16 +181,7 @@ def cmd_simulate(model: str, order: int, n: int, theta: str,
                  theta2: str | None, break_index: int | None, seed: int,
                  out: str) -> int:
     """Generate a simulated series and write it to a file."""
-    spec = make_spec(model, order)
-    plan = SimPlan(
-        spec=spec,
-        n=n,
-        theta0=tuple(float(v) for v in theta.split(",")),
-        theta1=tuple(float(v) for v in theta2.split(",")) if theta2 else None,
-        break_index=break_index,
-        seed=seed,
-    )
-    series = generate(plan)
+    series = generate(_sim_plan(model, order, n, theta, theta2, break_index, seed))
     with open(out, "w", encoding="utf-8") as fh:
         for v in series.data:
             fh.write(f"{v:.17g}\n")
@@ -246,16 +249,9 @@ def cmd_experiment(config_path: str | None, model: str | None, order: int,
             raise click.UsageError(
                 f"either --config or all of --model/--n/--theta/--reps are "
                 f"required (missing {', '.join(missing)})")
-        spec = make_spec(model, order)
-        plan = SimPlan(
-            spec=spec,
-            n=n,
-            theta0=tuple(float(v) for v in theta.split(",")),
-            theta1=tuple(float(v) for v in theta2.split(",")) if theta2 else None,
-            break_index=break_index,
-        )
         config = ExperimentConfig(
-            plan=plan, replications=reps, alpha=alpha, v_n=vn,
+            plan=_sim_plan(model, order, n, theta, theta2, break_index),
+            replications=reps, alpha=alpha, v_n=vn,
             base_seed=base_seed, table=_load_table(table_path))
     report = run_experiment(config)
     click.echo(report.table())

@@ -248,18 +248,18 @@ class _Terms:
 
     ``m`` is the moment theta enters (f_t for AR, h_t otherwise), so
     dq_t = a_t dm_t and d2q_t = b_t dm_t dm_t' + a_t d2m_t.  ``m``,
-    ``q``, ``a`` (order >= 1) and ``b`` (order >= 2) are (R, end).
+    ``q``, ``a`` and ``b`` are (R, end); the last two, like the rest,
+    only at order 2.
 
-    ``stack`` (order >= 1) holds every entry that varies in t, as
-    (k, end) when all rows share it, else (R, k, end): the nonzero
-    entries of d2m_t, a row of ones when some entry is constant in t,
-    the entries of dm_t, then, when asked for, the products dm_i dm_j,
-    i <= j, of the entries of dm_t that vary in t.  So the rows that a_t
-    multiplies (``a_rows``) come first, and those that b_t multiplies
-    (``b_rows``) last.  ``dm`` lists the d entries of dm_t, ``d2m`` the
-    nonzero (i, j), i <= j, of d2m_t (order >= 2) and ``dmdm`` every
-    (i, j), i <= j, of dm_t dm_t' (with the products), each as a
-    ``_Slot``.
+    ``stack`` holds every entry that varies in t, as (k, end) when all
+    rows share it, else (R, k, end): the nonzero entries of d2m_t, a row
+    of ones when some entry is constant in t, the entries of dm_t, then,
+    when asked for, the products dm_i dm_j, i <= j, of the entries of
+    dm_t that vary in t.  So the rows that a_t multiplies (``a_rows``)
+    come first, and those that b_t multiplies (``b_rows``) last.  ``dm``
+    lists the d entries of dm_t, ``d2m`` the nonzero (i, j), i <= j, of
+    d2m_t and ``dmdm`` every (i, j), i <= j, of dm_t dm_t' (with the
+    products), each as a ``_Slot``.
     """
 
     m: NDArray[np.float64]
@@ -313,10 +313,11 @@ def _terms(
     order: int,
     products: bool = False,
 ) -> _Terms:
-    """Each family's per-observation terms, up to derivative ``order``.
+    """Each family's per-observation terms: q_t and m_t at ``order`` 0,
+    every term at order 2.
 
-    At order 2, ``products`` adds the products dm_i dm_j to the stack;
-    only ``loglik_rows`` sums them.
+    ``products`` adds the products dm_i dm_j to the stack; only
+    ``loglik_rows`` sums them.
     """
     rows = thetas.shape[0]
     if spec.family is ModelFamily.AR:
@@ -324,7 +325,7 @@ def _terms(
         lags = _ar_lags(data, p, end)
         f = np.einsum("rp,pt->rt", thetas, lags)
         resid = data[:end] - f
-        if order < 1:
+        if order == 0:
             # Line searches evaluate many rows at order 0: square in place.
             return _Terms(m=f, q=np.square(resid, out=resid))
         q = resid * resid
@@ -334,12 +335,10 @@ def _terms(
         # AR(1) only, so that a_t multiplies two rows.
         ones = int(p == 1)
         first = ones + p
-        stack = np.empty((first + (p * (p + 1) // 2 if order >= 2 and products else 0), end))
+        stack = np.empty((first + (p * (p + 1) // 2 if products else 0), end))
         stack[:ones] = 1.0
         stack[ones:first] = lags
         dm: list[_Slot] = [(ones + i, None) for i in range(p)]
-        if order < 2:
-            return _Terms(m=f, q=q, a=a, stack=stack, a_rows=slice(0, first), dm=dm)
         dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
         return _Terms(m=f, q=q, a=a, b=np.full(f.shape, 2.0), stack=stack,
                       a_rows=slice(0, first), b_rows=b_rows, dm=dm, dmdm=dmdm)
@@ -351,41 +350,35 @@ def _terms(
     # One row takes the filter's scalar path; its (end,) states serve that row.
     beta = (thetas[:, 2] if rows > 1 else thetas[0, 2]) if garch else 0.0
     one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
-    if order < 1:
+    if order == 0:
         s = _garch_states(x2, beta, 0)[0]
     else:
-        # The stack (ARCH: shared by every row of thetas): for GARCH at
-        # order 2, u = d2h/dalpha1 dbeta and d2h/dbeta^2 (from w); ones;
-        # s = dh/dalpha1; for GARCH dh/dbeta (from u, which goes there
-        # at order 1); then at order 2 the products.  The states are
-        # written straight into their rows.
-        ones = 2 if garch and order >= 2 else 0
-        first = ones + (3 if garch else 2)
-        extra = (3 if garch else 1) if order >= 2 and products else 0
-        stack = np.empty(((rows,) if garch else ()) + (first + extra, end))
-        stack[..., ones, :] = 1.0
-        dm = [(ones, 1.0 / one_minus_beta), (ones + 1, None)]
-        state_rows = [ones + 1]
+        # The stack (ARCH: shared by every row of thetas): ARCH has rows
+        # ones and s = dh/dalpha1; GARCH has u = d2h/dalpha1 dbeta,
+        # d2h/dbeta^2 (from w), ones, s and dh/dbeta; then come the
+        # products.  The states are written straight into their rows.
         if garch:
-            dm.append((ones + 2, None))
-            state_rows += [0, 1] if order >= 2 else [ones + 2]
-        s, u, w = _garch_states(x2, beta, len(state_rows) - 1,
-                                out=[stack[..., r, :] for r in state_rows])
+            first = 5
+            stack = np.empty((rows, first + (3 if products else 0), end))
+            dm = [(2, 1.0 / one_minus_beta), (3, None), (4, None)]
+            stack[:, 2] = 1.0
+            s, u, w = _garch_states(x2, beta, 2,
+                                    out=[stack[:, 3], stack[:, 0], stack[:, 1]])
+        else:
+            first = 2
+            stack = np.empty((first + (1 if products else 0), end))
+            dm = [(0, 1.0 / one_minus_beta), (1, None)]
+            stack[0] = 1.0
+            s = _garch_states(x2, beta, 0, out=[stack[1]])[0]
     h = alpha1 * s
     h += alpha0 / one_minus_beta
     z_over_h = x2 / h
     q = np.log(h)
     q += z_over_h
-    if order < 1:
+    if order == 0:
         return _Terms(m=h, q=q)
     a = 1.0 - z_over_h
     a /= h
-    if garch:
-        dh_beta = stack[:, ones + 2]
-        np.multiply(alpha1, u, out=dh_beta)
-        dh_beta += alpha0 / one_minus_beta**2
-    if order < 2:
-        return _Terms(m=h, q=q, a=a, stack=stack, a_rows=slice(0, first), dm=dm)
     b = z_over_h
     b *= 2.0
     b -= 1.0
@@ -393,9 +386,12 @@ def _terms(
     b /= h
     d2m: dict[tuple[int, int], _Slot] = {}
     if garch:
+        dh_beta = stack[:, 4]
+        np.multiply(alpha1, u, out=dh_beta)
+        dh_beta += alpha0 / one_minus_beta**2
         np.multiply(alpha1, w, out=w)
         w += 2.0 * alpha0 / one_minus_beta**3
-        d2m = {(0, 2): (ones, 1.0 / one_minus_beta**2), (1, 2): (0, None), (2, 2): (1, None)}
+        d2m = {(0, 2): (2, 1.0 / one_minus_beta**2), (1, 2): (0, None), (2, 2): (1, None)}
     dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
     return _Terms(m=h, q=q, a=a, b=b, stack=stack, a_rows=slice(0, first),
                   b_rows=b_rows, dm=dm, d2m=d2m, dmdm=dmdm)
@@ -514,8 +510,9 @@ def loglik(
     ----------
     order
         0 for the value only, 1 to add the gradient, 2 to add the
-        hessian.  Lower orders skip derivative recursions entirely,
-        which matters inside line searches.
+        hessian.  Order 0 skips the derivative recursions entirely,
+        which matters inside line searches; order 1 runs them all and
+        drops the hessian, so its gradient is order 2's bit for bit.
     keep_per_t
         Also return the per-observation terms q_t, gradient rows
         dq_t/dtheta and distinct hessian entries of d2q_t/dtheta2
@@ -595,13 +592,15 @@ def loglik_rows(
     a chunk for ARCH and AR.
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
-    beyond ``order`` are None.  A value is a pairwise sum along its
-    weighted row (sequential value sums were too coarse for Armijo tests
-    near an optimum).  The derivatives are per-row matrix-vector
-    products (``_weighted_sums``), with factors constant in t pulled
-    out.  A row's result therefore depends only on its own window and
-    parameters, bit for bit, not on the other rows of the call or on
-    the chunking (both are tested); ``loglik`` is such a row.
+    beyond ``order`` are None.  Order 1 is evaluated at order 2 and
+    drops the hessian, so the kernel runs at orders 0 and 2 only.  A
+    value is a pairwise sum along its weighted row (sequential value
+    sums were too coarse for Armijo tests near an optimum).  The
+    derivatives are per-row matrix-vector products (``_weighted_sums``),
+    with factors constant in t pulled out.  A row's result therefore
+    depends only on its own window and parameters, bit for bit, not on
+    the other rows of the call or on the chunking (both are tested);
+    ``loglik`` is such a row.
 
     Raises
     ------
@@ -614,7 +613,8 @@ def loglik_rows(
     if not np.all(in_domain_rows(spec, thetas)):
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape
-    out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: order + 1]
+    evaluated = 2 if order else 0
+    out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: evaluated + 1]
     spans = np.minimum(data.shape[0], -(-ends // _SPAN_STEP) * _SPAN_STEP)
     whole = (starts == 1) & (ends == spans)
     # The step template, only when some window needs weights: at the
@@ -637,9 +637,9 @@ def loglik_rows(
             weights = None if steps is None or np.all(whole[r]) else _weights(
                 steps, starts[r], ends[r], span)
             for arr, part in zip(out, _weighted_sums(spec, thetas[r], data, span,
-                                                     weights, order)):
+                                                     weights, evaluated)):
                 arr[r] = part
-    return out + (None,) * (2 - order)
+    return out[: order + 1] + (None,) * (2 - order)
 
 
 def _weights(
@@ -675,7 +675,7 @@ def _weighted_sums(
     weights: NDArray[np.float64] | None,
     order: int,
 ) -> list[NDArray[np.float64]]:
-    """Value, then up to ``order`` derivatives, of one chunk of rows.
+    """Value, then at ``order`` 2 both derivatives, of one chunk of rows.
 
     The rows are evaluated on t = 1..span and their terms multiplied by
     ``weights`` (rows, span), unless that is None.  The value is a
@@ -697,15 +697,13 @@ def _weighted_sums(
         return x
 
     sums = [-0.5 * weigh(terms.q).sum(axis=1)]
-    if order < 1:
+    if order == 0:
         return sums
     stack = terms.stack
     assert stack is not None and terms.a is not None and terms.a_rows is not None
+    assert terms.b is not None and terms.b_rows is not None
     a_sums = (stack[..., terms.a_rows, :] @ weigh(terms.a)[:, :, None])[..., 0]
     sums.append(-0.5 * np.stack([_pulled(a_sums, 0, slot) for slot in terms.dm], axis=1))
-    if order < 2:
-        return sums
-    assert terms.b is not None and terms.b_rows is not None
     b_sums = (stack[..., terms.b_rows, :] @ weigh(terms.b)[:, :, None])[..., 0]
     hessian = np.empty((rows, d, d))
     for (i, j), slot in terms.dmdm.items():

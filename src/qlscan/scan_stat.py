@@ -67,11 +67,11 @@ raises ScanError rather than returning a maximum over too thin a grid.
 
 Every scan runs one pipeline: the full-sample fit, one derivative pass
 at th_full and its cumulative sums, then, one block of splits at a
-time, Sigma, the side deltas and the quadratic forms.  Only the side
+time, the side deltas, Sigma and the quadratic forms.  Only the side
 deltas depend on the window estimator, and both estimators read them
 off the pass's cumulative sums.
 In exact mode every prefix T_k and every complement is climbed from
-th_full, so no window depends on its neighbours.  All windows are
+th_full, so no window depends on its neighbours.  A block's windows are
 climbed together in one batched projected-Newton climb over a stack of
 parameter rows (``qmle.estimate_windows``), the ascent a warm
 ``estimate`` call runs on its one window.  The climb starts from data
@@ -82,15 +82,18 @@ start.  Each window is evaluated only over its own span, its end
 rounded up to a multiple of 128 observations
 (``likelihood.loglik_rows``).  The windows the climb leaves
 unconverged get the cold multi-start in one more climb, whose rows are
-(start x window) (``qmle.retry_cold``).  For AR models the
+(start x window) (``qmle.retry_cold``).  A climbed window's bits depend
+only on its own window and start, so the blocks change no result, and
+no array of window estimates spans the scan.  For AR models the
 quasi-likelihood is exactly quadratic, so one Newton step from th_full
 on a window's sums of the pass's scores and hessian entries lands on
-the window's least-squares optimum, at any order; every AR window takes
-that step, a block of splits at a time.  Only the windows whose hessian
-sum is ill-conditioned or whose step leaves the domain go through the
-climb; the quasi-likelihood is concave, so that warm climb reaches the
-same optimum as a cold one, and a test checks the steps against
-per-window optimizer fits.
+the window's least-squares optimum, at any order; every AR window of a
+block takes that step first, on the hessian sums that also give the
+block's F.  Only the windows whose hessian sum is ill-conditioned or
+whose step leaves the domain go through the climb; the
+quasi-likelihood is concave, so that warm climb reaches the same
+optimum as a cold one, and a test checks the steps against per-window
+optimizer fits.
 
 GARCH windows use a different sub-sample estimator by default.  A
 window of a few hundred observations cannot pin down three GARCH
@@ -291,15 +294,16 @@ def _scan_pipeline(
     sums over t of everything the scan reads from it
     (``_derivative_pass``); the condition test of the full-sample mean
     hessian (``_pooled_curvature``), which raises ScanError in either
-    mode; in exact mode, every window's estimate
-    (``_exact_window_estimates``): a Newton step on the pass's sums for
-    AR, otherwise a climb from the window's value, gradient and hessian
-    at theta_full, read off the same sums.  Then one loop over blocks of
-    at most ``_BLOCK_SPLITS`` splits: each block's prefix and suffix
-    sums, G and F, Sigma, the deltas and the quadratic forms, written
-    into the preallocated q1 and q2.  Every step of the loop is
-    elementwise along the split axis, so the block size changes no bit
-    of the result; it only bounds the loop's stacks to (d, d, 2 * block).
+    mode.  Then one loop over blocks of at most ``_BLOCK_SPLITS``
+    splits: each block's prefix and suffix sums; its side deltas
+    (``_one_step_deltas`` or ``_exact_deltas``, which also reads the
+    block's hessian sums); G and F, Sigma and the quadratic forms,
+    written into the preallocated q1 and q2.  A window's exact fit
+    depends only on its own window and start, and every other step of
+    the loop is elementwise along the split axis, so the block size
+    changes no bit of the result; it only bounds the loop's stacks to
+    (d, d, 2 * block) and an exact climb to the block's 2 * block
+    windows.
     """
     ks = window.indices
     n = series.n
@@ -310,8 +314,6 @@ def _scan_pipeline(
     pos = _distinct_entries(spec.d)[2]
     # Either estimator needs an invertible full-sample curvature.
     f_full = _pooled_curvature(sums.hessian[-1][pos] / n)
-    if estimator == "exact":
-        windows = _exact_window_estimates(spec, series.data, ks, theta_full, sums)
 
     q1 = np.empty(nk)
     q2 = np.empty(nk)
@@ -320,18 +322,20 @@ def _scan_pipeline(
         idx = k - 1
         cards = np.concatenate((k, n - k)).astype(float)
         left, right = cards[: k.size], cards[k.size :]
-        g = (_window_sums(sums.outer, idx) / cards)[pos]
-        fgf, _ = _batched_fgf((_window_sums(sums.hessian, idx) / cards)[pos], g)
-        sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
+        hessian = _window_sums(sums.hessian, idx)
         if estimator == "one_step":
-            dl, ok_l, dr, ok_r = _one_step_deltas(sums.scores, f_full, idx, cards)
+            delta, ok = _one_step_deltas(sums.scores, f_full, idx, cards)
         else:
-            theta_l, ok_l, theta_r, ok_r = (side[sl] for side in windows)
-            dl = (theta_l - theta_full).T
-            dr = (theta_r - theta_full).T
-        q1[sl] = (left**2 / n) * _quadratic_form(dl, sigma)
-        q2[sl] = (right**2 / n) * _quadratic_form(dr, sigma)
-        bad = ~(ok_l & ok_r)
+            delta, ok = _exact_deltas(spec, series.data, k, theta_full, sums, hessian)
+        f = (hessian / cards)[pos]
+        # Freed before Sigma's stacks are built, so one-step peaks do not rise.
+        del hessian
+        g = (_window_sums(sums.outer, idx) / cards)[pos]
+        fgf, _ = _batched_fgf(f, g)
+        sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
+        q1[sl] = (left**2 / n) * _quadratic_form(delta[:, : k.size], sigma)
+        q2[sl] = (right**2 / n) * _quadratic_form(delta[:, k.size :], sigma)
+        bad = ~(ok[: k.size] & ok[k.size :])
         q1[sl][bad] = np.nan
         q2[sl][bad] = np.nan
     return _finalize(spec, window, ks, q1, q2, theta_full, alpha, table)
@@ -398,14 +402,15 @@ def _split_blocks(nk: int) -> Iterator[slice]:
     return (slice(i, min(i + step, nk)) for i in range(0, nk, step))
 
 
-def _exact_window_estimates(
+def _exact_deltas(
     spec: ModelSpec,
     data: NDArray[np.float64],
-    ks: NDArray[np.int64],
+    k: NDArray[np.int64],
     theta_full: NDArray[np.float64],
     sums: _PassSums,
-) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
-    """Argmax estimates for every prefix T_k and suffix complement.
+    hessian: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Argmax deltas th_side - th_full for a block of splits ``k``.
 
     Every window is climbed from the full-sample optimum rather than
     from the neighbouring window's optimum.  Short ARCH/GARCH windows
@@ -415,79 +420,74 @@ def _exact_window_estimates(
     captured for long stretches of k and inflates the scan statistic
     under the null.  Anchoring at the full-sample estimate keeps every
     window in the basin the test's limit theory tracks, and makes each
-    window's result independent of scan order.
+    window's result independent of scan order and of the block.
 
-    Since no window depends on another, all of them are climbed in one
-    batched projected-Newton climb (``estimate_windows``), seeded with
-    each window's likelihood, gradient and hessian at theta_full from
-    the derivative pass's cumulative sums ``sums``.  AR windows first
-    take one Newton step on the same sums (``_ar_window_steps``), and
-    only the windows it leaves unsettled enter the climb: the AR
-    quasi-likelihood is concave, so a warm climb from theta_full reaches
-    the same optimum as a cold one.  The windows the climb leaves unconverged
-    are retried cold, all in one climb (``retry_cold``); each takes its
-    cold fit if that converged or has the higher log-likelihood.
+    Since no window depends on another, the block's windows are climbed
+    in one batched projected-Newton climb (``estimate_windows``), seeded
+    with each window's likelihood, gradient and hessian at theta_full
+    from the derivative pass's cumulative sums ``sums``.  AR windows
+    first take one Newton step on the block's window sums of the pass's
+    hessian entries ``hessian`` (m, 2 |k|) and scores
+    (``_ar_window_steps``), and only the windows it leaves unsettled
+    enter the climb: the AR quasi-likelihood is concave, so a warm
+    climb from theta_full reaches the same optimum as a cold one.  The
+    windows the climb leaves unconverged are retried cold, all in one
+    climb (``retry_cold``); each takes its cold fit if that converged
+    or has the higher log-likelihood.  Returns the deltas (d, 2 |k|)
+    and the converged mask (2 |k|,), prefixes then suffixes, the layout
+    of ``_one_step_deltas``.
     """
-    nk = ks.size
+    nk = k.size
     n = data.shape[0]
     if spec.family is ModelFamily.AR:
-        theta, ok = _ar_window_steps(spec, ks, theta_full, sums)
+        theta, ok = _ar_window_steps(spec, theta_full, hessian,
+                                     _window_sums(sums.scores, k - 1))
     else:
         theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
-    starts = np.concatenate((np.ones(nk, dtype=np.int64), ks + 1))
-    ends = np.concatenate((ks, np.full(nk, n, dtype=np.int64)))
+    starts = np.concatenate((np.ones(nk, dtype=np.int64), k + 1))
+    ends = np.concatenate((k, np.full(nk, n, dtype=np.int64)))
     rows = np.flatnonzero(~ok)
     if rows.size:
         theta[rows], ok[rows] = estimate_windows(
             spec, data, starts[rows], ends[rows], theta_full,
-            sums.window_seeds(ks[rows % nk], rows >= nk),
+            sums.window_seeds(k[rows % nk], rows >= nk),
         )
     rows = rows[~ok[rows]]
     if rows.size:
         theta[rows], ok[rows] = retry_cold(
             spec, data, starts[rows], ends[rows], theta[rows]
         )
-    return theta[:nk], ok[:nk], theta[nk:], ok[nk:]
+    return (theta - theta_full).T, ok
 
 
 def _ar_window_steps(
     spec: ModelSpec,
-    ks: NDArray[np.int64],
     theta_full: NDArray[np.float64],
-    sums: _PassSums,
+    hessian: NDArray[np.float64],
+    scores: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Exact AR estimates for every prefix T_k, then every suffix.
+    """Exact AR estimates for a stack of windows.
 
-    q_t is a squared residual, so a window's sums of the pass's hessian
-    entries and scores at theta_full are H = 2A and g = -2 (b - A
-    theta_full), with A and b the window's sums of lags lags' and X_t
-    lags.  One Newton step theta_full - H^(-1) g is therefore the
-    window's least-squares solution A^(-1) b, its interior optimum.  The
-    steps are solved one block of splits at a time by ``_solve_rows``.
-    Returns (theta (2 |ks|, p), settled mask).
+    ``hessian`` (m, W) and ``scores`` (p, W) are the windows' sums of
+    the pass's distinct hessian entries and scores at theta_full
+    (``_window_sums``).  q_t is a squared residual, so they are H = 2A
+    and g = -2 (b - A theta_full), with A and b the window's sums of
+    lags lags' and X_t lags.  One Newton step theta_full - H^(-1) g is
+    therefore the window's least-squares solution A^(-1) b, its interior
+    optimum, solved by ``_solve_rows``.  Returns (theta (W, p), settled
+    mask (W,)).
     For p = 1 the constrained optimum is the vertex clamped into the
     interval; for p > 1 a solution outside the domain is not the
     constrained optimum, so that row, like any whose H fails the
     condition test, comes back unsettled for the optimizer.
     """
-    p = spec.p
-    pos = _distinct_entries(p)[2]
-    nk = ks.size
-    # Prefixes then suffixes, so (2, nk, p) flattens to the row layout.
-    theta = np.empty((2, nk, p))
-    ok = np.empty((2, nk), dtype=bool)
-    for sl in _split_blocks(nk):
-        idx = ks[sl] - 1
-        step, settled = _solve_rows(_window_sums(sums.hessian, idx)[pos],
-                                    _window_sums(sums.scores, idx)[:, None])
-        x = theta_full - step[:, 0].T
-        if p == 1:
-            x = np.clip(x, *ar1_interval(spec))
-        else:
-            settled &= in_domain_rows(spec, x)
-        theta[:, sl] = x.reshape(2, -1, p)
-        ok[:, sl] = settled.reshape(2, -1)
-    return theta.reshape(2 * nk, p), ok.reshape(2 * nk)
+    step, settled = _solve_rows(hessian[_distinct_entries(spec.p)[2]], scores[:, None])
+    theta = theta_full - step[:, 0].T
+    if spec.p == 1:
+        theta = np.clip(theta, *ar1_interval(spec))
+    else:
+        settled &= in_domain_rows(spec, theta)
+    return theta, settled
 
 
 def _pooled_curvature(f_full: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -505,23 +505,22 @@ def _one_step_deltas(
     f_full: NDArray[np.float64],
     idx: NDArray[np.int64],
     cards: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
+) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Fisher-scoring deltas th_side - th_full for a block of splits.
 
     ``score_cum`` holds the cumulative sums of the per-observation
     scores as (n, d) and ``cards`` the window sizes, prefixes then
-    suffixes; the deltas come back as (d, |idx|) per side.  Each side's
-    mean score is centred by the full-sample mean score, and the step
-    solves against the pooled full-sample curvature ``f_full``, so the
-    whole path comes from one cumulative sum of per-observation scores
+    suffixes; the deltas come back as (d, 2 |idx|), with their
+    finiteness mask (2 |idx|,), in that order.  Each side's mean score
+    is centred by the full-sample mean score, and the step solves
+    against the pooled full-sample curvature ``f_full``, so the whole
+    path comes from one cumulative sum of per-observation scores
     (module docstring).
     """
     mean = score_cum[-1] / score_cum.shape[0]
     gbar = _window_sums(score_cum, idx) / cards - mean[:, None]
-    steps = -np.linalg.solve(f_full, gbar)
-    ok = np.isfinite(steps).all(axis=0)
-    nk = idx.size
-    return steps[:, :nk], ok[:nk], steps[:, nk:], ok[nk:]
+    deltas = -np.linalg.solve(f_full, gbar)
+    return deltas, np.isfinite(deltas).all(axis=0)
 
 
 def _cumulative_sums(values: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -252,6 +252,18 @@ class TestValidation:
         assert ev1.gradient is not None and ev1.hessian is None
         assert_allclose(ev0.value, ev1.value, rtol=1e-15)
 
+    def test_order_one_is_order_two_without_the_hessian(self, garch_spec):
+        # Order 1 once ran the kernel with a shorter GARCH stack, and its
+        # gradient differed from order 2's by up to 3.4e-16 relative here.
+        series = make_series(garch_spec, 700, (1.0, 0.4, 0.1), seed=(1, 0))
+        for start, end in ((1, 700), (1, 350), (351, 700), (101, 600)):
+            seg = SeriesSegment(series.data, start, end)
+            ev1 = loglik(garch_spec, [1.0, 0.3, 0.5], seg, order=1)
+            ev2 = loglik(garch_spec, [1.0, 0.3, 0.5], seg, order=2)
+            assert ev1.hessian is None
+            assert ev1.value == ev2.value
+            np.testing.assert_array_equal(ev1.gradient, ev2.gradient)
+
     def test_hessian_is_symmetric(self, garch_spec, garch_series):
         ev = loglik(garch_spec, THETA0["garch"], garch_series)
         assert_allclose(ev.hessian, ev.hessian.T)

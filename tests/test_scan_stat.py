@@ -47,9 +47,10 @@ from qlscan.scan_stat import (
     _batched_fgf,
     _cholesky_rows,
     _derivative_pass,
-    _exact_window_estimates,
+    _exact_deltas,
     _invertible,
     _solve_rows,
+    _window_sums,
 )
 import scalar_ascent
 import stacked_reference
@@ -341,19 +342,24 @@ class TestMissingPolicy:
             self._patched_scan(monkeypatch, arch_spec, series, window, 0.2)
 
 
-def _scalar_window_fits(spec, data, ks, theta_full, sums=None):
-    """Per-window fits by the scalar reference ascent, warm then cold,
-    prefixes then suffixes, in the layout of ``_exact_window_estimates``."""
-    fits = {"l": [], "r": []}
-    for k in ks:
-        for side, segment in (("l", SeriesSegment.prefix(data, int(k))),
-                              ("r", SeriesSegment.suffix(data, int(k)))):
-            fits[side].append(scalar_ascent.estimate_with_retry(
-                spec, segment, theta_full))
-    return tuple(
-        np.array([getattr(res, attr) for res in fits[side]])
-        for side in ("l", "r") for attr in ("theta_hat", "converged")
-    )
+def _scalar_window_fits(spec, data, ks, theta_full, *_):
+    """Per-window fits by the scalar reference ascent, warm then cold, as
+    the deltas (d, 2 |ks|) and converged mask of ``_exact_deltas``,
+    prefixes then suffixes."""
+    segments = ([SeriesSegment.prefix(data, int(k)) for k in ks]
+                + [SeriesSegment.suffix(data, int(k)) for k in ks])
+    fits = [scalar_ascent.estimate_with_retry(spec, segment, theta_full)
+            for segment in segments]
+    theta = np.array([res.theta_hat for res in fits])
+    return (theta - theta_full).T, np.array([res.converged for res in fits])
+
+
+def _one_block(spec, series, ks, theta_full):
+    """The derivative pass's sums, and ``_exact_deltas`` with every split
+    of ``ks`` in one block; any run of splits is a valid block."""
+    sums = _derivative_pass(spec, series, theta_full)
+    return sums, _exact_deltas(spec, series.data, ks, theta_full, sums,
+                               _window_sums(sums.hessian, ks - 1))
 
 
 class TestWindowBatch:
@@ -383,21 +389,20 @@ class TestWindowBatch:
         ends = np.concatenate((ks, np.full(ks.size, n)))
         _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
         assert batch_ok.all()  # so the comparison below tests the batch itself
-        sums = _derivative_pass(spec, series, theta_full)
-        got = _exact_window_estimates(spec, series.data, ks, theta_full, sums)
+        sums, got = _one_block(spec, series, ks, theta_full)
         want = _scalar_window_fits(spec, series.data, ks, theta_full)
-        for side in (0, 2):
-            assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
-            np.testing.assert_array_equal(got[side + 1], want[side + 1])
+        assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
+        np.testing.assert_array_equal(got[1], want[1])
+        theta = got[0] + theta_full[:, None]
         if name == "ar2":
-            _, settled = _ar_window_steps(spec, ks, theta_full, sums)
+            _, settled = _ar_window_steps(spec, theta_full,
+                                          _window_sums(sums.hessian, ks - 1),
+                                          _window_sums(sums.scores, ks - 1))
             assert not settled.all()
         if name == "ar":
-            assert np.any(got[0] >= 0.98 - 1e-12) or np.any(got[2] >= 0.98 - 1e-12)
+            assert np.any(theta >= 0.98 - 1e-12)
         if name == "arch" and theta0[1] == 0.0:
-            on_bound = np.count_nonzero(got[0][:, 1] == 0.0) + np.count_nonzero(
-                got[2][:, 1] == 0.0)
-            assert on_bound > ks.size
+            assert np.count_nonzero(theta[1] == 0.0) > ks.size
 
     def test_ar3_spot_design_climbs_no_window(self, monkeypatch):
         # The Newton step on the derivative pass's sums settles every
@@ -449,16 +454,14 @@ class TestWindowBatch:
 
         monkeypatch.setattr(scan_stat_module, "estimate_windows", stalled_batch)
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(garch_spec, data, ks, theta_full,
-                                      _derivative_pass(garch_spec, garch_series,
-                                                       theta_full))
+        _, got = _one_block(garch_spec, garch_series, ks, theta_full)
         assert calls == [(starts.tolist(), ends.tolist())]
-        assert got[1].all() and got[3].all()
+        assert got[1].all()
         cold = [scalar_ascent.estimate(garch_spec, SeriesSegment(data, int(a), int(b)))
                 for a, b in zip(starts, ends)]
         assert all(res.converged for res in cold)
         want = np.array([res.theta_hat for res in cold])
-        assert_allclose(np.concatenate((got[0], got[2])), want, rtol=0.0, atol=1e-6)
+        assert_allclose(got[0], (want - theta_full).T, rtol=0.0, atol=1e-6)
 
     # max_iter=1 leaves every batch row unconverged; max_iter=4 about 1 in 8.
     @pytest.mark.parametrize("max_iter", [1, 4])
@@ -479,17 +482,16 @@ class TestWindowBatch:
             return real(spec, data, starts, ends, theta)
 
         monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
-        got = _exact_window_estimates(arch_spec, series.data, ks, theta_full,
-                                      _derivative_pass(arch_spec, series, theta_full))
+        _, got = _one_block(arch_spec, series, ks, theta_full)
         assert 0 < np.count_nonzero(~batch_ok)
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
         want = _scalar_window_fits(arch_spec, series.data, ks, theta_full)
-        for side in (0, 2):
-            assert_allclose(got[side], want[side], rtol=0.0, atol=1e-6)
-            np.testing.assert_array_equal(got[side + 1], want[side + 1])
+        assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
+        np.testing.assert_array_equal(got[1], want[1])
 
-        # The whole scan under the same iteration limit, with batched and
-        # with scalar reference window fits.
+        # The whole scan under the same iteration limit: in one block, in
+        # blocks of 7 splits, whose retries are split across the blocks,
+        # and with scalar reference window fits.
         def run():
             try:
                 res = scan(arch_spec, series, window=window)
@@ -498,8 +500,16 @@ class TestWindowBatch:
             return res.q1, res.q2
 
         batched = run()
-        monkeypatch.setattr(scan_stat_module, "_exact_window_estimates",
-                            _scalar_window_fits)
+        with monkeypatch.context() as m:
+            m.setattr(scan_stat_module, "_BLOCK_SPLITS", 7)
+            del calls[:]
+            blocked = run()
+        assert len(calls) > 1
+        if isinstance(batched, str):
+            assert blocked == batched
+        else:
+            np.testing.assert_array_equal(blocked, batched)
+        monkeypatch.setattr(scan_stat_module, "_exact_deltas", _scalar_window_fits)
         scalar = run()
         if isinstance(scalar, str):
             assert batched == scalar
@@ -641,19 +651,25 @@ class TestChunkSize:
 class TestMemory:
     """The scan's memory is linear in n with a small constant: after the
     cumulative sums, Sigma and q are assembled one block of splits at a
-    time, so no (d, d, splits) stack spans every split."""
+    time, so neither a (d, d, splits) stack nor an array of window
+    estimates spans every split."""
 
     N = 50_000
     # Bytes per observation; 50 float64 values.  An assembly holding
     # whole-window stacks peaked at 145-154 values per observation here.
     LIMIT = 50 * 8
 
-    @pytest.mark.parametrize("name, theta0, mode", [
-        ("garch", THETA0["garch"], "one_step"),
-        ("ar3", (0.3, 0.2, 0.1), "one_step"),
-        ("ar3", (0.3, 0.2, 0.1), "exact"),
-    ])
-    def test_traced_peak_per_observation(self, all_specs, name, theta0, mode):
+    # Each case's own limit, in values per observation.  The one-step
+    # limits are the peaks measured before the exact window fits moved
+    # into the assembly's block loop (27.80 and 24.96), rounded up; the
+    # exact AR(3) scan, which then held every window's estimate and
+    # bounds until the assembly, peaked at 31.2.
+    @pytest.mark.parametrize("name, theta0, mode, limit", [
+        ("garch", THETA0["garch"], "one_step", 27.81),
+        ("ar3", (0.3, 0.2, 0.1), "one_step", 24.97),
+        ("ar3", (0.3, 0.2, 0.1), "exact", 28),
+    ], ids=["garch-theta00-one_step", "ar3-theta01-one_step", "ar3-theta02-exact"])
+    def test_traced_peak_per_observation(self, all_specs, name, theta0, mode, limit):
         spec = {**all_specs, **AR_SPECS}[name]
         series = make_series(spec, self.N, theta0, seed=(445, 0))
         tracemalloc.start()
@@ -663,6 +679,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / self.N < self.LIMIT, peak / self.N / 8
+        assert peak / self.N < limit * 8, peak / self.N / 8
 
     # Values per observation.  A pass that formed the full (n, d, d)
     # per-observation hessians and then gathered their distinct entries
@@ -686,9 +703,9 @@ class TestMemory:
         assert peak / n < limit * 8, peak / n / 8
 
     def test_exact_window_climb(self, arch_spec):
-        # The exact window fits of an ARCH scan climb every window in one
-        # batch, and their evaluation chunks, about 2^15 values each, set
-        # the peak at this n.  A dense (rows x observations) window mask
+        # The exact window fits of an ARCH scan climb each block's windows
+        # in one batch, and their evaluation chunks, about 2^15 values
+        # each, set the peak at this n.  A dense (rows x observations) window mask
         # would take about 5,300 values per observation here.
         n = 3000
         series = make_series(arch_spec, n, THETA0["arch"], seed=(446, 0))
@@ -892,8 +909,9 @@ class TestStackLastAlgebra:
         series = make_series(spec, 400, theta0, seed=seed)
         ks = default_window(spec, 400).indices
         theta_full = estimate(spec, series).theta_hat
-        theta, ok = _ar_window_steps(spec, ks, theta_full,
-                                     _derivative_pass(spec, series, theta_full))
+        sums = _derivative_pass(spec, series, theta_full)
+        theta, ok = _ar_window_steps(spec, theta_full, _window_sums(sums.hessian, ks - 1),
+                                     _window_sums(sums.scores, ks - 1))
         theta_ref, ok_ref = stacked_reference.ar_window_least_squares(
             spec, series.data, ks)
         np.testing.assert_array_equal(ok, ok_ref)

@@ -4,7 +4,9 @@ Five commands: ``test`` runs the scan on a series file and reports the
 decision through its exit code, ``scan-curve`` writes the per-k
 statistics for plotting, ``simulate`` generates series files,
 ``calibrate`` rebuilds critical-value tables, and ``experiment`` runs a
-Monte Carlo level or power study.
+Monte Carlo level or power study.  ``simulate`` and ``experiment``
+import the simulator and the Monte Carlo harness inside the command, so
+``test`` and ``scan-curve`` load only the scan.
 
 Exit codes are stable API: 0 means no change detected, 2 means change
 detected, 1 means any error (including flag validation).  Screen output
@@ -17,16 +19,16 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import click
 import numpy as np
 
 from .critical_values import CriticalTable, calibrate
-from .experiments import ExperimentConfig, ExperimentError, run_experiment
 from .models import (
     CalibrationRequiredError,
     DomainError,
+    ExperimentError,
     ScanError,
     SeriesParseError,
     SeriesSegment,
@@ -36,7 +38,9 @@ from .models import (
     scan_window,
 )
 from .scan_stat import ScanResult, scan
-from .simulate import SimPlan, generate
+
+if TYPE_CHECKING:
+    from .simulate import SimPlan
 
 _FAMILIES = ("ar", "arch", "garch")
 
@@ -88,6 +92,8 @@ def _scan_file(series_file: str, model: str, order: int, alpha: float,
 def _sim_plan(model: str, order: int, n: int, theta: str, theta2: str | None,
               break_index: int | None, seed: int = 0) -> SimPlan:
     """The simulation plan of the model flags and comma-separated thetas."""
+    from .simulate import SimPlan
+
     return SimPlan(spec=make_spec(model, order), n=n,
                    theta0=tuple(float(v) for v in theta.split(",")),
                    theta1=tuple(float(v) for v in theta2.split(",")) if theta2 else None,
@@ -181,6 +187,8 @@ def cmd_simulate(model: str, order: int, n: int, theta: str,
                  theta2: str | None, break_index: int | None, seed: int,
                  out: str) -> int:
     """Generate a simulated series and write it to a file."""
+    from .simulate import generate
+
     series = generate(_sim_plan(model, order, n, theta, theta2, break_index, seed))
     with open(out, "w", encoding="utf-8") as fh:
         for v in series.data:
@@ -237,6 +245,8 @@ def cmd_experiment(config_path: str | None, model: str | None, order: int,
                    vn: int | None, base_seed: int, table_path: str | None,
                    out: str | None) -> int:
     """Run a Monte Carlo level or power experiment."""
+    from .experiments import ExperimentConfig, run_experiment
+
     if config_path is not None:
         config = ExperimentConfig.from_file(config_path)
         if table_path is not None:

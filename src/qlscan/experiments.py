@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .critical_values import CriticalTable
-from .models import ModelFamily, ModelSpec, ScanError, make_spec, scan_window
+from .models import (
+    ExperimentError,
+    ModelFamily,
+    ModelSpec,
+    ScanError,
+    make_spec,
+    scan_window,
+)
 from .scan_stat import scan
 from .simulate import DEFAULT_BURN_IN, SimPlan, generate
 
@@ -35,10 +42,6 @@ __all__ = [
 ]
 
 _MAX_FLAGGED_FRACTION = 0.05
-
-
-class ExperimentError(RuntimeError):
-    """Raised when so many replications fail that the rate is untrustworthy."""
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "CalibrationRequiredError",
     "DomainError",
+    "ExperimentError",
     "ModelFamily",
     "ModelSpec",
     "ParamDomain",
@@ -91,6 +92,10 @@ class CalibrationRequiredError(LookupError):
 
 class ScanError(RuntimeError):
     """A scan failed, e.g. estimation broke down on too many sub-samples."""
+
+
+class ExperimentError(RuntimeError):
+    """Raised when so many replications fail that the rate is untrustworthy."""
 
 
 class ModelFamily(enum.Enum):

@@ -333,9 +333,14 @@ def _newton_directions(
     free = ~fixed
     face = (on_face & (np.sum(normal * grad, axis=1) < 0.0)
             & np.any(free & (normal != 0.0), axis=1))
+    if np.all(free) and not np.any(face):
+        # Every row interior: one key, and the grouped solve below would
+        # gather the whole stack unchanged.
+        return np.linalg.solve(_psd_repair(hess), -grad[..., None])[..., 0]
     keys = np.column_stack((free, face)).astype(np.int64) @ (1 << np.arange(spec.d + 1))
     out = np.zeros_like(x)
-    for key in np.unique(keys[keys > 0]):
+    # Ascending distinct keys; np.unique would load numpy.ma.
+    for key in sorted(set(keys[keys > 0].tolist())):
         rows = np.flatnonzero(keys == key)
         cols = np.flatnonzero(free[rows[0]])
         m = cols.size

@@ -22,6 +22,17 @@ from qlscan.cli import main, make_spec, read_series
 from qlscan.models import SeriesParseError, ShapeError
 
 
+def fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports qlscan from this tree."""
+    env = dict(os.environ)
+    src = str(Path(qlscan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def run_cli(args, capsys):
     """Invoke the entry point; return (exit_code, stdout, stderr)."""
     with pytest.raises(SystemExit) as exc_info:
@@ -321,18 +332,6 @@ class TestScipyFreeStartup:
         "from qlscan.cli import main; main(sys.argv[1:])"
     )
 
-    @staticmethod
-    def _python(code, *args):
-        env = dict(os.environ)
-        src = str(Path(qlscan.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        return subprocess.run(
-            [sys.executable, "-c", code, *args], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-
     @pytest.mark.parametrize("model, theta, n", [
         ("ar", (0.5,), 600),
         ("arch", (1.0, 0.3), 300),
@@ -345,7 +344,7 @@ class TestScipyFreeStartup:
         path.write_text("".join(f"{v:.17g}\n" for v in data))
         res = scan(spec, read_series(str(path)))
 
-        proc = self._python(self.NO_SCIPY_MAIN, "test", str(path), "--model", model)
+        proc = fresh_python(self.NO_SCIPY_MAIN, "test", str(path), "--model", model)
         assert proc.returncode == (2 if res.reject else 0), proc.stderr
         assert f"Q         {res.q_max:.6g}\n" in proc.stdout
         assert f"argmax_k  {res.argmax_k}\n" in proc.stdout
@@ -357,21 +356,120 @@ class TestScipyFreeStartup:
         args = ["--model", "ar", "--order", "3", "--n", "400",
                 "--theta", "0.3,0.2,0.1", "--theta2", "0.1,0.1,0.1",
                 "--break", "200", "--seed", "4"]
-        proc = self._python(self.NO_SCIPY_MAIN, "simulate", *args, "--out", str(path))
+        proc = fresh_python(self.NO_SCIPY_MAIN, "simulate", *args, "--out", str(path))
         assert proc.returncode == 0, proc.stderr
         plan = SimPlan(spec=make_spec("ar", 3), n=400, theta0=(0.3, 0.2, 0.1),
                        theta1=(0.1, 0.1, 0.1), break_index=200, seed=4)
         got = np.array([float(v) for v in path.read_text().split()])
         np.testing.assert_array_equal(got, generate(plan).data)
-        proc = self._python(self.NO_SCIPY_MAIN, "experiment", "--model", "ar",
+        proc = fresh_python(self.NO_SCIPY_MAIN, "experiment", "--model", "ar",
                             "--n", "300", "--theta", "0.5", "--reps", "2", "--seed", "5")
         assert proc.returncode == 0, proc.stderr
         assert "replications  2" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
-        proc = self._python(
+        proc = fresh_python(
             "import sys, qlscan.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestStartupModules:
+    """``qlscan test`` and ``scan-curve`` load only what the scan runs.
+
+    ``numpy.ma`` (which numpy 2 imports lazily, e.g. from ``np.unique``),
+    the Monte Carlo harness and the simulator cost start-up time that a
+    scan never uses.  Under numpy 1.x ``import numpy`` itself loads
+    ``numpy.ma``, so only modules beyond what ``import numpy, click``
+    loads count.
+    """
+
+    WATCHED = ("numpy.ma", "qlscan.experiments", "qlscan.simulate")
+    # Runs the CLI after a baseline import and prints, last, the watched
+    # modules it loaded.
+    MAIN = (
+        "import sys\n"
+        "import numpy, click\n"
+        "before = set(sys.modules)\n"
+        "from qlscan.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "watched = %r\n"
+        "loaded = sorted(m for m in set(sys.modules) - before\n"
+        "                if any(m == w or m.startswith(w + '.') for w in watched))\n"
+        "print(code, loaded)\n"
+    ) % (WATCHED,)
+
+    @pytest.mark.parametrize("command", ["test", "scan-curve"])
+    @pytest.mark.parametrize("model, theta", [
+        ("ar", (0.5,)),
+        ("arch", (1.0, 0.3)),
+        ("garch", (1.0, 0.4, 0.3)),
+    ])
+    def test_scan_commands_load_only_the_scan(self, tmp_path, command, model, theta):
+        path = tmp_path / f"{model}.txt"
+        data = generate(SimPlan(spec=make_spec(model, 1), n=400, theta0=theta, seed=31)).data
+        path.write_text("".join(f"{v:.17g}\n" for v in data))
+        args = [command, str(path), "--model", model]
+        if command == "scan-curve":
+            args += ["--out", str(tmp_path / "curve.txt")]
+        proc = fresh_python(self.MAIN, *args)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert code in ("0", "2"), proc.stdout + proc.stderr
+        assert loaded == "[]"
+
+    def test_lazy_names_resolve(self):
+        code = (
+            "import sys\n"
+            "import qlscan\n"
+            "lazy = ('qlscan.experiments', 'qlscan.simulate')\n"
+            "assert not any(m in sys.modules for m in lazy)\n"
+            "assert set(qlscan.__all__) <= set(dir(qlscan))\n"
+            "assert {'experiments', 'simulate'} <= set(dir(qlscan))\n"
+            "assert qlscan.generate is qlscan.simulate.generate\n"
+            "assert qlscan.SimPlan is qlscan.simulate.SimPlan\n"
+            "assert qlscan.run_experiment is qlscan.experiments.run_experiment\n"
+            "assert qlscan.experiments is sys.modules['qlscan.experiments']\n"
+            "namespace = {}\n"
+            "exec('from qlscan import *', namespace)\n"
+            "assert all(namespace[name] is getattr(qlscan, name) for name in qlscan.__all__)\n"
+            "try:\n"
+            "    qlscan.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n"
+        )
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+    def test_experiment_error_is_one_class(self):
+        from qlscan import experiments, models
+
+        assert qlscan.ExperimentError is models.ExperimentError
+        assert experiments.ExperimentError is models.ExperimentError
+        assert "ExperimentError" in experiments.__all__
+
+    def test_simulate_and_experiment_run_through_main(self, tmp_path):
+        # A fresh interpreter in which the commands import their modules.
+        out = tmp_path / "sim.txt"
+        code = (
+            "import sys\n"
+            "from qlscan.cli import main\n"
+            "for args in (['simulate', '--model', 'arch', '--n', '200', '--theta', '1,0.3',\n"
+            "              '--seed', '2', '--out', sys.argv[1]],\n"
+            "             ['experiment', '--model', 'ar', '--n', '200', '--theta', '0.5',\n"
+            "              '--reps', '2', '--seed', '3']):\n"
+            "    try:\n"
+            "        main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+        )
+        proc = fresh_python(code, str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().split()) == 200
+        assert "replications  2" in proc.stdout

@@ -350,6 +350,43 @@ class TestNewtonDirections:
                 resid -= (resid @ n_f) / (n_f @ n_f) * n_f
             assert np.linalg.norm(resid) <= 1e-12 * scale
 
+    @given(st.sampled_from(["ar1", "ar2", "ar3", "ar4", "ar-signed", "arch", "garch"]),
+           st.sampled_from(["frozen", "face"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_interior_fast_path_matches_grouped_solve(self, name, forcing, seed):
+        # A stack of interior rows is solved in one call; one frozen or
+        # face row sends the same rows through the grouped solve, whose
+        # steps they must take bit for bit.
+        spec = _face_spec(name)
+        lo, hi = spec.domain.as_arrays()
+        rng = np.random.default_rng(seed)
+        x = lo + (hi - lo) * rng.uniform(0.05, 0.95, size=(200, spec.d))
+        x = x[stationarity_stat(spec, x) < spec.domain.bound - 1e-3][:12]
+        assume(len(x) > 0)
+        n = len(x)
+        grad = rng.normal(size=x.shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        kinds = REPAIR_KINDS[:4] if spec.d > 1 else ("spd", "near", "zero")
+        hess = _hessian_stack(spec.d, seed, [kinds[r % len(kinds)] for r in range(n + 1)])
+        fast = qmle_module._newton_directions(spec, x, grad, hess[:n])
+
+        if forcing == "frozen":
+            # Pressed against its lower bound by the gradient.
+            x_force, g_force = x[0].copy(), grad[0].copy()
+            x_force[0], g_force[0] = lo[0], abs(g_force[0]) + 1.0
+        else:
+            raw = 3.0 * rng.normal(size=(200, spec.d))
+            raw = raw[stationarity_stat(spec, np.clip(raw, lo, hi)) >= spec.domain.bound]
+            assume(len(raw) > 0)
+            x_force = qmle_module._project_rows(spec, raw[:1])[0]
+            # Descent pushes outward through the face.
+            g_force = -(np.sign(x_force) if spec.family is ModelFamily.AR
+                        else np.r_[0.0, np.ones(spec.d - 1)])
+        at = rng.integers(0, n + 1)
+        grouped = qmle_module._newton_directions(
+            spec, np.insert(x, at, x_force, axis=0), np.insert(grad, at, g_force, axis=0),
+            np.insert(hess[:n], at, hess[n], axis=0))
+        np.testing.assert_array_equal(np.delete(grouped, at, axis=0), fast)
+
     def test_fully_frozen_rows_take_no_step(self, garch_spec):
         # GARCH at its lower corner with every partial pointing down, and
         # an AR(2) row on its face at its upper bound, with the zero

@@ -8,6 +8,11 @@ Monte Carlo level or power study.  ``simulate`` and ``experiment``
 import the simulator and the Monte Carlo harness inside the command, so
 ``test`` and ``scan-curve`` load only the scan.
 
+Run as the program (the ``qlscan`` console script, or ``main()`` with no
+arguments), ``main`` freezes the garbage collector at interpreter exit,
+so the shutdown collections skip every object still tracked.  Called
+with an explicit ``argv`` it leaves the collector alone.
+
 Exit codes are stable API: 0 means no change detected, 2 means change
 detected, 1 means any error (including flag validation).  Screen output
 rounds to 6 significant digits; files carry full precision.  The
@@ -17,6 +22,8 @@ table file for every command that takes ``--table``.
 
 from __future__ import annotations
 
+import atexit
+import gc
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -272,7 +279,17 @@ def cmd_experiment(config_path: str | None, model: str | None, order: int,
 
 
 def main(argv: Sequence[str] | None = None) -> None:
-    """Entry point translating outcomes into the stable exit codes."""
+    """Entry point translating outcomes into the stable exit codes.
+
+    With ``argv`` None, ``main`` runs as the program: it reads
+    ``sys.argv`` and registers ``gc.freeze`` with ``atexit``.  The hook
+    runs after the command has returned and its files are closed, and
+    it spares the interpreter's shutdown collections a walk over every
+    object numpy, click and the scan left tracked.  An explicit ``argv``
+    (an in-process call) registers nothing.
+    """
+    if argv is None:
+        atexit.register(gc.freeze)
     try:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:

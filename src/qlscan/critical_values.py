@@ -212,9 +212,13 @@ def sup_bb_quantile(samples: NDArray[np.float64], alpha: float) -> float:
     Reads off the sample quantile at level 1 - alpha/2 with linear
     interpolation; alpha = 1 therefore gives the median.
     """
+    _check_alpha(alpha)
+    return float(np.quantile(np.asarray(samples, dtype=float), 1.0 - alpha / 2.0))
+
+
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return float(np.quantile(np.asarray(samples, dtype=float), 1.0 - alpha / 2.0))
 
 
 def _alpha_key(alpha: float) -> float:
@@ -242,9 +246,13 @@ class CriticalTable:
 
         Raises
         ------
+        ValueError
+            If alpha lies outside (0, 1], where no calibration can
+            produce an entry.
         CalibrationRequiredError
             If the table holds no entry for this (d, alpha).
         """
+        _check_alpha(alpha)
         key = (int(d), _alpha_key(alpha))
         if key not in self.entries:
             raise CalibrationRequiredError(

@@ -206,6 +206,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ------
     ExperimentError
         If more than 5% of replications flag scan errors.
+    SizingError
+        If the window floor v_n is below d + 1.
     CalibrationRequiredError
         If the critical table lacks the needed (d, alpha) entry.
     """

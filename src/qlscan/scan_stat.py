@@ -156,6 +156,7 @@ from .models import (
     ScanWindow,
     SeriesSegment,
     ShapeError,
+    SizingError,
     ar1_interval,
     default_window,
     in_domain_rows,
@@ -733,6 +734,11 @@ def scan(
         If estimation fails on more than 10% of the candidate set, or
         the fits or the linear algebra break down numerically (for
         example on values near 1e150, whose squares overflow).
+    SizingError
+        If the window floor v_n is below d + 1, so that the shortest
+        side cannot identify the d parameters.
+    ValueError
+        If alpha lies outside (0, 1].
     CalibrationRequiredError
         If the table lacks an entry for (d, alpha).
     """
@@ -742,6 +748,11 @@ def scan(
     if window.n != series.n:
         raise ShapeError(
             f"window built for n={window.n} but the series has n={series.n}"
+        )
+    if window.v_n < spec.d + 1:
+        raise SizingError(
+            f"v_n={window.v_n} is below d + 1 = {spec.d + 1}: each side must"
+            f" hold at least d + 1 observations"
         )
     if window_estimator is None:
         window_estimator = (

@@ -7,6 +7,8 @@ these tests exercise the full file round trip.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import subprocess
 import sys
@@ -126,6 +128,35 @@ class TestTestCommand:
         )
         assert code == 1
         assert "error:" in err and "alpha=0.03" in err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.05", "nan"])
+    def test_alpha_outside_unit_interval_is_an_invalid_level(self, fixture_dir,
+                                                             capsys, alpha):
+        code, out, err = run_cli(
+            ["test", str(fixture_dir / "null.txt"), "--model", "ar",
+             "--alpha", alpha], capsys
+        )
+        assert code == 1 and "decision" not in out
+        assert "alpha must lie in (0, 1]" in err and "calibration" not in err
+
+    @pytest.mark.parametrize("model, theta, vn", [
+        ("arch", (1.0, 0.3), 1),
+        ("garch", (1.0, 0.4, 0.3), 1),
+        ("garch", (1.0, 0.4, 0.3), 3),
+    ])
+    def test_window_floor_below_d_plus_1_fails(self, tmp_path, capsys, model,
+                                               theta, vn):
+        # ARCH scans exactly and GARCH one-step; neither may build a
+        # statistic from sides too short to identify d parameters.
+        spec = make_spec(model, 1)
+        path = tmp_path / f"{model}.txt"
+        data = generate(SimPlan(spec=spec, n=400, theta0=theta, seed=37)).data
+        path.write_text("".join(f"{v:.17g}\n" for v in data))
+        code, out, err = run_cli(
+            ["test", str(path), "--model", model, "--vn", str(vn)], capsys
+        )
+        assert code == 1 and "decision" not in out
+        assert f"v_n={vn} is below d + 1 = {spec.d + 1}" in err
 
     @pytest.mark.parametrize("model", ["ar", "arch", "garch"])
     def test_all_zero_series_exits_1(self, tmp_path, capsys, model):
@@ -473,3 +504,93 @@ class TestStartupModules:
         assert proc.returncode == 0, proc.stderr
         assert len(out.read_text().split()) == 200
         assert "replications  2" in proc.stdout
+
+
+def write_series(path, model, theta, n=400, seed=31):
+    data = generate(SimPlan(spec=make_spec(model, 1), n=n, theta0=theta, seed=seed)).data
+    path.write_text("".join(f"{v:.17g}\n" for v in data))
+    return path
+
+
+class TestProgramExit:
+    """Run as the program, ``main`` freezes the GC at exit, and only then.
+
+    The interpreter's shutdown collections would otherwise walk every
+    object numpy, click and the scan left tracked, just before the
+    process ends.  An in-process ``main([...])`` leaves the collector
+    alone, and so does importing the package.
+    """
+
+    PROGRAM = "from qlscan.cli import main; main()"
+    # Registered before qlscan's hook, so it runs after it (atexit is
+    # LIFO) and reports the freeze count on stderr.
+    PROGRAM_WITH_PROBE = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write("
+        "f'freeze_count {gc.get_freeze_count()}\\n'))\n"
+        "assert gc.get_freeze_count() == 0\n"
+        + PROGRAM + "\n"
+    )
+
+    @pytest.mark.parametrize("model, theta", [
+        ("ar", (0.5,)),
+        ("arch", (1.0, 0.3)),
+        ("garch", (1.0, 0.4, 0.3)),
+    ])
+    def test_program_freezes_after_the_command(self, tmp_path, capsys, model, theta):
+        path = write_series(tmp_path / f"{model}.txt", model, theta)
+        args = ["test", str(path), "--model", model]
+        proc = fresh_python(self.PROGRAM_WITH_PROBE, *args)
+        count = int(proc.stderr.rsplit("freeze_count ", 1)[1])
+        assert count > 0, proc.stderr
+        code, out, _ = run_cli(args, capsys)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code in (0, 2)
+
+    def test_in_process_call_registers_nothing(self, fixture_dir, capsys, monkeypatch):
+        registered = []
+        monkeypatch.setattr(atexit, "register", lambda fn, *a, **kw: registered.append(fn))
+        frozen = gc.get_freeze_count()
+        args = ["test", str(fixture_dir / "null.txt"), "--model", "ar"]
+        assert run_cli(args, capsys)[0] == 0
+        assert registered == [] and gc.get_freeze_count() == frozen
+        # Without argv, main runs as the program and registers the hook.
+        monkeypatch.setattr(sys, "argv", ["qlscan", *args])
+        assert main_silent(None) == 0
+        assert registered == [gc.freeze] and gc.get_freeze_count() == frozen
+
+    def test_import_leaves_the_collector_alone(self):
+        code = (
+            "import gc\n"
+            "def state():\n"
+            "    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()\n"
+            "before = state()\n"
+            "import qlscan\n"
+            "after_package = state()\n"
+            "import qlscan.cli\n"
+            "print(before == after_package == state(), before)\n"
+        )
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("True (True, ")
+
+    @pytest.mark.parametrize("args", [
+        ["scan-curve", "{series}", "--model", "ar"],
+        ["simulate", "--model", "garch", "--n", "300", "--theta", "1.0,0.4,0.3",
+         "--seed", "5"],
+        ["calibrate", "--d", "1", "--reps", "200"],
+        ["experiment", "--model", "ar", "--n", "120", "--theta", "0.5",
+         "--reps", "3", "--seed", "9"],
+    ], ids=["scan-curve", "simulate", "calibrate", "experiment"])
+    def test_program_output_files_are_complete(self, tmp_path, capsys, args):
+        # Frozen objects are never finalized by the shutdown collection,
+        # so every writer must close its file before the command returns.
+        series = write_series(tmp_path / "ar.txt", "ar", (0.5,), n=300)
+        args = [a.format(series=series) for a in args]
+        in_process, program = tmp_path / "in_process.out", tmp_path / "program.out"
+        assert run_cli([*args, "--out", str(in_process)], capsys)[0] == 0
+        gc.collect()  # finalizes what the in-process run left, closing its file
+        proc = fresh_python(self.PROGRAM, *args, "--out", str(program))
+        assert proc.returncode == 0, proc.stderr
+        expected = in_process.read_bytes()
+        assert expected and program.read_bytes() == expected

@@ -172,6 +172,12 @@ class TestBuiltinTable:
         with pytest.raises(CalibrationRequiredError):
             builtin_table.lookup(1, 0.033)
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_is_invalid(self, builtin_table, alpha):
+        # Not a missing entry: no calibration can produce one.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            builtin_table.lookup(1, alpha)
+
     def test_small_recalibration_matches_builtin_stream(self, builtin_table):
         # The builtin table's provenance (m, reps, seed) is recorded in
         # each entry; recalibrating with the same seed but fewer reps

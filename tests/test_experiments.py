@@ -15,6 +15,7 @@ from qlscan import (
     SeriesSegment,
     ShapeError,
     SimPlan,
+    SizingError,
     generate,
     run_experiment,
     scan,
@@ -126,6 +127,12 @@ class TestRunExperiment:
             alpha=0.10,
         )
         assert_allclose(report.records[0].q, direct.q_max, rtol=1e-12)
+
+    def test_window_floor_below_d_plus_1_raises(self, ar1_spec):
+        plan = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,))
+        cfg = ExperimentConfig(plan=plan, replications=2, v_n=1, base_seed=5)
+        with pytest.raises(SizingError, match="v_n=1"):
+            run_experiment(cfg)
 
     def test_config_validation(self, ar1_spec):
         plan = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,))

@@ -31,6 +31,7 @@ from qlscan import (
     ScanWindow,
     SeriesSegment,
     ShapeError,
+    SizingError,
     decide,
     default_window,
     estimate,
@@ -301,6 +302,39 @@ class TestResultContract:
             scan(ar1_spec, series, alpha=0.03)
         with pytest.raises(CalibrationRequiredError):
             scan(arch_spec, arch_series, table=CriticalTable(entries={}))
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_is_invalid(self, ar1_spec, ar1_series,
+                                                    builtin_table, alpha):
+        # No calibration can cover such a level, so it is not reported as
+        # a missing table entry (CalibrationRequiredError is no ValueError).
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            scan(ar1_spec, ar1_series, alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            decide(1.0, 1, alpha, builtin_table)
+
+    @pytest.mark.parametrize("family, v_n", [
+        ("arch", 1), ("arch", 2), ("garch", 1), ("garch", 2), ("garch", 3),
+    ])
+    def test_window_floor_below_d_plus_1_fails_before_any_fit(
+            self, monkeypatch, all_specs, arch_series, garch_series, family, v_n):
+        spec = all_specs[family]
+        series = arch_series if family == "arch" else garch_series
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the scan fitted before checking v_n")
+
+        monkeypatch.setattr(scan_stat_module, "estimate", no_fit)
+        for mode in ("exact", "one_step"):
+            with pytest.raises(SizingError, match=rf"v_n={v_n} .*d \+ 1 = {spec.d + 1}"):
+                scan(spec, series, window=ScanWindow(n=series.n, v_n=v_n),
+                     window_estimator=mode)
+
+    def test_window_floor_of_d_plus_1_is_accepted(self, ar1_spec, ar1_series):
+        with pytest.raises(SizingError):
+            scan(ar1_spec, ar1_series, window=ScanWindow(n=ar1_series.n, v_n=1))
+        res = scan(ar1_spec, ar1_series, window=ScanWindow(n=ar1_series.n, v_n=2))
+        assert res.ks[0] == 2 and np.isfinite(res.q_max)
 
 
 class TestMissingPolicy:

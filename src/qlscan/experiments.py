@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .critical_values import CriticalTable
+from .critical_values import CriticalTable, _check_alpha
 from .models import (
     ExperimentError,
     ModelFamily,
@@ -63,8 +63,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
 
     @classmethod
     def from_file(cls, path: str | Path) -> ExperimentConfig:

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._stacks import _psd_repair
 # ``loglik`` is not called here, but stays importable from this module:
 # the span wrappers of perfbench/spans.py patch ``qlscan.qmle.loglik``.
 from .likelihood import loglik, loglik_rows  # noqa: F401
@@ -152,54 +153,6 @@ def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
     if np.any(x - lo <= eps) or np.any(hi - x <= eps):
         return True
     return spec.domain.bound - float(stationarity_stat(spec, x)) <= eps
-
-
-# Relative floor of the repaired eigenvalues (``_psd_repair``).
-_EIGEN_FLOOR = 1e-8
-
-
-def _psd_repair(hess: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Positive-definite repair of a symmetric matrix, or of a stack of them.
-
-    Eigenvalues are replaced by their absolute value, floored at
-    ``_EIGEN_FLOOR`` * max(1, largest |eigenvalue|), so saddle curvature
-    repels instead of producing a huge ill-scaled step.  A matrix whose
-    eigenvalues all lie at or above that floor is its own repair, so a
-    matrix that ``_clears_floor`` proves to be one is returned as it is;
-    only the others go through ``eigh``.
-    """
-    stack = hess.reshape((-1,) + hess.shape[-2:])
-    repair = ~_clears_floor(stack)
-    if not np.any(repair):
-        return hess
-    evals, evecs = np.linalg.eigh(stack[repair])
-    floor = _EIGEN_FLOOR * np.maximum(1.0, np.max(np.abs(evals), axis=-1, keepdims=True))
-    evals = np.maximum(np.abs(evals), floor)
-    out = stack.copy()
-    out[repair] = (evecs * evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)
-    return out.reshape(hess.shape)
-
-
-def _clears_floor(h: NDArray[np.float64]) -> NDArray[np.bool_]:
-    """For each symmetric (m, m) matrix of the stack ``h``, whether it is
-    provably positive definite with every eigenvalue at or above the
-    repair's floor.
-
-    Positive leading minors make it positive definite.  Then its largest
-    eigenvalue is at most its trace tr, and its smallest at least
-    det / tr^(m-1), since det is the product of the eigenvalues.  A
-    non-finite matrix never clears.
-    """
-    m = h.shape[-1]
-    with np.errstate(all="ignore"):
-        det = h[:, 0, 0]
-        ok = np.all(np.isfinite(h), axis=(1, 2)) & (det > 0.0)
-        for k in range(2, m + 1):
-            det = np.linalg.det(h[:, :k, :k])
-            ok &= det > 0.0
-        tr = np.trace(h, axis1=-2, axis2=-1)
-        ok &= det >= _EIGEN_FLOOR * np.maximum(1.0, tr) * tr ** (m - 1)
-    return ok
 
 
 _ACTIVE_EPS = 1e-9

@@ -37,29 +37,11 @@ The test statistic is Q = max(max_k q1[k], max_k q2[k]); the null
 hypothesis of constant parameters is rejected when Q exceeds the
 critical value C(d, alpha) from the Brownian-bridge table.
 
-Invertibility uses a condition-number threshold (1e12) rather than a
-determinant test, so scale changes in the data do not flip the
-indicator.  The stacked G matrices and AR window hessians are screened
-without an SVD: each is divided by its trace, which makes the screen
-scale-free, and factored by a Cholesky pass vectorised over the stack.
-For an SPD matrix of trace 1 the largest eigenvalue is at most 1 and
-the smallest at least the determinant, so cond <= 1/det; a row whose
-pivots are positive with det >= 100/1e12 passes, and its factor does
-its solves.  Only the rows this bound cannot clear get
-``np.linalg.cond``, which is the rule itself, so the mask is exactly
-the condition-number test's.
-
-Every stack of small matrices in this assembly is kept stack-last, as
-(d, d, rows) with the prefixes then the suffixes along the last axis,
-so each matrix entry is one contiguous vector and the screen, the
-substitutions, Sigma and the quadratic forms are whole-vector
-operations.  G and F are symmetric, so only their d(d+1)/2 distinct
-entries are cumulated over t.  The rows the screen cannot clear are
-handed to ``np.linalg.cond`` and ``np.linalg.solve`` as (rows, d, d).
-The cumulative sums over t are taken once; everything after them works
-on one block of splits at a time, and every step is elementwise along
-the split axis, so the blocks change no result and the scan's memory is
-a few cumulative sums of length n plus one block's stacks.
+The condition tests and stacked solves use ``_stacks``'s screen.  The
+cumulative sums over t are taken once; everything after them works on
+one block of splits at a time, and every step is elementwise along the
+split axis, so the blocks change no result and the scan's memory is a
+few cumulative sums of length n plus one block's stacks.
 
 A sub-sample whose estimation fails marks that k missing; missing k are
 excluded from the maxima, and a scan with more than 10% of Pi_n missing
@@ -146,6 +128,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._stacks import _batched_fgf, _cholesky_rows, _solve_rows
 from .critical_values import CriticalTable
 from .likelihood import _distinct_entries, loglik
 from .models import (
@@ -171,21 +154,12 @@ if TYPE_CHECKING:
 
 __all__ = ["ScanResult", "decide", "scan"]
 
-COND_MAX = 1e12
-
-_SCREEN_MARGIN = 100.0
-
 _MISSING_FRACTION = 0.10
 
 # Splits per block of the Sigma/q assembly.  At d = 3 a (d, d, 2 * block)
 # stack holds 9 * 2^12 values, about 2^15 like ``likelihood._CHUNK_VALUES``,
 # so a block's stacks stay in a core's L2 cache.
 _BLOCK_SPLITS = 2**11
-
-
-def _invertible(cond: NDArray[np.float64] | float) -> NDArray[np.bool_] | bool:
-    """The invertibility test: a finite condition number of at most COND_MAX."""
-    return np.isfinite(cond) & (cond <= COND_MAX)
 
 
 @dataclass(frozen=True)
@@ -493,11 +467,9 @@ def _ar_window_steps(
 
 def _pooled_curvature(f_full: NDArray[np.float64]) -> NDArray[np.float64]:
     """The full-sample mean hessian, or ScanError if it fails the condition test."""
-    cond = np.linalg.cond(f_full)
-    if not _invertible(cond):
-        raise ScanError(
-            f"full-sample mean hessian is numerically singular (cond={cond:.3g})"
-        )
+    if not _cholesky_rows(f_full[..., None])[3][0]:
+        raise ScanError("full-sample mean hessian is numerically singular"
+                        f" (cond={np.linalg.cond(f_full):.3g})")
     return f_full
 
 
@@ -520,7 +492,7 @@ def _one_step_deltas(
     """
     mean = score_cum[-1] / score_cum.shape[0]
     gbar = _window_sums(score_cum, idx) / cards - mean[:, None]
-    deltas = -np.linalg.solve(f_full, gbar)
+    deltas = -_solve_rows(f_full[..., None], gbar[..., None])[0][..., 0]
     return deltas, np.isfinite(deltas).all(axis=0)
 
 
@@ -564,138 +536,6 @@ def _quadratic_form(
     """
     d = v.shape[0]
     return sum((v[i] * m[i, j]) * v[j] for i in range(d) for j in range(d))
-
-
-def _dot(
-    a: NDArray[np.float64], b: NDArray[np.float64]
-) -> NDArray[np.float64] | float:
-    """sum_r a[r] * b[r] over the leading axis, added in order; 0 if empty."""
-    if not len(a):
-        return 0.0
-    out = a[0] * b[0]
-    for r in range(1, len(a)):
-        out += a[r] * b[r]
-    return out
-
-
-def _rows_first(a: NDArray[np.float64], rows: NDArray[np.bool_]) -> NDArray[np.float64]:
-    """The selected matrices of a stack-last (d, d', R) stack as (r, d, d')."""
-    return np.ascontiguousarray(np.moveaxis(a[..., rows], -1, 0))
-
-
-def _batched_fgf(
-    f: NDArray[np.float64], g: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """F G^(-1) F and the invertibility mask for stack-last (d, d, R) matrices.
-
-    On rows the Cholesky screen clears, G = tr L L' with L the factor of
-    G / tr, so F G^(-1) F = M' M with M = L^(-1) F / sqrt(tr): one
-    forward substitution, symmetric by construction, and no product
-    below or above the scale of the result.  Rows only the SVD fallback
-    passes keep the LU solve; failing rows are zero.
-    """
-    chol, scale, cleared, ok = _cholesky_rows(g)
-    out = np.empty_like(f)
-    # Every row is substituted; rows the screen did not clear are
-    # overwritten below, so their overflow or NaN is never seen.
-    with np.errstate(all="ignore"):
-        m = _forward_substitute(chol, f / np.sqrt(scale))
-        for i in range(g.shape[0]):
-            out[i, i:] = _dot(m[:, i, None], m[:, i:])
-            out[i + 1 :, i] = out[i, i + 1 :]
-    out[..., ~cleared] = 0.0
-    rest = ok & ~cleared
-    if np.any(rest):
-        f_rest = _rows_first(f, rest)
-        prod = f_rest @ np.linalg.solve(_rows_first(g, rest), f_rest)
-        out[..., rest] = np.moveaxis((prod + np.swapaxes(prod, 1, 2)) / 2.0, 0, -1)
-    return out, ok
-
-
-def _solve_rows(
-    m: NDArray[np.float64], rhs: NDArray[np.float64]
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """m^(-1) rhs for stack-last symmetric m (d, d, R) and rhs (d, c, R),
-    and the invertibility mask.
-
-    Rows the Cholesky screen clears take a forward and a back
-    substitution with their factor; rows only the SVD fallback passes
-    keep the LU solve; failing rows are zero.
-    """
-    chol, scale, cleared, ok = _cholesky_rows(m)
-    with np.errstate(all="ignore"):
-        out = _back_substitute(chol, _forward_substitute(chol, rhs.copy())) / scale
-    out[..., ~cleared] = 0.0
-    rest = ok & ~cleared
-    if np.any(rest):
-        x = np.linalg.solve(_rows_first(m, rest), _rows_first(rhs, rest))
-        out[..., rest] = np.moveaxis(x, 0, -1)
-    return out, ok
-
-
-def _cholesky_rows(
-    m: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_], NDArray[np.bool_]]:
-    """Invertibility of a stack-last (d, d, R) stack of symmetric matrices,
-    with Cholesky factors.
-
-    Returns (chol, scale, cleared, ok).  ``ok`` equals
-    ``_invertible(np.linalg.cond(m))`` row for row, but the SVD runs only
-    on rows a cheaper bound cannot clear.  Each row is divided by its
-    trace ``scale``, which makes the test scale-free; for an SPD matrix
-    of trace 1 every eigenvalue is at most 1, so the smallest is at
-    least the determinant and cond <= 1/det.  A row whose Cholesky
-    pivots are all positive, with product at least _SCREEN_MARGIN /
-    COND_MAX, is ``cleared``: its cond is below the threshold by a
-    margin far wider than the rounding of the factor or of the SVD.
-    The other rows (rank-deficient, near the threshold, indefinite,
-    zero or non-finite) get ``np.linalg.cond``.  The lower triangle of
-    ``chol`` is the factor of m / scale, and holds meaning only on the
-    cleared rows.
-    """
-    d, _, rows = m.shape
-    det = np.ones(rows)
-    with np.errstate(all="ignore"):
-        scale = np.trace(m)
-        pos = scale > 0.0
-        # Factored in place, column by column; the strict upper triangle
-        # keeps m / scale and is never read.
-        chol = m / scale
-        for j in range(d):
-            lj = chol[j, :j]
-            piv = chol[j, j] - _dot(lj, lj)
-            pos &= piv > 0.0
-            det *= piv
-            root = np.sqrt(piv)
-            chol[j, j] = root
-            chol[j + 1 :, j] -= _dot(np.swapaxes(chol[j + 1 :, :j], 0, 1), lj[:, None])
-            chol[j + 1 :, j] /= root
-    cleared = pos & (det >= _SCREEN_MARGIN / COND_MAX)
-    ok = cleared.copy()
-    rest = ~cleared
-    if np.any(rest):
-        ok[rest] = _invertible(np.linalg.cond(_rows_first(m, rest)))
-    return chol, scale, cleared, ok
-
-
-def _forward_substitute(
-    chol: NDArray[np.float64], x: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Overwrite x (d, c, R) with L^(-1) x for stack-last lower-triangular L."""
-    for i in range(chol.shape[0]):
-        x[i] -= _dot(chol[i, :i, None], x[:i])
-        x[i] /= chol[i, i]
-    return x
-
-
-def _back_substitute(
-    chol: NDArray[np.float64], x: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Overwrite x (d, c, R) with L'^(-1) x for stack-last lower-triangular L."""
-    for i in reversed(range(chol.shape[0])):
-        x[i] -= _dot(chol[i + 1 :, i, None], x[i + 1 :])
-        x[i] /= chol[i, i]
-    return x
 
 
 def scan(

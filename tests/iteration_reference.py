@@ -1,8 +1,9 @@
 """The always-full filter and the always-repair Newton step: references.
 
 ``likelihood._first_order_filter`` stops its doubling passes once no
-later pass can change a bit, and ``qmle._psd_repair`` returns a matrix
-that its screen proves positive definite above the repair's floor
+later pass can change a bit, and ``_stacks._psd_repair`` (which
+``qmle`` binds as ``qmle._psd_repair``) returns a matrix that the
+Cholesky screen proves positive definite above the repair's floor
 without an eigendecomposition.  This module keeps the versions they
 replaced, which run every pass until the coefficient underflows and
 repair every matrix through ``eigh``.  Tests compare the two.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlscan import SeriesSegment, loglik
-from qlscan.scan_stat import _invertible
+from qlscan._stacks import _invertible
 
 
 @dataclass(frozen=True)

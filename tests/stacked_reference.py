@@ -1,6 +1,6 @@
 """Row-first stacked linear algebra: the reference for the stack-last code.
 
-``scan_stat`` keeps each stack of small matrices stack-last, as
+``_stacks`` keeps each stack of small matrices stack-last, as
 (d, d, rows), so that every matrix entry is one contiguous vector.  This
 module is the row-first (rows, d, d) version it replaced, built on
 einsums over the short axes: the Cholesky screen, the substitutions,
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from qlscan._stacks import _SCREEN_MARGIN, COND_MAX, _invertible
 from qlscan.likelihood import _ar_lags
 from qlscan.models import ar1_interval, in_domain_rows
-from qlscan.scan_stat import _SCREEN_MARGIN, COND_MAX, _invertible
 
 
 def ar_window_least_squares(spec, data, ks):

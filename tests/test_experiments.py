@@ -138,8 +138,11 @@ class TestRunExperiment:
         plan = SimPlan(spec=ar1_spec, n=120, theta0=(0.5,))
         with pytest.raises(ValueError):
             ExperimentConfig(plan=plan, replications=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(plan=plan, replications=5, alpha=1.0)
+        # The interval every alpha check uses: (0, 1], as for ``scan``.
+        assert ExperimentConfig(plan=plan, replications=5, alpha=1.0).alpha == 1.0
+        for alpha in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                ExperimentConfig(plan=plan, replications=5, alpha=alpha)
 
 
 class TestConfigFile:

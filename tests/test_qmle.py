@@ -22,6 +22,7 @@ from qlscan import (
     loglik,
     project_to_domain,
 )
+from qlscan import _stacks
 from qlscan import qmle as qmle_module
 from qlscan.models import stationarity_stat
 from qlscan.qmle import estimate_windows
@@ -226,7 +227,7 @@ class TestRepairScreen:
     def test_repair_matches_the_always_repair_oracle(self, d, seed):
         kinds = [REPAIR_KINDS[i % 4] for i in range(60)]
         hess = _hessian_stack(d, seed, kinds)
-        cleared = qmle_module._clears_floor(hess)
+        cleared = _stacks._repair_screen(hess)
         got = qmle_module._psd_repair(hess)
         want = iteration_reference.psd_repair(hess)
         for r, kind in enumerate(kinds):
@@ -260,7 +261,7 @@ class TestRepairScreen:
         grad = rng.normal(size=x.shape)
         got = qmle_module._newton_directions(spec, x, grad, hess)
         want = iteration_reference.newton_directions(spec, x, grad, hess)
-        cleared = qmle_module._clears_floor(hess)
+        cleared = _stacks._repair_screen(hess)
         for r in range(len(kinds)):
             if cleared[r]:
                 # Both solve H, one as given and one rebuilt from its
@@ -275,7 +276,7 @@ class TestRepairScreen:
         # eigh raises for some non-finite matrices and returns NaN for
         # others; either way both versions must end alike.
         hess = _hessian_stack(3, seed, ["spd", "nonfinite", "near"])
-        assert not qmle_module._clears_floor(hess)[1]
+        assert not _stacks._repair_screen(hess)[1]
         x = np.tile(THETA0["garch"], (3, 1))
         grad = np.ones((3, 3))
         for new, old in ((qmle_module._psd_repair, iteration_reference.psd_repair),

@@ -41,16 +41,15 @@ from qlscan import (
 from qlscan import likelihood as likelihood_module
 from qlscan import qmle as qmle_module
 from qlscan import scan_stat as scan_stat_module
+from qlscan._stacks import _batched_fgf, _cholesky_rows, _invertible, _solve_rows
 from qlscan.likelihood import loglik_rows
 from qlscan.qmle import estimate_windows
 from qlscan.scan_stat import (
     _ar_window_steps,
-    _batched_fgf,
-    _cholesky_rows,
     _derivative_pass,
     _exact_deltas,
-    _invertible,
-    _solve_rows,
+    _one_step_deltas,
+    _pooled_curvature,
     _window_sums,
 )
 import scalar_ascent
@@ -854,17 +853,16 @@ class TestCholeskyScreen:
     @pytest.mark.parametrize("name, mode", [("ar3", "exact"), ("garch", "one_step")])
     def test_passing_rows_skip_svd_and_lu(self, monkeypatch, garch_spec, garch_series,
                                           name, mode):
-        # The stacked linear algebra calls neither cond nor solve with a
-        # stack of matrices when every row clears the screen.  The full
-        # fit runs before the recorders go in: its batched Newton solves
-        # belong to the optimizer, not to the Sigma/q assembly or the AR
-        # window steps checked here.
-        stacked = []
+        # Neither cond nor solve runs, at any dimension, when every matrix
+        # clears the screen: not on F_full, nor on the one-step deltas, the
+        # AR window steps or the Sigma stacks.  The full fit runs before
+        # the recorders go in: its batched Newton solves belong to the
+        # optimizer, not to the scan's stacked linear algebra.
+        calls = []
 
         def recording(fn):
             def wrapper(a, *args, **kwargs):
-                if np.ndim(a) == 3:
-                    stacked.append(fn.__name__)
+                calls.append((fn.__name__, np.ndim(a)))
                 return fn(a, *args, **kwargs)
             return wrapper
 
@@ -879,7 +877,36 @@ class TestCholeskyScreen:
         monkeypatch.setattr(np.linalg, "solve", recording(np.linalg.solve))
         res = scan(spec, series, window_estimator=mode)
         assert res.n_missing == 0
-        assert stacked == []
+        assert calls == []
+
+
+class TestOneStepFallbacks:
+    """The branches of the one-step path that only an unusual F_full takes."""
+
+    def test_indefinite_curvature_takes_the_lu_rows(self):
+        # Eigenvalues 2, -1 and 0.5: well conditioned, so it passes the
+        # condition test, but no Cholesky factor exists, so the deltas
+        # come from the LU fallback.
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        f_full = (q * np.array([2.0, -1.0, 0.5])) @ q.T
+        f_full = (f_full + f_full.T) / 2.0
+        chol, scale, cleared, ok = _cholesky_rows(f_full[..., None])
+        assert ok[0] and not cleared[0]
+        assert _pooled_curvature(f_full) is f_full
+        score_cum = np.cumsum(rng.normal(size=(50, 3)), axis=0)
+        idx = np.arange(4, 45)
+        cards = np.concatenate((idx + 1, 50 - idx - 1)).astype(float)
+        deltas, ok = _one_step_deltas(score_cum, f_full, idx, cards)
+        gbar = _window_sums(score_cum, idx) / cards - (score_cum[-1] / 50)[:, None]
+        assert ok.all()
+        assert_allclose(deltas, -np.linalg.solve(f_full, gbar), rtol=1e-12,
+                        atol=1e-14 * np.abs(deltas).max())
+
+    def test_singular_curvature_raises_with_its_cond(self):
+        f_full = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ScanError, match=r"numerically singular \(cond="):
+            _pooled_curvature(f_full)
 
 
 class TestStackLastAlgebra:

@@ -299,7 +299,12 @@ class CriticalTable:
 
     @classmethod
     def load(cls, path: str | Path) -> CriticalTable:
-        """Read a table written by :meth:`save`."""
+        """Read a table written by :meth:`save`.
+
+        Two rows with one (d, alpha) key (alpha rounded to 10 decimals,
+        as :meth:`lookup` keys it) raise ``ValueError`` rather than the
+        later one silently replacing the earlier.
+        """
         entries: dict[tuple[int, float], TableEntry] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -320,7 +325,12 @@ class CriticalTable:
                     seed = int(parts[5])
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                entries[(d, _alpha_key(alpha))] = TableEntry(c, m, reps, seed)
+                key = (d, _alpha_key(alpha))
+                if key in entries:
+                    raise ValueError(
+                        f"{path}: line {lineno}: repeats the row for d={d}, alpha={alpha}"
+                    )
+                entries[key] = TableEntry(c, m, reps, seed)
         if not entries:
             raise ValueError(f"{path}: no table rows found")
         return cls(entries=entries)

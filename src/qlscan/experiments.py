@@ -74,7 +74,7 @@ class ExperimentConfig:
         ``n``, ``theta0``, ``theta1``, ``break`` (comma-separated values
         for the thetas), ``reps``, ``alpha``, ``vn``, ``base_seed``,
         ``burn_in``.  Lines starting with ``#`` and blank lines are
-        ignored.  Unknown keys raise, catching typos early.
+        ignored.  Unknown and repeated keys raise, catching typos early.
         """
         known = {
             "model", "order", "n", "theta0", "theta1", "break",
@@ -93,6 +93,8 @@ class ExperimentConfig:
             key = key.strip().lower()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in kv:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             kv[key] = value.strip()
         for required in ("model", "n", "theta0", "reps"):
             if required not in kv:

@@ -20,9 +20,9 @@ leaves unconverged.  Every fit climbs all its rows in one ``_run_rows``
 call, and each evaluation is one ``loglik_rows`` call on the rows'
 window bounds, so a row is evaluated only over its window's span and
 its bits depend on its window alone.  The steps are batched too: the
-active-set Newton directions (``_newton_directions``) are solved as
-stacks of rows sharing a free set and face state, and the projection
-(``_project_rows``) finds every row's exact single multiplier at once;
+active-set Newton directions (``_newton_directions``) take one masked,
+bordered solve over every row, and the projection (``_project_rows``)
+finds every row's exact single multiplier at once;
 ``project_to_domain`` is that projection on one row.
 
 The optimizer's policy is fixed, in module constants that no caller
@@ -269,9 +269,11 @@ def _newton_directions(
     [[H_ff, n_f], [n_f', 0]] against [-g_f, 0], with H_ff the repaired
     free block.  Without this reduction a raw Newton step at a boundary
     optimum points outside the domain and the projected step degrades
-    to a crawl along the face.  Rows with the same free set and face
-    state are solved as one stack; a row with every coordinate frozen
-    gets a zero step.
+    to a crawl along the face.  Every row solves one (d + 1) system: its
+    frozen coordinates are decoupled (no off-diagonal entries, a diagonal
+    at the free block's largest |entry|, a zero right-hand side), the
+    masked stack is repaired once, and the border is n_f on face rows
+    and a unit pivot on the others.  Frozen coordinates take no step.
     """
     lo, hi = spec.domain.as_arrays()
     eps = _ACTIVE_EPS * (1.0 + np.max(np.abs(x), axis=1, keepdims=True))
@@ -286,26 +288,22 @@ def _newton_directions(
     free = ~fixed
     face = (on_face & (np.sum(normal * grad, axis=1) < 0.0)
             & np.any(free & (normal != 0.0), axis=1))
-    if np.all(free) and not np.any(face):
-        # Every row interior: one key, and the grouped solve below would
-        # gather the whole stack unchanged.
-        return np.linalg.solve(_psd_repair(hess), -grad[..., None])[..., 0]
-    keys = np.column_stack((free, face)).astype(np.int64) @ (1 << np.arange(spec.d + 1))
-    out = np.zeros_like(x)
-    # Ascending distinct keys; np.unique would load numpy.ma.
-    for key in sorted(set(keys[keys > 0].tolist())):
-        rows = np.flatnonzero(keys == key)
-        cols = np.flatnonzero(free[rows[0]])
-        m = cols.size
-        lhs = _psd_repair(hess[np.ix_(rows, cols, cols)])
-        rhs = -grad[np.ix_(rows, cols)]
-        if face[rows[0]]:
-            kkt = np.zeros((rows.size, m + 1, m + 1))
-            kkt[:, :m, :m] = lhs
-            kkt[:, :m, m] = kkt[:, m, :m] = normal[np.ix_(rows, cols)]
-            lhs, rhs = kkt, np.append(rhs, np.zeros((rows.size, 1)), axis=1)
-        out[np.ix_(rows, cols)] = np.linalg.solve(lhs, rhs[..., None])[:, :m, 0]
-    return out
+    n, d = x.shape
+    rows, cols = np.nonzero(fixed)
+    h = hess.copy()
+    h[rows, cols, :] = h[rows, :, cols] = 0.0
+    h[rows, cols, cols] = np.max(np.abs(h[rows]), axis=(1, 2))
+    kkt = np.zeros((n, d + 1, d + 1))
+    kkt[:, :d, :d] = _psd_repair(h)
+    on = np.flatnonzero(face)
+    kkt[on, :d, d] = kkt[on, d, :d] = np.where(free[on], normal[on], 0.0)
+    kkt[:, d, d] = ~face
+    rhs = np.zeros((n, d + 1, 1))
+    rhs[:, :d, 0] = -grad
+    rhs[rows, cols, 0] = 0.0
+    step = np.linalg.solve(kkt, rhs)[:, :d, 0]
+    step[fixed] = 0.0
+    return step
 
 
 def _line_search_rows(

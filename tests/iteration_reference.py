@@ -49,6 +49,7 @@ def psd_repair(hess):
 
 
 def newton_directions(spec, x, grad, hess):
-    """``qmle._newton_directions`` with every free block repaired."""
+    """``qmle._newton_directions`` with every row's masked hessian (its
+    frozen coordinates decoupled) repaired through ``eigh``."""
     with mock.patch.object(qmle, "_psd_repair", psd_repair):
         return qmle._newton_directions(spec, x, grad, hess)

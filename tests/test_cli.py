@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 import qlscan
 from qlscan import CriticalTable, ModelFamily, SimPlan, calibrate, generate, scan
 from qlscan.cli import main, make_spec, read_series
+from qlscan.experiments import ExperimentConfig
 from qlscan.models import SeriesParseError, ShapeError
 
 
@@ -280,6 +281,16 @@ class TestExperimentCommand:
         assert code == 1
         assert "order" in err
 
+    def test_repeated_config_key_fails(self, tmp_path, capsys):
+        # The second n would silently replace the first.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = ar\nn = 120\ntheta0 = 0.5\nn = 300\nreps = 2\n")
+        with pytest.raises(ValueError, match=r"exp\.cfg:4: repeated key 'n'"):
+            ExperimentConfig.from_file(cfg)
+        code, _, err = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "exp.cfg:4" in err
+
     def test_missing_flags_name_the_gaps(self, capsys):
         code, _, err = run_cli(["experiment", "--model", "ar"], capsys)
         assert code == 1
@@ -303,6 +314,19 @@ class TestTableOption:
         )
         assert code == 1
         assert "d=3" in err
+
+
+    def test_repeated_table_row_fails(self, fixture_dir, tmp_path, capsys):
+        # Both rows key to (1, 0.05) once alpha is rounded to 10 decimals;
+        # the later would silently replace the earlier.
+        path = tmp_path / "table.txt"
+        path.write_text("1 0.05 2.1 50 400 3\n1 0.05000000000001 9.9 50 400 3\n")
+        with pytest.raises(ValueError, match=r"table\.txt: line 2: repeats"):
+            CriticalTable.load(path)
+        code, _, err = run_cli(["test", str(fixture_dir / "null.txt"), "--model", "ar",
+                                "--table", str(path)], capsys)
+        assert code == 1
+        assert "table.txt: line 2" in err
 
 
 class TestReadSeries:

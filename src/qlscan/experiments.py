@@ -20,6 +20,7 @@ import io
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .critical_values import CriticalTable, _check_alpha
 from .models import (
@@ -32,6 +33,10 @@ from .models import (
 )
 from .scan_stat import scan
 from .simulate import DEFAULT_BURN_IN, SimPlan, generate
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+    from typing import Any
 
 __all__ = [
     "ExperimentConfig",
@@ -81,6 +86,7 @@ class ExperimentConfig:
             "reps", "alpha", "vn", "base_seed", "burn_in",
         }
         kv: dict[str, str] = {}
+        lines: dict[str, int] = {}
         for lineno, raw in enumerate(
             Path(path).read_text(encoding="utf-8").splitlines(), start=1
         ):
@@ -96,30 +102,37 @@ class ExperimentConfig:
             if key in kv:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             kv[key] = value.strip()
+            lines[key] = lineno
         for required in ("model", "n", "theta0", "reps"):
             if required not in kv:
                 raise ValueError(f"{path}: missing required key {required!r}")
-        spec = make_spec(kv["model"].lower(), int(kv.get("order", "1")))
-        theta0 = tuple(float(v) for v in kv["theta0"].split(","))
-        theta1 = (
-            tuple(float(v) for v in kv["theta1"].split(","))
-            if "theta1" in kv
-            else None
-        )
+
+        def get(key: str, convert: Callable[[str], Any], default: Any = None) -> Any:
+            """``kv[key]`` converted, or ``default`` when the key is absent."""
+            if key not in kv:
+                return default
+            try:
+                return convert(kv[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lines[key]}: {key}: {exc}") from exc
+
+        def floats(text: str) -> tuple[float, ...]:
+            return tuple(float(v) for v in text.split(","))
+
         plan = SimPlan(
-            spec=spec,
-            n=int(kv["n"]),
-            theta0=theta0,
-            theta1=theta1,
-            break_index=int(kv["break"]) if "break" in kv else None,
-            burn_in=int(kv.get("burn_in", str(DEFAULT_BURN_IN))),
+            spec=make_spec(kv["model"].lower(), get("order", int, 1)),
+            n=get("n", int),
+            theta0=get("theta0", floats),
+            theta1=get("theta1", floats),
+            break_index=get("break", int),
+            burn_in=get("burn_in", int, DEFAULT_BURN_IN),
         )
         return cls(
             plan=plan,
-            replications=int(kv["reps"]),
-            alpha=float(kv.get("alpha", "0.05")),
-            v_n=int(kv["vn"]) if "vn" in kv else None,
-            base_seed=int(kv.get("base_seed", "0")),
+            replications=get("reps", int),
+            alpha=get("alpha", float, 0.05),
+            v_n=get("vn", int),
+            base_seed=get("base_seed", int, 0),
         )
 
 

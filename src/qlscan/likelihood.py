@@ -585,9 +585,9 @@ def loglik_rows(
     that select its window.  Rows of one span (a span class) are
     evaluated together, in chunks of at most ``_CHUNK_VALUES`` (row,
     observation) values, so that a chunk's arrays stay in cache.  A
-    chunk's weights are one gather from a step template
-    (``_weights``); a chunk whose windows all cover their span, like
-    the rows of a full-sample fit, is summed unweighted.  The s/u/w
+    chunk's weights are the mask starts[r] <= t <= ends[r] over
+    t = 1..span; a chunk whose windows all cover their span, like the
+    rows of a full-sample fit, is summed unweighted.  The s/u/w
     recursions run once per row for GARCH and are shared by the rows of
     a chunk for ARCH and AR.
 
@@ -617,13 +617,6 @@ def loglik_rows(
     out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: evaluated + 1]
     spans = np.minimum(data.shape[0], -(-ends // _SPAN_STEP) * _SPAN_STEP)
     whole = (starts == 1) & (ends == spans)
-    # The step template, only when some window needs weights: at the
-    # length of a long series, making it costs more than a small chunk.
-    steps = None
-    if not np.all(whole):
-        length = int(np.max(spans))
-        steps = np.zeros(3 * length)
-        steps[length : 2 * length] = 1.0
     # The classes are runs of the spans in sorted order; callers pass
     # their rows ordered by window end, so the stable sort is one pass.
     by_span = np.argsort(spans, kind="stable")
@@ -634,37 +627,14 @@ def loglik_rows(
         size = max(1, _CHUNK_VALUES // span)
         for first in range(lo, hi, size):
             r = by_span[first : min(first + size, hi)]
-            weights = None if steps is None or np.all(whole[r]) else _weights(
-                steps, starts[r], ends[r], span)
+            mask = None
+            if not np.all(whole[r]):
+                t = np.arange(1, span + 1)
+                mask = (t >= starts[r, None]) & (t <= ends[r, None])
             for arr, part in zip(out, _weighted_sums(spec, thetas[r], data, span,
-                                                     weights, evaluated)):
+                                                     mask, evaluated)):
                 arr[r] = part
     return out[: order + 1] + (None,) * (2 - order)
-
-
-def _weights(
-    steps: NDArray[np.float64],
-    starts: NDArray[np.int64],
-    ends: NDArray[np.int64],
-    span: int,
-) -> NDArray[np.float64]:
-    """0/1 weights (rows, span) of the windows {starts..ends} over
-    t = 1..span.
-
-    Row i is the slice of the step template ``steps`` (L zeros, L ones,
-    L zeros, with L >= span) at offset o_i, which holds ones on
-    t = L - o_i + 1 .. 2L - o_i.  A window reaching the span's end takes
-    the offset that starts its ones at its start; any other the offset
-    that ends them at its end, so they cover t = 1..end, and a window
-    that starts later has its head zeroed.
-    """
-    at_end = ends == span
-    third = steps.size // 3
-    offsets = np.where(at_end, third + 1 - starts, 2 * third - ends)
-    weights = np.lib.stride_tricks.sliding_window_view(steps, span)[offsets]
-    for i in np.flatnonzero(~at_end & (starts > 1)):
-        weights[i, : starts[i] - 1] = 0.0
-    return weights
 
 
 def _weighted_sums(
@@ -672,13 +642,13 @@ def _weighted_sums(
     thetas: NDArray[np.float64],
     data: NDArray[np.float64],
     span: int,
-    weights: NDArray[np.float64] | None,
+    mask: NDArray[np.bool_] | None,
     order: int,
 ) -> list[NDArray[np.float64]]:
     """Value, then at ``order`` 2 both derivatives, of one chunk of rows.
 
     The rows are evaluated on t = 1..span and their terms multiplied by
-    ``weights`` (rows, span), unless that is None.  The value is a
+    the 0/1 ``mask`` (rows, span), unless that is None.  The value is a
     pairwise sum along each row.  The derivative sums are two
     matrix-vector products per row with the kernel's stack
     (``_Terms``): its ``a_rows`` times a_t give the gradient and the
@@ -692,8 +662,8 @@ def _weighted_sums(
 
     def weigh(x: NDArray[np.float64]) -> NDArray[np.float64]:
         # The kernel's arrays belong to this call: weigh them in place.
-        if weights is not None:
-            x *= weights
+        if mask is not None:
+            x *= mask
         return x
 
     sums = [-0.5 * weigh(terms.q).sum(axis=1)]

@@ -179,7 +179,8 @@ class ModelSpec:
     domain
         Feasible parameter set.  Defaults to a symmetric box for AR and
         to ``alpha_0 in [1e-4, 10], alpha_1, beta_1 in [0, 1 - margin]``
-        for the volatility families.
+        for the volatility families.  A box that misses the stationarity
+        constraint altogether raises ``DomainError``.
 
     Attributes
     ----------
@@ -203,6 +204,17 @@ class ModelSpec:
         if self.domain.dim != self.d:
             raise ShapeError(
                 f"domain dimension {self.domain.dim} does not match d={self.d}"
+            )
+        # The box's point of least stationarity statistic: the one nearest
+        # zero for AR, the lower corner for ARCH/GARCH.
+        lo, hi = self.domain.as_arrays()
+        corner = np.clip(0.0, lo, hi) if self.family is ModelFamily.AR else lo
+        least = float(stationarity_stat(self, corner))
+        if least > self.domain.bound + DOMAIN_ATOL:
+            raise DomainError(
+                f"empty feasible set: the box lower={self.domain.lower},"
+                f" upper={self.domain.upper} keeps the stationarity statistic"
+                f" at or above {least:.6g}, beyond the bound {self.domain.bound:.6g}"
             )
 
     @property

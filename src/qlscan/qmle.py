@@ -15,8 +15,8 @@ points; the centre alone for AR, whose quasi-likelihood is concave) as
 rows on one window; warm calls pass ``init`` and climb one row.
 ``estimate_windows`` climbs the exact scan's prefixes and suffixes from
 one warm start, seeded with each window's likelihood, gradient and
-hessian there, and ``retry_cold`` the cold starts on every window it
-leaves unconverged.  Every fit climbs all its rows in one ``_run_rows``
+hessian there, then climbs the cold starts on every window that leaves
+unconverged.  Every fit climbs all its rows in one ``_run_rows``
 call, and each evaluation is one ``loglik_rows`` call on the rows'
 window bounds, so a row is evaluated only over its window's span and
 its bits depend on its window alone.  The steps are batched too: the
@@ -75,7 +75,6 @@ __all__ = [
     "estimate",
     "estimate_windows",
     "project_to_domain",
-    "retry_cold",
 ]
 
 
@@ -115,9 +114,14 @@ def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
 
     One row of ``_project_rows``, whose exact single-multiplier form
     covers every box, sign-restricted AR boxes included.  Raises
-    ``DomainError`` if the result is not feasible.
+    ``DomainError`` if theta holds a non-finite value or the result is
+    not feasible.
     """
-    x = _project_rows(spec, spec.check_theta(theta)[None, :])[0]
+    theta = spec.check_theta(theta)
+    if not np.all(np.isfinite(theta)):
+        bad = theta[~np.isfinite(theta)][0]
+        raise DomainError(f"theta {theta.tolist()} holds the non-finite value {bad}")
+    x = _project_rows(spec, theta[None, :])[0]
     if not in_domain(spec, x):
         raise DomainError("projection failed; the feasible set may be empty")
     return x
@@ -494,7 +498,7 @@ def estimate_windows(
     init: ArrayLike,
     seeds: _Evals | None = None,
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Warm-started QMLE on many windows of one series at once.
+    """QMLE on many windows of one series at once, warm then cold.
 
     Window r is {starts[r], ..., ends[r]} of the full series ``data``.
     Every window is climbed from the projection of ``init``, all as rows
@@ -502,48 +506,36 @@ def estimate_windows(
     runs on its single window, so each row takes that call's steps.
     ``seeds``, if given, holds (value (W,), gradient (W, d), hessian
     (W, d, d)) of L at that point on every window, as ``loglik_rows``
-    returns them; a scan takes them from the cumulative sums of its
-    derivative pass, and the climb then skips its first evaluation.
+    returns them; a scan takes them from its derivative pass's window
+    sums, and the climb then skips its first evaluation.  The windows
+    that climb leaves unconverged (``_MAX_ITER`` iterations, or no
+    acceptable step) then climb from every start of a cold ``estimate``
+    call, all (start, window) rows in one more climb.  Such a window
+    takes its best cold fit when that converged or has a lower f = -L
+    than its warm fit, as the warm climb returned it; otherwise it
+    keeps its warm fit, unconverged.
 
-    Returns (theta (W, d), converged (W,)).  A row that is not converged
-    reached ``_MAX_ITER`` iterations or found no acceptable step, and holds its
-    last iterate; ``retry_cold`` gives such windows the cold multi-start.
-    A row's sums depend only on its window, not on the other rows, so
-    without seeds a row takes the steps of a warm ``estimate`` call on
-    its window bit for bit; seeds agree with that call's first
-    evaluation to round-off.
+    Returns (theta (W, d), converged (W,)).  A row's sums depend only on
+    its window, not on the other rows, so without seeds a row takes the
+    steps of a warm ``estimate`` call on its window bit for bit; seeds
+    agree with that call's first evaluation to round-off.
 
     Raises
     ------
     SizingError
         If a window holds fewer than d + 1 observations.
     """
-    theta, _, _, _, converged = _fit_rows(
-        spec, np.asarray(data, dtype=float), np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64), project_to_domain(spec, init)[None, None, :],
-        seeds,
-    )
+    data = np.asarray(data, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    theta, f, _, _, converged = _fit_rows(
+        spec, data, starts, ends, project_to_domain(spec, init)[None, None, :], seeds)
+    rows = np.flatnonzero(~converged)
+    if rows.size:
+        cold, cold_f, _, _, cold_ok = _fit_rows(
+            spec, data, starts[rows], ends[rows], _default_starts(spec)[:, None, :])
+        # A kept warm fit is unconverged, and then so is the best cold fit.
+        take = cold_ok | (cold_f < f[rows])
+        theta[rows[take]] = cold[take]
+        converged[rows] = cold_ok
     return theta, converged
-
-
-def retry_cold(
-    spec: ModelSpec,
-    data: NDArray[np.float64],
-    starts: NDArray[np.int64],
-    ends: NDArray[np.int64],
-    theta: NDArray[np.float64],
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Cold multi-start on windows whose warm climb did not converge.
-
-    ``theta`` holds the warm fits.  Every window climbs from every start
-    of a cold ``estimate`` call, all (start, window) rows in one climb,
-    and takes its best cold fit when that converged or has a higher
-    log-likelihood than the warm fit, whose values take one order-0
-    ``loglik_rows`` call.  Returns (theta (W, d), converged (W,)).
-    """
-    x, f, _, _, ok = _fit_rows(
-        spec, data, starts, ends, _default_starts(spec)[:, None, :]
-    )
-    warm_f = -loglik_rows(spec, theta, data, starts, ends, order=0)[0]
-    # A kept warm fit is unconverged, and then so is the best cold fit.
-    return np.where((ok | (f < warm_f))[:, None], x, theta), ok

@@ -57,14 +57,14 @@ th_full, so no window depends on its neighbours.  A block's windows are
 climbed together in one batched projected-Newton climb over a stack of
 parameter rows (``qmle.estimate_windows``), the ascent a warm
 ``estimate`` call runs on its one window.  The climb starts from data
-the scan already has: the cumulative sums of the derivative pass's
+the scan already has: the block's window sums of the derivative pass's
 q_t, scores and hessian entries give every window's likelihood,
 gradient and hessian at th_full, so no window is evaluated at its
 start.  Each window is evaluated only over its own span, its end
 rounded up to a multiple of 128 observations
 (``likelihood.loglik_rows``).  The windows the climb leaves
-unconverged get the cold multi-start in one more climb, whose rows are
-(start x window) (``qmle.retry_cold``).  A climbed window's bits depend
+unconverged get the cold multi-start in one more climb of the same
+call, whose rows are (start x window).  A climbed window's bits depend
 only on its own window and start, so the blocks change no result, and
 no array of window estimates spans the scan.  For AR models the
 quasi-likelihood is exactly quadratic, so one Newton step from th_full
@@ -144,7 +144,7 @@ from .models import (
     default_window,
     in_domain_rows,
 )
-from .qmle import estimate, estimate_windows, retry_cold
+from .qmle import estimate, estimate_windows
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -271,14 +271,14 @@ def _scan_pipeline(
     hessian (``_pooled_curvature``), which raises ScanError in either
     mode.  Then one loop over blocks of at most ``_BLOCK_SPLITS``
     splits: each block's prefix and suffix sums; its side deltas
-    (``_one_step_deltas`` or ``_exact_deltas``, which also reads the
-    block's hessian sums); G and F, Sigma and the quadratic forms,
-    written into the preallocated q1 and q2.  A window's exact fit
-    depends only on its own window and start, and every other step of
-    the loop is elementwise along the split axis, so the block size
-    changes no bit of the result; it only bounds the loop's stacks to
-    (d, d, 2 * block) and an exact climb to the block's 2 * block
-    windows.
+    (``_one_step_deltas`` on the block's score sums, or
+    ``_exact_deltas``, which also reads its value and hessian sums); G
+    and F, Sigma and the quadratic forms, written into the preallocated
+    q1 and q2.  A window's exact fit depends only on its own window and
+    start, and every other step of the loop is elementwise along the
+    split axis, so the block size changes no bit of the result; it only
+    bounds the loop's stacks to (d, d, 2 * block) and an exact climb to
+    the block's 2 * block windows.
     """
     ks = window.indices
     n = series.n
@@ -289,6 +289,7 @@ def _scan_pipeline(
     pos = _distinct_entries(spec.d)[2]
     # Either estimator needs an invertible full-sample curvature.
     f_full = _pooled_curvature(sums.hessian[-1][pos] / n)
+    score_mean = sums.scores[-1] / n
 
     q1 = np.empty(nk)
     q2 = np.empty(nk)
@@ -298,13 +299,16 @@ def _scan_pipeline(
         cards = np.concatenate((k, n - k)).astype(float)
         left, right = cards[: k.size], cards[k.size :]
         hessian = _window_sums(sums.hessian, idx)
+        scores = _window_sums(sums.scores, idx)
         if estimator == "one_step":
-            delta, ok = _one_step_deltas(sums.scores, f_full, idx, cards)
+            delta, ok = _one_step_deltas(scores, f_full, score_mean, cards)
         else:
-            delta, ok = _exact_deltas(spec, series.data, k, theta_full, sums, hessian)
+            delta, ok = _exact_deltas(spec, series.data, k, theta_full,
+                                      _window_sums(sums.values[:, None], idx)[0],
+                                      scores, hessian)
         f = (hessian / cards)[pos]
         # Freed before Sigma's stacks are built, so one-step peaks do not rise.
-        del hessian
+        del hessian, scores
         g = (_window_sums(sums.outer, idx) / cards)[pos]
         fgf, _ = _batched_fgf(f, g)
         sigma = (left / n) * fgf[..., : k.size] + (right / n) * fgf[..., k.size :]
@@ -331,21 +335,6 @@ class _PassSums:
     outer: NDArray[np.float64]
     scores: NDArray[np.float64]
     values: NDArray[np.float64]
-
-    def window_seeds(
-        self, k: NDArray[np.int64], suffix: NDArray[np.bool_]
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-        """L, its gradient and its hessian at theta_full on the prefixes
-        {1..k}, or where ``suffix`` on their complements {k+1..n}: the
-        value (W,), gradient (W, d) and hessian (W, d, d) that
-        ``loglik_rows`` would return there, up to round-off."""
-        out = []
-        for cum in (self.values[:, None], self.scores, self.hessian):
-            head = cum[k - 1]
-            out.append(-0.5 * np.where(suffix[:, None], cum[-1] - head, head))
-        value, gradient, hessian = out
-        pos = _distinct_entries(self.scores.shape[1])[2]
-        return value[:, 0], gradient, hessian[:, pos]
 
 
 def _derivative_pass(
@@ -382,7 +371,8 @@ def _exact_deltas(
     data: NDArray[np.float64],
     k: NDArray[np.int64],
     theta_full: NDArray[np.float64],
-    sums: _PassSums,
+    values: NDArray[np.float64],
+    scores: NDArray[np.float64],
     hessian: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Argmax deltas th_side - th_full for a block of splits ``k``.
@@ -397,41 +387,35 @@ def _exact_deltas(
     window in the basin the test's limit theory tracks, and makes each
     window's result independent of scan order and of the block.
 
-    Since no window depends on another, the block's windows are climbed
-    in one batched projected-Newton climb (``estimate_windows``), seeded
-    with each window's likelihood, gradient and hessian at theta_full
-    from the derivative pass's cumulative sums ``sums``.  AR windows
-    first take one Newton step on the block's window sums of the pass's
-    hessian entries ``hessian`` (m, 2 |k|) and scores
+    ``values`` (2 |k|,), ``scores`` (d, 2 |k|) and ``hessian``
+    (m, 2 |k|) are the block's window sums of the derivative pass's q_t,
+    scores and distinct hessian entries at theta_full
+    (``_window_sums``).  Since no window depends on another, the block's
+    windows are climbed in one batched projected-Newton climb, warm
+    from theta_full and then cold on the windows it leaves unconverged
+    (``estimate_windows``), seeded with each window's likelihood,
+    gradient and hessian at theta_full, -1/2 times those sums.  AR
+    windows first take one Newton step on the same sums
     (``_ar_window_steps``), and only the windows it leaves unsettled
     enter the climb: the AR quasi-likelihood is concave, so a warm
-    climb from theta_full reaches the same optimum as a cold one.  The
-    windows the climb leaves unconverged are retried cold, all in one
-    climb (``retry_cold``); each takes its cold fit if that converged
-    or has the higher log-likelihood.  Returns the deltas (d, 2 |k|)
-    and the converged mask (2 |k|,), prefixes then suffixes, the layout
-    of ``_one_step_deltas``.
+    climb from theta_full reaches the same optimum as a cold one.
+    Returns the deltas (d, 2 |k|) and the converged mask (2 |k|,),
+    prefixes then suffixes, the layout of ``_one_step_deltas``.
     """
     nk = k.size
     n = data.shape[0]
     if spec.family is ModelFamily.AR:
-        theta, ok = _ar_window_steps(spec, theta_full, hessian,
-                                     _window_sums(sums.scores, k - 1))
+        theta, ok = _ar_window_steps(spec, theta_full, hessian, scores)
     else:
         theta, ok = np.empty((2 * nk, spec.d)), np.zeros(2 * nk, dtype=bool)
     starts = np.concatenate((np.ones(nk, dtype=np.int64), k + 1))
     ends = np.concatenate((k, np.full(nk, n, dtype=np.int64)))
     rows = np.flatnonzero(~ok)
     if rows.size:
+        seeds = (-0.5 * values[rows], -0.5 * scores[:, rows].T,
+                 -0.5 * hessian[:, rows].T[:, _distinct_entries(spec.d)[2]])
         theta[rows], ok[rows] = estimate_windows(
-            spec, data, starts[rows], ends[rows], theta_full,
-            sums.window_seeds(k[rows % nk], rows >= nk),
-        )
-    rows = rows[~ok[rows]]
-    if rows.size:
-        theta[rows], ok[rows] = retry_cold(
-            spec, data, starts[rows], ends[rows], theta[rows]
-        )
+            spec, data, starts[rows], ends[rows], theta_full, seeds)
     return (theta - theta_full).T, ok
 
 
@@ -474,24 +458,23 @@ def _pooled_curvature(f_full: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _one_step_deltas(
-    score_cum: NDArray[np.float64],
+    scores: NDArray[np.float64],
     f_full: NDArray[np.float64],
-    idx: NDArray[np.int64],
+    score_mean: NDArray[np.float64],
     cards: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Fisher-scoring deltas th_side - th_full for a block of splits.
 
-    ``score_cum`` holds the cumulative sums of the per-observation
-    scores as (n, d) and ``cards`` the window sizes, prefixes then
-    suffixes; the deltas come back as (d, 2 |idx|), with their
-    finiteness mask (2 |idx|,), in that order.  Each side's mean score
-    is centred by the full-sample mean score, and the step solves
-    against the pooled full-sample curvature ``f_full``, so the whole
-    path comes from one cumulative sum of per-observation scores
-    (module docstring).
+    ``scores`` (d, W) holds the windows' sums of the per-observation
+    scores (``_window_sums``), ``score_mean`` (d,) the full-sample mean
+    score and ``cards`` the window sizes, prefixes then suffixes; the
+    deltas come back as (d, W), with their finiteness mask (W,), in
+    that order.  Each side's mean score is centred by the full-sample
+    mean score, and the step solves against the pooled full-sample
+    curvature ``f_full``, so the whole path comes from one cumulative
+    sum of per-observation scores (module docstring).
     """
-    mean = score_cum[-1] / score_cum.shape[0]
-    gbar = _window_sums(score_cum, idx) / cards - mean[:, None]
+    gbar = scores / cards - score_mean[:, None]
     deltas = -_solve_rows(f_full[..., None], gbar[..., None])[0][..., 0]
     return deltas, np.isfinite(deltas).all(axis=0)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -196,6 +198,21 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("model = ar\nn = 100\ntheta0 = 0.5\n")
         with pytest.raises(ValueError, match="reps"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("line, lineno, key, error", [
+        ("n = 1e3", 2, "n", "invalid literal for int()"),
+        ("theta0 = 1.0,x", 3, "theta0", "could not convert string to float: 'x'"),
+        ("alpha = five", 5, "alpha", "could not convert string to float"),
+    ])
+    def test_conversion_error_names_the_line_and_key(self, tmp_path, line, lineno, key,
+                                                      error):
+        lines = ["model = arch", "n = 300", "theta0 = 1.0, 0.3", "reps = 2", "alpha = 0.05"]
+        lines[lineno - 1] = line
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"exp\.cfg:{lineno}: {key}: .*"
+                                             + re.escape(error)):
             ExperimentConfig.from_file(path)
 
     def test_not_key_value(self, tmp_path):

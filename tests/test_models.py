@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,31 @@ class TestModelSpec:
         bad = ParamDomain(lower=(-0.9,), upper=(0.9,))
         with pytest.raises(ShapeError):
             ModelSpec(family=ModelFamily.GARCH, p=1, domain=bad)
+
+    @pytest.mark.parametrize("family, p, lower, upper, least", [
+        (ModelFamily.AR, 1, (0.99,), (0.995,), "0.99"),
+        (ModelFamily.AR, 2, (0.6, 0.5), (0.9, 0.9), "1.1"),
+        (ModelFamily.GARCH, 1, (0.1, 0.6, 0.5), (10.0, 0.98, 0.98), "1.1"),
+    ])
+    def test_box_missing_the_stationarity_set_is_rejected(self, family, p, lower, upper,
+                                                           least):
+        # Every point of these boxes breaks the stationarity bound 0.98, so
+        # no fit is possible; a scan once failed on them with a ScanError
+        # that blamed the numerics.
+        domain = ParamDomain(lower=lower, upper=upper)
+        with pytest.raises(DomainError, match=re.escape(f"lower={lower},") + ".*"
+                           + re.escape(f"above {least}, beyond the bound 0.98")):
+            ModelSpec(family=family, p=p, domain=domain)
+
+    def test_box_touching_the_stationarity_set_is_accepted(self):
+        # Boxes whose nearest point meets the bound exactly, or whose
+        # coordinates straddle zero, keep a feasible point.
+        for lower, upper in [((0.5, 0.48), (0.9, 0.9)), ((-0.9, 0.49), (-0.49, 0.9)),
+                             ((-0.2, -0.3), (0.4, 0.2))]:
+            ModelSpec(family=ModelFamily.AR, p=2,
+                      domain=ParamDomain(lower=lower, upper=upper))
+        ModelSpec(family=ModelFamily.GARCH, p=1,
+                  domain=ParamDomain(lower=(0.1, 0.5, 0.48), upper=(10.0, 0.98, 0.98)))
 
 
 class TestParamDomain:

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from qlscan import (
+    DomainError,
     ModelFamily,
     ModelSpec,
     ParamDomain,
@@ -535,6 +536,25 @@ class TestProjection:
         assert_allclose(project_to_domain(ar1_spec, [2.0]), [0.98])
         assert_allclose(project_to_domain(ar1_spec, [-1.5]), [-0.98])
         assert_allclose(project_to_domain(ar1_spec, [0.4]), [0.4])
+
+    @pytest.mark.parametrize("name, theta, bad", [
+        ("arch", [np.nan, 0.3], "nan"),
+        ("ar", [np.nan], "nan"),
+        ("ar2", [np.inf, 0.1], "inf"),
+        ("arch", [np.inf, 0.3], "inf"),
+        ("garch", [1.0, 0.4, -np.inf], "-inf"),
+    ])
+    def test_non_finite_start_is_rejected(self, all_specs, name, theta, bad):
+        # No projection of a non-finite point is meaningful: it once
+        # claimed an empty feasible set for NaN and clipped an infinity
+        # onto the box.  A warm start takes the same check.
+        spec = {**all_specs, "ar2": ModelSpec(family=ModelFamily.AR, p=2)}[name]
+        message = rf"non-finite value {bad}\b"
+        with pytest.raises(DomainError, match=message):
+            project_to_domain(spec, theta)
+        series = make_series(spec, 200, THETA0.get(name, (0.3, 0.2)), seed=(250, 0))
+        with pytest.raises(DomainError, match=message):
+            estimate(spec, series, init=theta)
 
     @given(
         st.tuples(

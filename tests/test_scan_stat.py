@@ -344,20 +344,18 @@ class TestMissingPolicy:
         n_fail = int(np.ceil(fail_fraction * ks.size))
         bad_ks = set(int(k) for k in ks[:n_fail])
 
-        def flaky(real):
-            # The targeted prefixes come back unconverged from the warm
-            # batch, so they reach the cold retry, and from that as well.
-            def fit(spec, data, starts, ends, x, *seeds):
-                theta, converged = real(spec, data, starts, ends, x, *seeds)
-                for r, (start, end) in enumerate(zip(starts, ends)):
-                    if start == 1 and int(end) in bad_ks:
-                        converged[r] = False
-                return theta, converged
-            return fit
+        real = qmle_module._fit_rows
 
-        for name in ("estimate_windows", "retry_cold"):
-            monkeypatch.setattr(scan_stat_module, name,
-                                flaky(getattr(scan_stat_module, name)))
+        def flaky(spec, data, starts, ends, x0, seeds=None):
+            # The targeted prefixes come back unconverged from the warm
+            # climb, so they reach the cold retry, and from that as well.
+            fits = real(spec, data, starts, ends, x0, seeds)
+            for r, (start, end) in enumerate(zip(starts, ends)):
+                if start == 1 and int(end) in bad_ks:
+                    fits[4][r] = False
+            return fits
+
+        monkeypatch.setattr(qmle_module, "_fit_rows", flaky)
         return scan(arch_spec, series, window=window, window_estimator="exact")
 
     def test_few_failures_are_masked(self, monkeypatch, arch_spec):
@@ -391,8 +389,34 @@ def _one_block(spec, series, ks, theta_full):
     """The derivative pass's sums, and ``_exact_deltas`` with every split
     of ``ks`` in one block; any run of splits is a valid block."""
     sums = _derivative_pass(spec, series, theta_full)
-    return sums, _exact_deltas(spec, series.data, ks, theta_full, sums,
+    return sums, _exact_deltas(spec, series.data, ks, theta_full,
+                               _window_sums(sums.values[:, None], ks - 1)[0],
+                               _window_sums(sums.scores, ks - 1),
                                _window_sums(sums.hessian, ks - 1))
+
+
+def _warm_fits(spec, data, starts, ends, theta_full):
+    """The warm climb of ``estimate_windows`` alone, without its cold retry:
+    (theta, converged) of every window."""
+    out = qmle_module._fit_rows(spec, data, starts, ends,
+                                qmle_module.project_to_domain(spec, theta_full)[None, None, :])
+    return out[0], out[4]
+
+
+def _count_cold_climbs(monkeypatch):
+    """Record (starts, ends) of every cold multi-start climb of split
+    windows; the full-sample fit's own cold climb is not recorded."""
+    calls = []
+    real = qmle_module._fit_rows
+
+    def counting(spec, data, starts, ends, x0, seeds=None):
+        if x0.shape[0] > 1 and not (starts.size == 1 and starts[0] == 1
+                                    and ends[0] == data.shape[0]):
+            calls.append((starts.tolist(), ends.tolist()))
+        return real(spec, data, starts, ends, x0, seeds)
+
+    monkeypatch.setattr(qmle_module, "_fit_rows", counting)
+    return calls
 
 
 class TestWindowBatch:
@@ -420,7 +444,7 @@ class TestWindowBatch:
         theta_full = estimate(spec, series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, n)))
-        _, batch_ok = estimate_windows(spec, series.data, starts, ends, theta_full)
+        _, batch_ok = _warm_fits(spec, series.data, starts, ends, theta_full)
         assert batch_ok.all()  # so the comparison below tests the batch itself
         sums, got = _one_block(spec, series, ks, theta_full)
         want = _scalar_window_fits(spec, series.data, ks, theta_full)
@@ -457,36 +481,36 @@ class TestWindowBatch:
     def test_stalled_window_is_handed_back_unconverged(self, monkeypatch, garch_spec,
                                                        garch_series):
         # With a line search that accepts no step, every window stalls at
-        # its start point in the first iteration.  The batch must hand all
-        # of them back unconverged (it once crashed evaluating the empty
-        # set of rows left to move), and the scan must retry exactly those
-        # windows cold.
-        def stalled_batch(*args):
+        # its start point in the first iteration.  The warm climb must hand
+        # all of them back unconverged (it once crashed evaluating the
+        # empty set of rows left to move), and ``estimate_windows`` must
+        # retry exactly those windows cold.
+        real = qmle_module._fit_rows
+
+        def stalled(spec, data, starts, ends, x0, seeds=None):
             with monkeypatch.context() as m:
                 m.setattr(qmle_module, "_line_search_rows",
                           lambda spec, x, f, grad, direction, f_at: (
                               np.zeros(x.shape[0], dtype=bool), x.copy(),
                               np.zeros(x.shape[0], dtype=bool)))
-                return estimate_windows(*args)
+                return real(spec, data, starts, ends, x0, seeds)
+
+        def stalled_warm(spec, data, starts, ends, x0, seeds=None):
+            fit = stalled if x0.shape[0] == 1 else real
+            return fit(spec, data, starts, ends, x0, seeds)
 
         data = garch_series.data
         ks = np.array([200, 300, 400])
         theta_full = estimate(garch_spec, garch_series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, garch_series.n)))
-        theta, ok = stalled_batch(garch_spec, data, starts, ends, theta_full)
+        monkeypatch.setattr(qmle_module, "_fit_rows", stalled)
+        theta, ok = _warm_fits(garch_spec, data, starts, ends, theta_full)
         assert not ok.any()
         np.testing.assert_array_equal(theta, np.tile(theta_full, (starts.size, 1)))
 
-        calls = []
-        real = scan_stat_module.retry_cold
-
-        def counting(spec, data, starts, ends, theta):
-            calls.append((starts.tolist(), ends.tolist()))
-            return real(spec, data, starts, ends, theta)
-
-        monkeypatch.setattr(scan_stat_module, "estimate_windows", stalled_batch)
-        monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
+        monkeypatch.setattr(qmle_module, "_fit_rows", stalled_warm)
+        calls = _count_cold_climbs(monkeypatch)
         _, got = _one_block(garch_spec, garch_series, ks, theta_full)
         assert calls == [(starts.tolist(), ends.tolist())]
         assert got[1].all()
@@ -506,15 +530,8 @@ class TestWindowBatch:
         monkeypatch.setattr(qmle_module, "_MAX_ITER", max_iter)
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
-        _, batch_ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
-        calls = []
-        real = scan_stat_module.retry_cold
-
-        def counting(spec, data, starts, ends, theta):
-            calls.append((starts.tolist(), ends.tolist()))
-            return real(spec, data, starts, ends, theta)
-
-        monkeypatch.setattr(scan_stat_module, "retry_cold", counting)
+        _, batch_ok = _warm_fits(arch_spec, series.data, starts, ends, theta_full)
+        calls = _count_cold_climbs(monkeypatch)
         _, got = _one_block(arch_spec, series, ks, theta_full)
         assert 0 < np.count_nonzero(~batch_ok)
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
@@ -550,36 +567,43 @@ class TestWindowBatch:
             assert_allclose(batched, scalar, rtol=1e-6, atol=1e-9)
 
     def test_retry_climbs_every_window_at_once(self, monkeypatch, arch_spec):
-        # One iteration leaves every window unconverged.  The retry climbs
-        # every (start, window) row of a few hundred windows, whose spans
-        # fall in several span classes, in one climb, and each window gets
-        # the cold fit that a retry of that window alone gives it.
+        # One warm iteration leaves every window unconverged.  The retry
+        # climbs every (start, window) row of a few hundred windows, whose
+        # spans fall in several span classes, in one climb, and each window
+        # gets the cold fit that a retry of that window alone gives it.
         series = make_series(arch_spec, 600, THETA0["arch"], seed=(425, 1))
         ks = ScanWindow(n=600, v_n=40).indices
         theta_full = estimate(arch_spec, series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
-        with monkeypatch.context() as m:
-            m.setattr(qmle_module, "_MAX_ITER", 1)
-            theta, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
+        real_fit, real_run = qmle_module._fit_rows, qmle_module._run_rows
+
+        def one_warm_iteration(spec, data, starts, ends, x0, seeds=None):
+            if x0.shape[0] > 1:
+                return real_fit(spec, data, starts, ends, x0, seeds)
+            with monkeypatch.context() as m:
+                m.setattr(qmle_module, "_MAX_ITER", 1)
+                return real_fit(spec, data, starts, ends, x0, seeds)
+
+        monkeypatch.setattr(qmle_module, "_fit_rows", one_warm_iteration)
+        _, ok = _warm_fits(arch_spec, series.data, starts, ends, theta_full)
         assert not ok.any()
         climbs = []
-        real = qmle_module._run_rows
 
         def counting(spec, data, starts, ends, x0, grad_tol, seeds=None):
             climbs.append(starts.size)
-            return real(spec, data, starts, ends, x0, grad_tol, seeds)
+            return real_run(spec, data, starts, ends, x0, grad_tol, seeds)
 
         monkeypatch.setattr(qmle_module, "_run_rows", counting)
-        got = qmle_module.retry_cold(arch_spec, series.data, starts, ends, theta)
-        assert climbs == [qmle_module._N_STARTS * starts.size]
+        got = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
+        assert climbs == [starts.size, qmle_module._N_STARTS * starts.size]
         # One window's best cold start stalls just short of the tolerance,
         # beside four converged starts at the same optimum; check it too.
         assert np.count_nonzero(got[1]) >= 0.99 * starts.size
         for r in sorted({*range(0, starts.size, 37), *np.flatnonzero(~got[1])}):
             one = slice(r, r + 1)
-            alone = qmle_module.retry_cold(arch_spec, series.data, starts[one], ends[one],
-                                           theta[one])
+            alone = estimate_windows(arch_spec, series.data, starts[one], ends[one],
+                                     theta_full)
             np.testing.assert_array_equal(got[0][r], alone[0][0])
             assert got[1][r] == alone[1][0]
             want = scalar_ascent.estimate(
@@ -591,10 +615,12 @@ class TestWindowBatch:
         ("garch", THETA0["garch"]),
         ("ar2", (0.5, 0.2)),
     ])
-    def test_seeds_match_loglik_rows(self, all_specs, name, theta0):
-        # The climb's seeds, read off the derivative pass's cumulative
-        # sums, are the value, gradient and hessian that ``loglik_rows``
-        # gives at theta_full on each prefix and suffix.
+    def test_seeds_match_loglik_rows(self, monkeypatch, all_specs, name, theta0):
+        # The climb's seeds, read off the block's window sums of the
+        # derivative pass, are the value, gradient and hessian that
+        # ``loglik_rows`` gives at theta_full on each prefix and suffix.
+        # The AR Newton step is patched to settle no window, so every
+        # window's seeds reach the climb.
         spec = {**all_specs, **AR_SPECS}[name]
         series = make_series(spec, 700, theta0, seed=(427, 0))
         ks = default_window(spec, series.n).indices
@@ -603,7 +629,21 @@ class TestWindowBatch:
         suffix = np.arange(k.size) >= ks.size
         starts = np.where(suffix, k + 1, 1)
         ends = np.where(suffix, series.n, k)
-        seeds = _derivative_pass(spec, series, theta_full).window_seeds(k, suffix)
+        calls = []
+
+        def recording(spec, data, starts, ends, init, seeds):
+            calls.append((starts, ends, seeds))
+            return np.tile(init, (starts.size, 1)), np.ones(starts.size, dtype=bool)
+
+        monkeypatch.setattr(scan_stat_module, "_ar_window_steps",
+                            lambda spec, theta_full, hessian, scores: (
+                                np.empty((hessian.shape[1], spec.d)),
+                                np.zeros(hessian.shape[1], dtype=bool)))
+        monkeypatch.setattr(scan_stat_module, "estimate_windows", recording)
+        _one_block(spec, series, ks, theta_full)
+        [(got_starts, got_ends, seeds)] = calls
+        np.testing.assert_array_equal(got_starts, starts)
+        np.testing.assert_array_equal(got_ends, ends)
         want = loglik_rows(spec, np.tile(theta_full, (k.size, 1)), series.data,
                            starts, ends, order=2)
         for got, exact in zip(seeds, want):
@@ -623,7 +663,7 @@ class TestWindowBatch:
         theta_full = estimate(arch_spec, series).theta_hat
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
-        _, ok = estimate_windows(arch_spec, series.data, starts, ends, theta_full)
+        _, ok = _warm_fits(arch_spec, series.data, starts, ends, theta_full)
         assert ok.all()
 
 
@@ -897,7 +937,8 @@ class TestOneStepFallbacks:
         score_cum = np.cumsum(rng.normal(size=(50, 3)), axis=0)
         idx = np.arange(4, 45)
         cards = np.concatenate((idx + 1, 50 - idx - 1)).astype(float)
-        deltas, ok = _one_step_deltas(score_cum, f_full, idx, cards)
+        deltas, ok = _one_step_deltas(_window_sums(score_cum, idx), f_full,
+                                      score_cum[-1] / 50, cards)
         gbar = _window_sums(score_cum, idx) / cards - (score_cum[-1] / 50)[:, None]
         assert ok.all()
         assert_allclose(deltas, -np.linalg.solve(f_full, gbar), rtol=1e-12,

@@ -304,3 +304,7 @@ def main(argv: Sequence[str] | None = None) -> None:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
     raise SystemExit(int(rv) if rv else 0)
+
+
+if __name__ == "__main__":
+    main()

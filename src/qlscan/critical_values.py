@@ -72,6 +72,13 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
 
+def _check_grid(m: int, reps: int) -> None:
+    if m < 2:
+        raise ValueError(f"grid size must be >= 2, got {m}")
+    if reps < 1:
+        raise ValueError(f"replication count must be >= 1, got {reps}")
+
+
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -153,10 +160,7 @@ def _nested_sup_bb(d_max: int, m: int, reps: int, seed: int) -> NDArray[np.float
     dimension above i, so row d - 1 is the d-dimensional simulation.
     """
     _check_dimension(d_max)
-    if m < 2:
-        raise ValueError(f"grid size must be >= 2, got {m}")
-    if reps < 1:
-        raise ValueError(f"replication count must be >= 1, got {reps}")
+    _check_grid(m, reps)
     # Checks reps and the seed before anything of size reps is allocated.
     keys = _stream_keys(seed, reps)
     out = np.empty((d_max, reps))
@@ -301,9 +305,13 @@ class CriticalTable:
     def load(cls, path: str | Path) -> CriticalTable:
         """Read a table written by :meth:`save`.
 
-        Two rows with one (d, alpha) key (alpha rounded to 10 decimals,
-        as :meth:`lookup` keys it) raise ``ValueError`` rather than the
-        later one silently replacing the earlier.
+        Every row is checked as :func:`calibrate` checks its arguments:
+        d >= 1, alpha in (0, 1], a finite C > 0, m >= 2 and reps >= 1;
+        a NaN or negative C would never or always reject.  The table
+        must then pass :meth:`validate`.  Two rows with one (d, alpha)
+        key (alpha rounded to 10 decimals, as :meth:`lookup` keys it)
+        raise ``ValueError`` rather than the later one silently
+        replacing the earlier.  Every error names the file.
         """
         entries: dict[tuple[int, float], TableEntry] = {}
         with open(path, encoding="utf-8") as fh:
@@ -323,6 +331,11 @@ class CriticalTable:
                     m = int(parts[3])
                     reps = int(parts[4])
                     seed = int(parts[5])
+                    _check_dimension(d)
+                    _check_alpha(alpha)
+                    if not 0.0 < c < math.inf:
+                        raise ValueError(f"C must be finite and > 0, got {c}")
+                    _check_grid(m, reps)
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 key = (d, _alpha_key(alpha))
@@ -333,7 +346,12 @@ class CriticalTable:
                 entries[key] = TableEntry(c, m, reps, seed)
         if not entries:
             raise ValueError(f"{path}: no table rows found")
-        return cls(entries=entries)
+        table = cls(entries=entries)
+        try:
+            table.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return table
 
     @classmethod
     def builtin(cls) -> CriticalTable:

@@ -80,6 +80,8 @@ class ExperimentConfig:
         for the thetas), ``reps``, ``alpha``, ``vn``, ``base_seed``,
         ``burn_in``.  Lines starting with ``#`` and blank lines are
         ignored.  Unknown and repeated keys raise, catching typos early.
+        Every error names the file, and the line where one key is at
+        fault; each keeps its type (``ShapeError``, ``DomainError``, ...).
         """
         known = {
             "model", "order", "n", "theta0", "theta1", "break",
@@ -119,21 +121,21 @@ class ExperimentConfig:
         def floats(text: str) -> tuple[float, ...]:
             return tuple(float(v) for v in text.split(","))
 
-        plan = SimPlan(
-            spec=make_spec(kv["model"].lower(), get("order", int, 1)),
-            n=get("n", int),
-            theta0=get("theta0", floats),
-            theta1=get("theta1", floats),
-            break_index=get("break", int),
-            burn_in=get("burn_in", int, DEFAULT_BURN_IN),
-        )
-        return cls(
-            plan=plan,
-            replications=get("reps", int),
-            alpha=get("alpha", float, 0.05),
-            v_n=get("vn", int),
-            base_seed=get("base_seed", int, 0),
-        )
+        order = get("order", int, 1)
+        plan = dict(n=get("n", int), theta0=get("theta0", floats),
+                    theta1=get("theta1", floats), break_index=get("break", int),
+                    burn_in=get("burn_in", int, DEFAULT_BURN_IN))
+        settings = dict(replications=get("reps", int), alpha=get("alpha", float, 0.05),
+                        v_n=get("vn", int), base_seed=get("base_seed", int, 0))
+        # The values convert, but may still be rejected together: name the file.
+        try:
+            spec = make_spec(kv["model"].lower(), order)
+        except ValueError as exc:
+            raise type(exc)(f"{path}:{lines['model']}: model: {exc}") from exc
+        try:
+            return cls(plan=SimPlan(spec=spec, **plan), **settings)
+        except ValueError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ class LikelihoodEval:
 
     ``gradient`` and ``hessian`` are derivatives of the log-likelihood
     itself (not of the q_t sum, which carries the opposite sign and a
-    factor 2).  When requested, ``per_t_values`` (m,) holds the terms
-    q_t for the m observations of T, ``per_t_grads`` (m, d) the rows
+    factor 2).  With ``keep_per_t``, at any order, ``per_t_values`` (m,)
+    holds q_t for the m observations of T, ``per_t_grads`` (m, d) the rows
     dq_t/dtheta, which the information matrix estimate needs, and
     ``per_t_hessians`` (m, d(d+1)/2) the distinct entries (i, j), i <= j,
     of d2q_t/dtheta2 in ``np.triu_indices(d)`` order.  They let a scan
@@ -516,19 +516,17 @@ def loglik(
     keep_per_t
         Also return the per-observation terms q_t, gradient rows
         dq_t/dtheta and distinct hessian entries of d2q_t/dtheta2
-        (``LikelihoodEval``; requires order 2).
+        (``LikelihoodEval``), at any order: they come from their own
+        kernel evaluation, so ``order`` sets only which sums come back.
 
     Raises
     ------
     ValueError
-        If ``order`` is not 0, 1 or 2, or ``keep_per_t`` is set below
-        order 2.
+        If ``order`` is not 0, 1 or 2.
     DomainError
         If theta is outside the feasible domain.
     """
     _check_order(order)
-    if keep_per_t and order != 2:
-        raise ValueError("per-observation terms require order 2")
     arr = _check(spec, theta)
     sums = loglik_rows(spec, arr[None, :], segment.data, np.array([segment.start]),
                        np.array([segment.end]), order=order)

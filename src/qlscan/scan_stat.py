@@ -345,12 +345,13 @@ def _derivative_pass(
     The truncated recursions start at time 1 regardless of the window,
     so per-observation terms of a prefix or suffix match the
     full-sample terms, and every side's G, F, mean score and likelihood
-    are differences of cumulative sums.  ``loglik`` returns only the
-    distinct entries of the symmetric per-observation hessians, and
-    every cumulative sum is taken in place over its per-observation
-    array.
+    are differences of cumulative sums.  Only the per-observation
+    arrays are read, so ``loglik`` is asked for order 0 and skips the
+    derivative sums.  It returns only the distinct entries of the
+    symmetric per-observation hessians, and every cumulative sum is
+    taken in place over its per-observation array.
     """
-    ev = loglik(spec, theta_full, series, order=2, keep_per_t=True)
+    ev = loglik(spec, theta_full, series, order=0, keep_per_t=True)
     assert ev.per_t_hessians is not None
     grads, values = ev.per_t_grads, ev.per_t_values
     hessian = _cumulative_sums(ev.per_t_hessians)

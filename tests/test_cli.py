@@ -22,17 +22,22 @@ import qlscan
 from qlscan import CriticalTable, ModelFamily, SimPlan, calibrate, generate, scan
 from qlscan.cli import main, make_spec, read_series
 from qlscan.experiments import ExperimentConfig
-from qlscan.models import SeriesParseError, ShapeError
+from qlscan.models import DomainError, SeriesParseError, ShapeError
 
 
 def fresh_python(code, *args):
     """Run ``code`` in a fresh interpreter that imports qlscan from this tree."""
+    return fresh_interpreter("-c", code, *args)
+
+
+def fresh_interpreter(*argv):
+    """Run ``python *argv`` in a fresh interpreter that imports qlscan from
+    this tree."""
     env = dict(os.environ)
     src = str(Path(qlscan.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env,
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -291,6 +296,27 @@ class TestExperimentCommand:
         assert code == 1
         assert "exp.cfg:4" in err
 
+    # Values that convert but that the spec, SimPlan or config reject
+    # were once reported without the file.
+    @pytest.mark.parametrize("lines, error, prefix", [
+        ("model = arch\nn = 300\ntheta0 = 1.0, 0.99\nreps = 2\n", DomainError,
+         "exp.cfg: theta0"),
+        ("model = arch\nn = 300\ntheta0 = 1.0, 0.3\ntheta1 = 1.0, 0.5\nreps = 2\n",
+         ValueError, "exp.cfg: theta1 and break_index"),
+        ("n = 300\nmodel = foo\ntheta0 = 1.0, 0.3\nreps = 2\n", ValueError,
+         "exp.cfg:2: model: unknown model 'foo'"),
+    ], ids=["theta0", "theta1", "model"])
+    def test_rejected_values_name_the_file(self, tmp_path, capsys, lines, error, prefix):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(lines)
+        with pytest.raises(error) as exc_info:
+            ExperimentConfig.from_file(cfg)
+        assert type(exc_info.value) is error
+        assert str(exc_info.value).startswith(f"{tmp_path / prefix}")
+        code, _, err = run_cli(["experiment", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert f"error: {tmp_path / prefix}" in err
+
     def test_missing_flags_name_the_gaps(self, capsys):
         code, _, err = run_cli(["experiment", "--model", "ar"], capsys)
         assert code == 1
@@ -327,6 +353,17 @@ class TestTableOption:
                                 "--table", str(path)], capsys)
         assert code == 1
         assert "table.txt: line 2" in err
+
+    def test_invalid_table_row_fails(self, fixture_dir, tmp_path, capsys):
+        # A negative C once rejected on every series, a NaN C on none.
+        path = tmp_path / "table.txt"
+        for c in ("-1", "nan"):
+            path.write_text(f"1 0.05 {c} 1000 100 0\n")
+            code, out, err = run_cli(["test", str(fixture_dir / "null.txt"), "--model",
+                                      "ar", "--table", str(path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert "table.txt: line 1: C must be finite and > 0" in err
 
 
 class TestReadSeries:
@@ -501,6 +538,41 @@ class TestStartupModules:
         proc = fresh_python(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+
+    def test_dir_lists_lazy_names_without_loading_them(self, monkeypatch):
+        # Drop what earlier tests resolved, so dir() must list the lazy
+        # names from _LAZY alone; resolving one would put it back.
+        for name in qlscan._LAZY:
+            monkeypatch.delitem(vars(qlscan), name, raising=False)
+        names = dir(qlscan)
+        assert set(qlscan._LAZY) <= set(names)
+        assert set(qlscan.__all__) <= set(names)
+        assert names == sorted(names)
+        assert not set(qlscan._LAZY) & set(vars(qlscan))
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        path = tmp_path / "ar.txt"
+        write_series(path, "ar", (0.5,))
+        proc = fresh_interpreter("-X", "importtime", "-m", "qlscan", "test", str(path),
+                                 "--model", "ar")
+        assert proc.returncode in (0, 2), proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 9 and lines[-1].startswith("decision"), proc.stdout
+        # -X importtime writes one "import time: ... | <module>" line per import.
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "qlscan.scan_stat" in imported
+        assert not imported & {"qlscan.experiments", "qlscan.simulate"}
+
+    @pytest.mark.parametrize("module", ["qlscan", "qlscan.cli"])
+    def test_python_m_reports_errors(self, tmp_path, module):
+        # Both once exited 0: qlscan.cli defined main without calling it,
+        # and the package had no __main__.
+        proc = fresh_interpreter("-m", module, "test", str(tmp_path / "missing.txt"),
+                                 "--model", "ar")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error" in proc.stderr.lower()
 
     def test_experiment_error_is_one_class(self):
         from qlscan import experiments, models

@@ -254,6 +254,31 @@ class TestTableIO:
         with pytest.raises(ValueError, match="line 1"):
             CriticalTable.load(bad)
 
+    # Each row once loaded as written: a NaN C could never reject, a
+    # negative one always did.
+    @pytest.mark.parametrize("row, message", [
+        ("1 0.05 nan 1000 100 0", "C must be finite"),
+        ("1 0.05 -1 1000 100 0", "C must be finite"),
+        ("1 0.05 0 1000 100 0", "C must be finite"),
+        ("1 0.05 inf 1000 100 0", "C must be finite"),
+        ("0 0.05 2.1 1000 100 0", "dimension"),
+        ("1 0 2.1 1000 100 0", "alpha"),
+        ("1 1.5 2.1 1000 100 0", "alpha"),
+        ("1 0.05 2.1 1 100 0", "grid size"),
+        ("1 0.05 2.1 1000 0 0", "replication count"),
+    ])
+    def test_load_rejects_invalid_rows(self, tmp_path, row, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# header\n{row}\n")
+        with pytest.raises(ValueError, match=rf"bad\.txt: line 2: {message}"):
+            CriticalTable.load(bad)
+
+    def test_load_validates_monotonicity(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 0.05 2.0 10 10 0\n1 0.10 2.5 10 10 0\n")
+        with pytest.raises(ValueError, match=r"bad\.txt: C\(d=1, alpha=0\.05\)"):
+            CriticalTable.load(bad)
+
     def test_validate_flags_inversions(self):
         entries = {
             (1, 0.05): TableEntry(2.0, 10, 10, 0),

@@ -230,11 +230,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             volatility_path(arch_spec, [-1.0, 0.3], seg)
 
-    def test_per_t_flags_require_order(self, ar1_spec):
+    def test_per_t_terms_at_every_order(self, all_specs, ar1_spec):
+        # keep_per_t once required order 2, though the per-observation
+        # arrays come from their own kernel evaluation at any order.
+        for name, spec in all_specs.items():
+            theta = THETA0[name]
+            seg = SeriesSegment(make_series(spec, 300, theta, seed=(36, 0)).data, 41, 260)
+            want = loglik(spec, theta, seg, order=2, keep_per_t=True)
+            for order in (0, 1, 2):
+                kept = loglik(spec, theta, seg, order=order, keep_per_t=True)
+                sums = loglik(spec, theta, seg, order=order)
+                for got, ref in ((kept.per_t_values, want.per_t_values),
+                                 (kept.per_t_grads, want.per_t_grads),
+                                 (kept.per_t_hessians, want.per_t_hessians)):
+                    assert np.array_equal(got, ref)
+                assert kept.value == sums.value
+                for got, ref in ((kept.gradient, sums.gradient),
+                                 (kept.hessian, sums.hessian)):
+                    assert (got is None) == (ref is None)
+                    assert got is None or np.array_equal(got, ref)
         seg = SeriesSegment.full([1.0, 2.0, 3.0])
-        for order in (0, 1):
-            with pytest.raises(ValueError):
-                loglik(ar1_spec, [0.5], seg, order=order, keep_per_t=True)
         # An order outside {0, 1, 2} once gave a bare value (-1), acted as
         # 2 (3), or returned (None, None, None) from loglik_rows.
         for order in (-1, 3):

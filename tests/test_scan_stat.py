@@ -721,6 +721,25 @@ class TestChunkSize:
             assert got.iterations == want.iterations
 
 
+class TestDerivativePass:
+    @pytest.mark.parametrize("name", ["ar", "arch", "garch"])
+    def test_one_order_two_kernel_evaluation(self, monkeypatch, all_specs, name):
+        # The pass reads only the per-observation arrays; it once also
+        # asked loglik for order-2 sums and ran the order-2 kernel twice.
+        spec = all_specs[name]
+        series = make_series(spec, 600, THETA0[name], seed=(448, 0))
+        orders = []
+        real = likelihood_module._terms
+
+        def counting(spec, thetas, data, end, order, products=False):
+            orders.append(order)
+            return real(spec, thetas, data, end, order, products)
+
+        monkeypatch.setattr(likelihood_module, "_terms", counting)
+        _derivative_pass(spec, series, np.asarray(THETA0[name], dtype=float))
+        assert orders.count(2) == 1, orders
+
+
 class TestMemory:
     """The scan's memory is linear in n with a small constant: after the
     cumulative sums, Sigma and q are assembled one block of splits at a

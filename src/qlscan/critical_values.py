@@ -231,19 +231,32 @@ def _alpha_key(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One calibrated critical value with its Monte Carlo provenance."""
+    """One calibrated critical value, finite and > 0 (a NaN C never rejects, a
+    C <= 0 always), with its Monte Carlo provenance: m >= 2, reps >= 1."""
 
     c: float
     m: int
     reps: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"C must be finite and > 0, got {self.c}")
+        _check_grid(self.m, self.reps)
+
 
 @dataclass(frozen=True)
 class CriticalTable:
-    """Critical values keyed by (dimension, level)."""
+    """Critical values keyed by (dimension d >= 1, level alpha in (0, 1]);
+    building a table checks the keys and :meth:`validate`."""
 
     entries: dict[tuple[int, float], TableEntry]
+
+    def __post_init__(self) -> None:
+        for d, alpha in self.entries:
+            _check_dimension(d)
+            _check_alpha(alpha)
+        self.validate()
 
     def lookup(self, d: int, alpha: float) -> float:
         """The critical value C(d, alpha).
@@ -305,10 +318,8 @@ class CriticalTable:
     def load(cls, path: str | Path) -> CriticalTable:
         """Read a table written by :meth:`save`.
 
-        Every row is checked as :func:`calibrate` checks its arguments:
-        d >= 1, alpha in (0, 1], a finite C > 0, m >= 2 and reps >= 1;
-        a NaN or negative C would never or always reject.  The table
-        must then pass :meth:`validate`.  Two rows with one (d, alpha)
+        Every row is checked as a one-row table, then the whole table
+        as it is built.  Two rows with one (d, alpha)
         key (alpha rounded to 10 decimals, as :meth:`lookup` keys it)
         raise ``ValueError`` rather than the later one silently
         replacing the earlier.  Every error names the file.
@@ -325,17 +336,9 @@ class CriticalTable:
                         f"{path}: line {lineno}: expected 6 fields, got {len(parts)}"
                     )
                 try:
-                    d = int(parts[0])
-                    alpha = float(parts[1])
-                    c = float(parts[2])
-                    m = int(parts[3])
-                    reps = int(parts[4])
-                    seed = int(parts[5])
-                    _check_dimension(d)
-                    _check_alpha(alpha)
-                    if not 0.0 < c < math.inf:
-                        raise ValueError(f"C must be finite and > 0, got {c}")
-                    _check_grid(m, reps)
+                    d, alpha = int(parts[0]), float(parts[1])
+                    entry = TableEntry(float(parts[2]), *map(int, parts[3:]))
+                    cls(entries={(d, alpha): entry})
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 key = (d, _alpha_key(alpha))
@@ -343,15 +346,13 @@ class CriticalTable:
                     raise ValueError(
                         f"{path}: line {lineno}: repeats the row for d={d}, alpha={alpha}"
                     )
-                entries[key] = TableEntry(c, m, reps, seed)
+                entries[key] = entry
         if not entries:
             raise ValueError(f"{path}: no table rows found")
-        table = cls(entries=entries)
         try:
-            table.validate()
+            return cls(entries=entries)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return table
 
     @classmethod
     def builtin(cls) -> CriticalTable:
@@ -381,18 +382,15 @@ def calibrate(
     monotonicity invariants before it is returned.
     """
     entries: dict[tuple[int, float], TableEntry] = {}
-    for d in ds:
-        _check_dimension(d)
     if ds:
+        _check_dimension(min(ds))  # before the simulation indexes by d
         samples = _nested_sup_bb(max(ds), m, reps, seed)
         for d in ds:
             for alpha in alphas:
                 entries[(d, _alpha_key(alpha))] = TableEntry(
                     c=sup_bb_quantile(samples[d - 1], alpha), m=m, reps=reps, seed=seed
                 )
-    table = CriticalTable(entries=entries)
-    table.validate()
-    return table
+    return CriticalTable(entries=entries)
 
 
 # Shipped values, produced by calibrate() with the constants below and

@@ -79,7 +79,6 @@ from .models import (
     ModelFamily,
     ModelSpec,
     SeriesSegment,
-    in_domain,
     in_domain_rows,
 )
 
@@ -448,13 +447,6 @@ def _per_t(
     return terms.q[0, sl], dq, d2q
 
 
-def _check(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
-    arr = spec.check_theta(theta)
-    if not in_domain(spec, arr):
-        raise DomainError(f"theta {arr.tolist()} outside the feasible domain")
-    return arr
-
-
 def volatility_path(
     spec: ModelSpec, theta: ArrayLike, segment: SeriesSegment
 ) -> VolatilityPath:
@@ -463,7 +455,7 @@ def volatility_path(
     For ARCH/GARCH the returned ``h_hat`` is bounded below by the
     feasible minimum of the intercept term, hence strictly positive.
     """
-    arr = _check(spec, theta)
+    arr = spec.check_theta(theta, "theta")
     end, d, m = segment.end, spec.d, segment.card
     terms = _terms(spec, arr[None, :], segment.data, end, order=2)
     sl = slice(segment.start - 1, end)
@@ -488,7 +480,7 @@ def qhat_t(
         raise IndexError(
             f"t={t} outside window [{segment.start}, {segment.end}]"
         )
-    arr = _check(spec, theta)
+    arr = spec.check_theta(theta, "theta")
     q, dq, d2q = _per_t(spec, arr, segment.data, t, t)
     return float(q[0]), dq[0], d2q[0][_distinct_entries(spec.d)[2]]
 
@@ -527,7 +519,7 @@ def loglik(
         If theta is outside the feasible domain.
     """
     _check_order(order)
-    arr = _check(spec, theta)
+    arr = spec.check_theta(theta, "theta")
     sums = loglik_rows(spec, arr[None, :], segment.data, np.array([segment.start]),
                        np.array([segment.end]), order=order)
     per_t = _per_t(spec, arr, segment.data, segment.start, segment.end) if keep_per_t else ()

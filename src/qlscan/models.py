@@ -10,8 +10,10 @@ standard Gaussian innovations:
 
 Parameters live in a compact box intersected with a stationarity-type
 constraint (sum of |phi_k| bounded away from 1 for AR, alpha_1 + beta_1
-bounded away from 1 for ARCH/GARCH).  Everything downstream (likelihood,
-estimation, scan statistics) consumes the containers defined here.
+bounded away from 1 for ARCH/GARCH), stated here alone
+(``constraint_signs``, ``in_domain``).  Everything downstream
+(likelihood, estimation, scan statistics) consumes the containers
+defined here.
 
 Index convention: observations are 1-based, X_1 .. X_n, matching the
 sub-sample notation T_k = {1..k} and its complement {k+1..n} used by the
@@ -46,6 +48,7 @@ __all__ = [
     "ar1_interval",
     "ar_spec",
     "arch_spec",
+    "constraint_signs",
     "default_window",
     "garch_spec",
     "in_domain",
@@ -116,8 +119,9 @@ class ParamDomain:
         Coordinate-wise bounds, length d each.
     margin
         Distance kept from the non-stationarity boundary: the feasible
-        set additionally satisfies ``sum(|phi_k|) <= 1 - margin`` for AR
-        and ``alpha_1 + beta_1 <= 1 - margin`` for ARCH/GARCH.
+        set also keeps sum_i s_i theta_i <= 1 - margin over the phi_k
+        (AR) or alpha_1, beta_1 (ARCH/GARCH), with s_i the box's sign
+        where the box keeps one sign in coordinate i, else sign(theta_i).
     """
 
     lower: tuple[float, ...]
@@ -180,7 +184,9 @@ class ModelSpec:
         Feasible parameter set.  Defaults to a symmetric box for AR and
         to ``alpha_0 in [1e-4, 10], alpha_1, beta_1 in [0, 1 - margin]``
         for the volatility families.  A box that misses the stationarity
-        constraint altogether raises ``DomainError``.
+        constraint altogether raises ``DomainError``, as does a volatility
+        box that lets h_t reach 0: alpha_0 needs a lower bound > 0, and
+        alpha_1 and beta_1 lower bounds >= 0.
 
     Attributes
     ----------
@@ -205,11 +211,17 @@ class ModelSpec:
             raise ShapeError(
                 f"domain dimension {self.domain.dim} does not match d={self.d}"
             )
-        # The box's point of least stationarity statistic: the one nearest
-        # zero for AR, the lower corner for ARCH/GARCH.
+        # h_t = alpha_0 + alpha_1 X_{t-1}^2 (+ beta_1 h_{t-1}) must stay
+        # positive on the whole box, or a fit takes the log of h_t <= 0.
+        names = () if self.family is ModelFamily.AR else ("alpha_0", "alpha_1", "beta_1")
+        for i, (name, bound) in enumerate(zip(names, self.domain.lower)):
+            if not (bound > 0.0 if i == 0 else bound >= 0.0):
+                raise DomainError(f"{name} has lower bound {bound}; a positive h_t needs"
+                                  " alpha_0 > 0 and alpha_1, beta_1 >= 0")
+        # The statistic sums |theta_i| over the constrained coordinates,
+        # so the box's point nearest zero is its point of least statistic.
         lo, hi = self.domain.as_arrays()
-        corner = np.clip(0.0, lo, hi) if self.family is ModelFamily.AR else lo
-        least = float(stationarity_stat(self, corner))
+        least = float(stationarity_stat(self, np.clip(0.0, lo, hi)))
         if least > self.domain.bound + DOMAIN_ATOL:
             raise DomainError(
                 f"empty feasible set: the box lower={self.domain.lower},"
@@ -223,13 +235,16 @@ class ModelSpec:
             return self.p
         return 2 if self.family is ModelFamily.ARCH else 3
 
-    def check_theta(self, theta: ArrayLike) -> NDArray[np.float64]:
-        """Validate shape and return theta as a float vector of length d."""
+    def check_theta(self, theta: ArrayLike, name: str | None = None) -> NDArray[np.float64]:
+        """Validate shape and return theta as a float vector of length d; with
+        ``name``, theta must also be feasible, or ``DomainError`` names it."""
         arr = np.atleast_1d(np.asarray(theta, dtype=float))
         if arr.ndim != 1 or arr.shape[0] != self.d:
             raise ShapeError(
                 f"theta has shape {np.shape(theta)}, expected ({self.d},)"
             )
+        if name is not None and not in_domain_rows(self, arr):
+            raise DomainError(f"{name} {arr.tolist()} outside the feasible domain")
         return arr
 
 
@@ -268,11 +283,10 @@ def make_spec(model: str, order: int = 1) -> ModelSpec:
 def in_domain(spec: ModelSpec, theta: ArrayLike) -> bool:
     """Whether theta lies in the feasible set of ``spec``.
 
-    The feasible set is the box ``[lower, upper]`` intersected with the
-    stationarity constraint: ``sum |phi_k| <= 1 - margin`` for AR,
-    ``alpha_1 + beta_1 <= 1 - margin`` for ARCH/GARCH.  Membership is
-    decided with a small absolute slack so that points produced by a
-    floating-point projection onto the boundary test as feasible.
+    The feasible set is the box ``[lower, upper]`` intersected with
+    ``stationarity_stat <= 1 - margin``, tested with a small absolute
+    slack so that points a floating-point projection puts on the
+    boundary test as feasible.
     """
     return bool(in_domain_rows(spec, spec.check_theta(theta)))
 
@@ -285,16 +299,31 @@ def in_domain_rows(spec: ModelSpec, thetas: NDArray[np.float64]) -> NDArray[np.b
     return inside & (stationarity_stat(spec, thetas) <= spec.domain.bound + tol)
 
 
+def constraint_signs(
+    spec: ModelSpec, thetas: NDArray[np.float64] | None = None
+) -> tuple[slice, NDArray[np.float64]]:
+    """``(part, s)``: the stationarity constraint is sum_i s_i theta_i <= c
+    over ``theta[..., part]`` (every phi_k, or the coefficients after
+    alpha_0), per row of a (..., d) stack.  s_i is the box's sign where
+    the box keeps one sign in coordinate i, else sign(theta_i), 0 at the
+    kink theta_i = 0; on the box s_i theta_i = |theta_i|.  Without
+    ``thetas``, s holds the box's signs and 0 where s_i follows theta_i.
+    """
+    part = slice(None) if spec.family is ModelFamily.AR else slice(1, None)
+    box = np.array([1.0 if lo >= 0.0 else -1.0 if hi <= 0.0 else 0.0
+                    for lo, hi in zip(spec.domain.lower[part], spec.domain.upper[part])])
+    if thetas is None:
+        return part, box
+    return part, np.where(box != 0.0, box, np.sign(thetas[..., part]))
+
+
 def stationarity_stat(
     spec: ModelSpec, thetas: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """sum |phi_k| (AR) or alpha_1 + beta_1 for every row of a (..., d) stack.
-
-    The feasible set keeps it at most ``spec.domain.bound``.
-    """
-    if spec.family is ModelFamily.AR:
-        return np.sum(np.abs(thetas), axis=-1)
-    return np.sum(thetas[..., 1:], axis=-1)
+    """sum |theta_i| over ``constraint_signs``' coordinates for every row of a
+    (..., d) stack: on the box sum_i s_i theta_i, sum |phi_k| or alpha_1 +
+    beta_1.  The feasible set keeps it at most ``spec.domain.bound``."""
+    return np.sum(np.abs(thetas[..., constraint_signs(spec)[0]]), axis=-1)
 
 
 def ar1_interval(spec: ModelSpec) -> tuple[float, float]:

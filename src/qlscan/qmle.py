@@ -53,7 +53,7 @@ from .models import (
     ModelSpec,
     SeriesSegment,
     SizingError,
-    ar1_interval,
+    constraint_signs,
     in_domain_rows,
     stationarity_stat,
 )
@@ -147,12 +147,21 @@ def _default_starts(spec: ModelSpec) -> NDArray[np.float64]:
     return _project_rows(spec, np.array(points))
 
 
-def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
+def _active(
+    spec: ModelSpec, x: NDArray[np.float64], tol: float
+) -> tuple[NDArray[np.bool_], NDArray[np.bool_], NDArray[np.bool_], NDArray[np.bool_]]:
+    """Per coordinate of x (d,) or (n, d): at its lower bound, its upper
+    bound, at zero; per row: on the stationarity face.  Each within
+    eps = tol * (1 + max |x|)."""
     lo, hi = spec.domain.as_arrays()
-    eps = 1e-8 * (1.0 + float(np.max(np.abs(x))))
-    if np.any(x - lo <= eps) or np.any(hi - x <= eps):
-        return True
-    return spec.domain.bound - float(stationarity_stat(spec, x)) <= eps
+    eps = tol * (1.0 + np.max(np.abs(x), axis=-1, keepdims=True))
+    on_face = spec.domain.bound - stationarity_stat(spec, x) <= eps[..., 0]
+    return x - lo <= eps, hi - x <= eps, np.abs(x) <= eps, on_face
+
+
+def _boundary_active(spec: ModelSpec, x: NDArray[np.float64]) -> bool:
+    at_lo, at_hi, _, on_face = _active(spec, x, 1e-8)
+    return bool(np.any(at_lo | at_hi) or on_face)
 
 
 _ACTIVE_EPS = 1e-9
@@ -198,16 +207,13 @@ def estimate(
 def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Euclidean projection of every row of x onto the feasible set.
 
-    AR(1) clamps.  Otherwise a row that the box clip leaves inside the
-    stationarity constraint keeps that clip.  On the other rows the
-    constraint binds, and the KKT conditions give each constrained
-    coordinate as y_i = s_i clip(s_i x_i - mu, a_i, b_i) with a single
-    multiplier mu > 0 fixed by sum(s_i y_i) == c.  For ARCH/GARCH the
-    constrained coordinates are those after alpha_0, with s_i = 1 and
-    [a_i, b_i] the box.  For AR they are all of them, and y_i keeps one
-    sign s_i: the box's sign when it excludes zero, else x_i's (flipping
-    a sign never brings y closer); [a_i, b_i] is the box seen on s_i's
-    side (0 to the box edge when the box spans zero).
+    A row that the box clip leaves inside the stationarity constraint
+    keeps that clip.  On the other rows the constraint binds, and the
+    KKT conditions give each constrained coordinate (``constraint_signs``
+    at x, whose signs s_i no flip would bring closer) as
+    y_i = s_i clip(s_i x_i - mu, a_i, b_i) with a single multiplier
+    mu > 0 fixed by sum(s_i y_i) == c; [a_i, b_i] is the box seen on s_i's
+    side (from 0 when the box spans zero, and [0, 0] where s_i = 0).
 
     The clipped sum is piecewise linear and nonincreasing in mu, with
     breakpoints at s_i x_i - b_i and s_i x_i - a_i.  Each row evaluates
@@ -215,27 +221,16 @@ def _project_rows(spec: ModelSpec, x: NDArray[np.float64]) -> NDArray[np.float64
     interpolates from the one before.  Raises ``DomainError`` if a
     projected row is not feasible.
     """
-    if spec.family is ModelFamily.AR and spec.p == 1:
-        return np.clip(x, *ar1_interval(spec))
     lo, hi = spec.domain.as_arrays()
     c = spec.domain.bound
     y = np.clip(x, lo, hi)
     bad = np.flatnonzero(~(stationarity_stat(spec, y) <= c))
     if bad.size == 0:
         return y
-    if spec.family is ModelFamily.AR:
-        part = slice(None)
-        z = x[bad]
-        s = np.where((lo < 0.0) & (hi > 0.0), np.where(z >= 0.0, 1.0, -1.0),
-                     np.where(hi <= 0.0, -1.0, 1.0))
-        a = np.where(s > 0.0, np.maximum(lo, 0.0), np.maximum(-hi, 0.0))
-        b = np.where(s > 0.0, hi, -lo)
-    else:
-        part = slice(1, None)
-        z = x[bad, part]
-        s = np.ones_like(z)
-        a, b = np.broadcast_to(lo[part], z.shape), np.broadcast_to(hi[part], z.shape)
-    u = s * z
+    part, s = constraint_signs(spec, x[bad])
+    u = s * x[bad, part]
+    s_lo, s_hi = s * lo[part], s * hi[part]
+    a, b = np.maximum(np.minimum(s_lo, s_hi), 0.0), np.maximum(s_lo, s_hi)
     bps = np.sort(np.concatenate((u - b, u - a), axis=1), axis=1)
     vals = np.sum(np.clip(u[:, None, :] - bps[..., None], a[:, None, :], b[:, None, :]),
                   axis=2)
@@ -261,11 +256,12 @@ def _newton_directions(
 ) -> NDArray[np.float64]:
     """Active-set Newton step for minimising f over the feasible set, per row.
 
-    Box coordinates pressed against a bound by the gradient are frozen.
-    On a binding AR l1 face a coordinate at zero cannot move at all
-    without pushing the sum outward, so it is frozen too.  When descent
-    pushes outward through the binding stationarity face (normal n), the
-    step is solved with that face as an equality: the bordered system
+    Box coordinates pressed against a bound by the gradient are frozen,
+    and on a binding stationarity face so are those at its kink (zero,
+    where the box spans it), which cannot move without pushing the sum
+    outward.  When descent pushes outward through the binding face
+    (normal n, the signs of ``constraint_signs``), the step is solved
+    with that face as an equality: the bordered system
     [[H_ff, n_f], [n_f', 0]] against [-g_f, 0], with H_ff the repaired
     free block.  Without this reduction a raw Newton step at a boundary
     optimum points outside the domain and the projected step degrades
@@ -275,16 +271,13 @@ def _newton_directions(
     masked stack is repaired once, and the border is n_f on face rows
     and a unit pivot on the others.  Frozen coordinates take no step.
     """
-    lo, hi = spec.domain.as_arrays()
-    eps = _ACTIVE_EPS * (1.0 + np.max(np.abs(x), axis=1, keepdims=True))
-    on_face = spec.domain.bound - stationarity_stat(spec, x) <= eps[:, 0]
-    fixed = ((x - lo <= eps) & (grad > 0.0)) | ((hi - x <= eps) & (grad < 0.0))
-    if spec.family is ModelFamily.AR:
-        fixed |= on_face[:, None] & (np.abs(x) <= eps)
-        normal = np.sign(x)
-    else:
-        normal = np.zeros_like(x)
-        normal[:, 1:] = 1.0
+    at_lo, at_hi, at_zero, on_face = _active(spec, x, _ACTIVE_EPS)
+    fixed = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
+    part, s = constraint_signs(spec, x)
+    kink = constraint_signs(spec)[1] == 0.0  # where s_i follows theta_i
+    fixed[:, part] |= on_face[:, None] & at_zero[:, part] & kink
+    normal = np.zeros_like(x)
+    normal[:, part] = s
     free = ~fixed
     face = (on_face & (np.sum(normal * grad, axis=1) < 0.0)
             & np.any(free & (normal != 0.0), axis=1))

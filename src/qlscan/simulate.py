@@ -23,14 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import (
-    DomainError,
-    ModelFamily,
-    ModelSpec,
-    SeriesSegment,
-    SizingError,
-    in_domain,
-)
+from .models import ModelFamily, ModelSpec, SeriesSegment, SizingError
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -61,19 +54,13 @@ class SimPlan:
             raise SizingError(f"n must be positive, got {self.n}")
         if self.burn_in < 0:
             raise SizingError(f"burn_in must be >= 0, got {self.burn_in}")
-        theta0 = tuple(float(v) for v in self.spec.check_theta(self.theta0))
-        object.__setattr__(self, "theta0", theta0)
-        if not in_domain(self.spec, theta0):
-            raise DomainError(f"theta0 {list(theta0)} outside the feasible domain")
+        object.__setattr__(self, "theta0", tuple(
+            self.spec.check_theta(self.theta0, "theta0").tolist()))
         if (self.theta1 is None) != (self.break_index is None):
             raise ValueError("theta1 and break_index must be given together")
         if self.theta1 is not None:
-            theta1 = tuple(float(v) for v in self.spec.check_theta(self.theta1))
-            object.__setattr__(self, "theta1", theta1)
-            if not in_domain(self.spec, theta1):
-                raise DomainError(
-                    f"theta1 {list(theta1)} outside the feasible domain"
-                )
+            object.__setattr__(self, "theta1", tuple(
+                self.spec.check_theta(self.theta1, "theta1").tolist()))
             assert self.break_index is not None
             if not 1 <= self.break_index < self.n:
                 raise SizingError(
@@ -81,7 +68,7 @@ class SimPlan:
                 )
 
 
-def _ar_chunks(
+def _ar_path(
     plan: SimPlan, eps: NDArray[np.float64], split: int
 ) -> NDArray[np.float64]:
     """The AR path, by the direct-form-II-transposed recursion of an IIR filter.
@@ -153,7 +140,7 @@ def generate(plan: SimPlan) -> SeriesSegment:
     # index break_index, i.e. after burn_in + break_index steps.
     split = total if plan.break_index is None else plan.burn_in + plan.break_index
     if plan.spec.family is ModelFamily.AR:
-        path = _ar_chunks(plan, eps, split)
+        path = _ar_path(plan, eps, split)
     else:
         path = _garch_path(plan, eps, split)
     return SeriesSegment.full(path[plan.burn_in :])

@@ -91,6 +91,19 @@ class TestTestCommand:
         assert "n         600" in out
         assert "d         1" in out
 
+    def test_interrupt_exits_one(self, fixture_dir, capsys, monkeypatch):
+        # click turns Ctrl-C inside a command into Abort.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("qlscan.cli.scan", interrupted)
+        code, out, err = run_cli(
+            ["test", str(fixture_dir / "null.txt"), "--model", "ar"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "aborted"
+
     def test_break_exits_two(self, fixture_dir, capsys):
         code, out, _ = run_cli(
             ["test", str(fixture_dir / "break.txt"), "--model", "ar"], capsys

@@ -279,6 +279,21 @@ class TestTableIO:
         with pytest.raises(ValueError, match=r"bad\.txt: C\(d=1, alpha=0\.05\)"):
             CriticalTable.load(bad)
 
+    @pytest.mark.parametrize("key, entry, message", [
+        ((1, 0.05), (-1.0, 1000, 100, 0), "C must be finite"),
+        ((1, 0.05), (float("nan"), 1000, 100, 0), "C must be finite"),
+        ((1, 0.05), (2.1, 1, 100, 0), "grid size"),
+        ((1, 0.05), (2.1, 1000, 0, 0), "replication count"),
+        ((0, 0.05), (2.1, 1000, 100, 0), "dimension"),
+        ((1, 0.0), (2.1, 1000, 100, 0), "alpha"),
+        ((1, 1.5), (2.1, 1000, 100, 0), "alpha"),
+    ])
+    def test_tables_built_in_python_are_checked(self, key, entry, message):
+        # A negative C built this way once made scan reject iid noise,
+        # and a NaN C made it never reject.
+        with pytest.raises(ValueError, match=message):
+            CriticalTable(entries={key: TableEntry(*entry)})
+
     def test_validate_flags_inversions(self):
         entries = {
             (1, 0.05): TableEntry(2.0, 10, 10, 0),

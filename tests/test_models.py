@@ -56,6 +56,13 @@ class TestModelSpec:
         with pytest.raises(ShapeError):
             garch_spec.check_theta(np.zeros((3, 1)))
 
+    def test_check_theta_names_an_infeasible_point(self, garch_spec):
+        assert garch_spec.check_theta([1.0, 0.6, 0.5]).tolist() == [1.0, 0.6, 0.5]
+        with pytest.raises(DomainError, match=r"^theta1 \[1\.0, 0\.6, 0\.5\] outside"):
+            garch_spec.check_theta([1.0, 0.6, 0.5], "theta1")
+        with pytest.raises(ShapeError):
+            garch_spec.check_theta([1.0, 0.6], "theta1")
+
     def test_domain_dimension_must_match(self):
         bad = ParamDomain(lower=(-0.9,), upper=(0.9,))
         with pytest.raises(ShapeError):
@@ -75,6 +82,19 @@ class TestModelSpec:
         with pytest.raises(DomainError, match=re.escape(f"lower={lower},") + ".*"
                            + re.escape(f"above {least}, beyond the bound 0.98")):
             ModelSpec(family=family, p=p, domain=domain)
+
+    @pytest.mark.parametrize("family, lower, name", [
+        (ModelFamily.ARCH, (-1.0, 0.0), "alpha_0"),
+        (ModelFamily.ARCH, (1e-4, -0.5), "alpha_1"),
+        (ModelFamily.ARCH, (0.0, 0.0), "alpha_0"),
+        (ModelFamily.GARCH, (0.1, 0.0, -0.1), "beta_1"),
+    ])
+    def test_volatility_box_must_keep_the_variance_positive(self, family, lower, name):
+        # On these boxes h_t can reach 0 or go negative, and a fit once
+        # took the log of it.
+        domain = ParamDomain(lower=lower, upper=(10.0,) + (0.98,) * (len(lower) - 1))
+        with pytest.raises(DomainError, match=rf"^{name} has lower bound"):
+            ModelSpec(family=family, p=1, domain=domain)
 
     def test_box_touching_the_stationarity_set_is_accepted(self):
         # Boxes whose nearest point meets the bound exactly, or whose

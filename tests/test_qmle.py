@@ -17,8 +17,10 @@ from qlscan import (
     ModelSpec,
     ParamDomain,
     SeriesSegment,
+    SimPlan,
     SizingError,
     estimate,
+    generate,
     in_domain,
     loglik,
     project_to_domain,
@@ -362,7 +364,10 @@ class TestNewtonDirections:
         """A row's step depends on that row alone, bit for bit, as
         ``estimate_windows`` relies on: inserting a frozen or a face row
         into a stack of interior rows leaves every other row's step as
-        it was.  Interior rows take the plain repaired Newton step."""
+        it was.  Interior rows take the plain repaired Newton step, as
+        the bordered system with a unit pivot gives it: that solve, one
+        row at a time, is the reference, since a solve of the d x d block
+        alone may round differently under another BLAS kernel."""
         spec = _face_spec(name)
         lo, hi = spec.domain.as_arrays()
         rng = np.random.default_rng(seed)
@@ -374,8 +379,12 @@ class TestNewtonDirections:
         kinds = REPAIR_KINDS[:4] if spec.d > 1 else ("spd", "near", "zero")
         hess = _hessian_stack(spec.d, seed, [kinds[r % len(kinds)] for r in range(n + 1)])
         alone = qmle_module._newton_directions(spec, x, grad, hess[:n])
-        np.testing.assert_array_equal(alone, np.linalg.solve(
-            qmle_module._psd_repair(hess[:n]), -grad[..., None])[..., 0])
+        repaired = qmle_module._psd_repair(hess[:n])
+        for r in range(n):
+            kkt = np.eye(spec.d + 1)
+            kkt[:spec.d, :spec.d] = repaired[r]
+            want = np.linalg.solve(kkt, np.r_[-grad[r], 0.0])[:spec.d]
+            np.testing.assert_array_equal(alone[r], want)
 
         if forcing == "frozen":
             # Pressed against its lower bound by the gradient.
@@ -649,3 +658,28 @@ class TestSignRestrictedProjection:
         assert np.linalg.norm(proj - x) <= np.linalg.norm(ref - x) + 1e-9
         others = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(8, len(raw)))
         _assert_stack_matches_rows(spec, np.vstack((x, others)), seed)
+
+    def test_zero_on_a_one_signed_box_moves_along_the_face(self):
+        # On [0, 0.9] x [-0.99, 0.99] the constraint is phi_1 + |phi_2|, so
+        # phi_1 = 0 is the box's bound, not the constraint's kink: on the
+        # face it may grow while phi_2 shrinks, as the projection allows.
+        # The AR(2) series has phi_1 + phi_2 = 0.99, so its fit sits on
+        # the face, and the fit started at (0, 0.98) must reach the KKT
+        # point there: L's gradient a positive multiple of the normal (1, 1).
+        spec = _ar_box_spec((0.0, -0.99), (0.9, 0.99))
+        sim = ModelSpec(family=ModelFamily.AR, p=2,
+                        domain=ParamDomain((-0.99, -0.99), (0.99, 0.99), margin=0.005))
+        x = generate(SimPlan(spec=sim, n=500, theta0=(0.5, 0.49), seed=0))
+        start = np.array([[0.0, 0.98]])
+        ev = loglik(spec, start[0], x)
+        step = qmle_module._newton_directions(spec, start, -ev.gradient[None],
+                                              -ev.hessian[None])
+        assert step[0, 0] > 0.0 and step[0, 0] + step[0, 1] == pytest.approx(0.0, abs=1e-12)
+        res = estimate(spec, x, init=start[0])
+        assert res.converged and res.boundary_active
+        theta = res.theta_hat
+        assert np.all(theta > 0.0)
+        assert stationarity_stat(spec, theta) == pytest.approx(spec.domain.bound, abs=1e-12)
+        grad = loglik(spec, theta, x).gradient
+        assert grad[0] > 0.0
+        assert abs(grad[0] - grad[1]) <= 1e-8 * x.n

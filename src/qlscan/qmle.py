@@ -9,20 +9,21 @@ along the projection arc.  Every fit runs one implementation of it
 from its own start.  A line search evaluates its full step (alpha = 1)
 with the gradient and hessian, so when a row accepts that step, as it
 does near an optimum, the next iteration reuses them instead of
-evaluating the new iterate again.  Cold ``estimate`` calls climb a
-small deterministic multi-start (domain centre plus quasi-random
-points; the centre alone for AR, whose quasi-likelihood is concave) as
-rows on one window; warm calls pass ``init`` and climb one row.
-``estimate_windows`` climbs the exact scan's prefixes and suffixes from
-one warm start, seeded with each window's likelihood, gradient and
-hessian there, then climbs the cold starts on every window that leaves
-unconverged.  Every fit climbs all its rows in one ``_run_rows``
-call, and each evaluation is one ``loglik_rows`` call on the rows'
-window bounds, so a row is evaluated only over its window's span and
-its bits depend on its window alone.  The steps are batched too: the
-active-set Newton directions (``_newton_directions``) take one masked,
-bordered solve over every row, and the projection (``_project_rows``)
-finds every row's exact single multiplier at once;
+evaluating the new iterate again.  Every fit is one
+``estimate_windows`` call on windows of one series.  Cold, a small
+deterministic multi-start (domain centre plus quasi-random points; the
+centre alone for AR, whose quasi-likelihood is concave) climbs as rows
+on every window.  Warm, every window climbs from ``init``, then the
+cold starts on every window that climb leaves unconverged: the exact
+scan fits its prefixes and suffixes so from theta_full, and
+``estimate`` is the call on one window, so a warm ``estimate`` is the
+scan's window fit.  Every climb takes all its rows in one
+``_run_rows`` call, and each evaluation is one ``loglik_rows`` call on
+the rows' window bounds, so a row is evaluated only over its window's
+span and its bits depend on its window alone.  The steps are batched
+too: the active-set Newton directions (``_newton_directions``) take
+one masked, bordered solve over every row, and the projection
+(``_project_rows``) finds every row's exact single multiplier at once;
 ``project_to_domain`` is that projection on one row.
 
 The optimizer's policy is fixed, in module constants that no caller
@@ -38,6 +39,7 @@ unscrambled radical-inverse sequence, and no step consults a RNG.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,9 +65,6 @@ if TYPE_CHECKING:
 
     from numpy.typing import ArrayLike, NDArray
 
-    # Per row: x, f = -L, projected-gradient norm, iterations, converged.
-    _Fits = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
-                  NDArray[np.int64], NDArray[np.bool_]]
     # Per row: L, its gradient and its hessian, as ``loglik_rows`` returns them.
     _Evals = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
@@ -106,6 +105,11 @@ class EstimateResult:
     iterations: int
     converged: bool
     boundary_active: bool
+
+
+# Per row of a climb, or per window of a fit: theta, f = -L,
+# projected-gradient norm, iterations, converged.
+_Fits = namedtuple("_Fits", "theta f grad_norm iterations converged")
 
 
 def project_to_domain(spec: ModelSpec, theta: ArrayLike) -> NDArray[np.float64]:
@@ -174,33 +178,25 @@ def estimate(
 ) -> EstimateResult:
     """QMLE of theta on the segment's window.
 
-    With ``init`` given the optimizer runs a single start from the
-    projection of ``init`` (warm start).  Without it, a deterministic
-    multi-start is used and the best local maximiser wins, the earliest
-    converged start breaking ties within round-off (``_fit_rows``):
-    ``_N_STARTS`` starts, or for AR fits the first, the domain centre,
-    alone.  Each start climbs at most ``_MAX_ITER`` iterations.
+    The one window of ``estimate_windows``, bit for bit: without
+    ``init``, the best fit of the cold multi-start; with ``init``, a
+    warm climb from its projection, retried cold if it ends
+    unconverged, as the exact scan fits a window from theta_full.
 
     Raises
     ------
     SizingError
         If the window holds fewer than d + 1 observations.
     """
-    if init is None:
-        x0 = _default_starts(spec)
-    else:
-        x0 = project_to_domain(spec, init)[None, :]
-    x, f, pg_norm, iterations, converged = (out[0] for out in _fit_rows(
-        spec, segment.data, np.array([segment.start]), np.array([segment.end]),
-        x0[:, None, :],
-    ))
+    fit = estimate_windows(spec, segment.data, [segment.start], [segment.end], init)
+    theta = fit.theta[0]
     return EstimateResult(
-        theta_hat=x,
-        loglik_at_opt=-float(f),
-        grad_norm=float(pg_norm),
-        iterations=int(iterations),
-        converged=bool(converged),
-        boundary_active=_boundary_active(spec, x),
+        theta_hat=theta,
+        loglik_at_opt=-float(fit.f[0]),
+        grad_norm=float(fit.grad_norm[0]),
+        iterations=int(fit.iterations[0]),
+        converged=bool(fit.converged[0]),
+        boundary_active=_boundary_active(spec, theta),
     )
 
 
@@ -374,7 +370,7 @@ def _run_rows(
                                         order=order)
         if order == 0:
             return -value, None, None
-        return -value, -grad, -hess if order >= 2 else None
+        return -value, -grad, -hess
 
     def stationary(rows):
         pg = x[rows] - _project_rows(spec, x[rows] - g[rows])
@@ -434,7 +430,7 @@ def _run_rows(
             f[stale], g[stale], hess[stale] = evaluate(stale, x[stale], 2)
     rows = np.flatnonzero(live)
     converged[rows] = stationary(rows)
-    return x, f, pg_norm, iterations, converged
+    return _Fits(x, f, pg_norm, iterations, converged)
 
 
 def _fit_rows(
@@ -476,38 +472,39 @@ def _fit_rows(
     least = f.min(axis=0)
     tied = (f <= least + _TIE_RTOL * np.abs(least)) & out[4].reshape(n_starts, n_win)
     best = np.where(tied.any(axis=0), np.argmax(tied, axis=0), np.argmin(f, axis=0))
-    return tuple(arr[best * n_win + np.arange(n_win)] for arr in out)
+    return _Fits._make(arr[best * n_win + np.arange(n_win)] for arr in out)
 
 
 def estimate_windows(
     spec: ModelSpec,
-    data: NDArray[np.float64],
-    starts: NDArray[np.int64],
-    ends: NDArray[np.int64],
-    init: ArrayLike,
+    data: ArrayLike,
+    starts: ArrayLike,
+    ends: ArrayLike,
+    init: ArrayLike | None = None,
     seeds: _Evals | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """QMLE on many windows of one series at once, warm then cold.
+) -> _Fits:
+    """QMLE on many windows of one series at once: the one fit routine.
 
     Window r is {starts[r], ..., ends[r]} of the full series ``data``.
-    Every window is climbed from the projection of ``init``, all as rows
-    of one climb of the batched ascent that a warm ``estimate`` call
-    runs on its single window, so each row takes that call's steps.
-    ``seeds``, if given, holds (value (W,), gradient (W, d), hessian
-    (W, d, d)) of L at that point on every window, as ``loglik_rows``
-    returns them; a scan takes them from its derivative pass's window
-    sums, and the climb then skips its first evaluation.  The windows
+    Without ``init``, every window climbs the cold starts
+    (``_default_starts``) and keeps its best fit (``_fit_rows``), all
+    (start, window) rows in one climb.  With ``init``, every window
+    climbs from its projection, all as rows of one climb, seeded with
+    ``seeds`` if given: (value (W,), gradient (W, d), hessian (W, d, d))
+    of L there on every window, as ``loglik_rows`` returns them, which
+    a scan reads off its derivative pass's window sums.  The windows
     that climb leaves unconverged (``_MAX_ITER`` iterations, or no
-    acceptable step) then climb from every start of a cold ``estimate``
-    call, all (start, window) rows in one more climb.  Such a window
-    takes its best cold fit when that converged or has a lower f = -L
-    than its warm fit, as the warm climb returned it; otherwise it
-    keeps its warm fit, unconverged.
+    acceptable step) are then fitted cold in one more climb, and take
+    the cold fit, every field of it, when that converged or has a lower
+    f = -L than the warm fit; otherwise they keep the warm fit,
+    unconverged.  ``estimate`` is this call on one window, so a warm
+    ``estimate`` is the exact scan's window fit.
 
-    Returns (theta (W, d), converged (W,)).  A row's sums depend only on
-    its window, not on the other rows, so without seeds a row takes the
-    steps of a warm ``estimate`` call on its window bit for bit; seeds
-    agree with that call's first evaluation to round-off.
+    Returns the windows' ``_Fits``: theta (W, d), f, projected-gradient
+    norm, iterations and converged (W,).  A row's sums depend only on
+    its window, so without seeds a window's fit is, bit for bit, that
+    of the call on it alone; seeds agree with the first evaluation to
+    round-off.
 
     Raises
     ------
@@ -517,14 +514,14 @@ def estimate_windows(
     data = np.asarray(data, dtype=float)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    theta, f, _, _, converged = _fit_rows(
+    if init is None:
+        return _fit_rows(spec, data, starts, ends, _default_starts(spec)[:, None, :])
+    fits = _fit_rows(
         spec, data, starts, ends, project_to_domain(spec, init)[None, None, :], seeds)
-    rows = np.flatnonzero(~converged)
+    rows = np.flatnonzero(~fits.converged)
     if rows.size:
-        cold, cold_f, _, _, cold_ok = _fit_rows(
-            spec, data, starts[rows], ends[rows], _default_starts(spec)[:, None, :])
-        # A kept warm fit is unconverged, and then so is the best cold fit.
-        take = cold_ok | (cold_f < f[rows])
-        theta[rows[take]] = cold[take]
-        converged[rows] = cold_ok
-    return theta, converged
+        cold = estimate_windows(spec, data, starts[rows], ends[rows])
+        take = cold.converged | (cold.f < fits.f[rows])
+        for warm_field, cold_field in zip(fits, cold):
+            warm_field[rows[take]] = cold_field[take]
+    return fits

@@ -55,8 +55,8 @@ off the pass's cumulative sums.
 In exact mode every prefix T_k and every complement is climbed from
 th_full, so no window depends on its neighbours.  A block's windows are
 climbed together in one batched projected-Newton climb over a stack of
-parameter rows (``qmle.estimate_windows``), the ascent a warm
-``estimate`` call runs on its one window.  The climb starts from data
+parameter rows (``qmle.estimate_windows``), the fit a warm
+``estimate`` call makes on its one window.  The climb starts from data
 the scan already has: the block's window sums of the derivative pass's
 q_t, scores and hessian entries give every window's likelihood,
 gradient and hessian at th_full, so no window is evaluated at its
@@ -384,9 +384,13 @@ def _exact_deltas(
     basin of the data-generating parameter on the window's own
     likelihood; a neighbour-chained warm start that wanders in stays
     captured for long stretches of k and inflates the scan statistic
-    under the null.  Anchoring at the full-sample estimate keeps every
-    window in the basin the test's limit theory tracks, and makes each
-    window's result independent of scan order and of the block.
+    under the null.  Anchoring at the full-sample estimate chains no
+    neighbour, and makes each window's result independent of scan order
+    and of the block.  It does not keep every window in the basin the
+    test's limit theory tracks: short windows still reach the domain
+    boundary or a high-persistence basin from theta_full (7 of the 10
+    rejections in 60 exact GARCH(1,1) level replications at n = 1500
+    came from such a side fit).
 
     ``values`` (2 |k|,), ``scores`` (d, 2 |k|) and ``hessian``
     (m, 2 |k|) are the block's window sums of the derivative pass's q_t,
@@ -415,8 +419,8 @@ def _exact_deltas(
     if rows.size:
         seeds = (-0.5 * values[rows], -0.5 * scores[:, rows].T,
                  -0.5 * hessian[:, rows].T[:, _distinct_entries(spec.d)[2]])
-        theta[rows], ok[rows] = estimate_windows(
-            spec, data, starts[rows], ends[rows], theta_full, seeds)
+        fits = estimate_windows(spec, data, starts[rows], ends[rows], theta_full, seeds)
+        theta[rows], ok[rows] = fits.theta, fits.converged
     return (theta - theta_full).T, ok
 
 

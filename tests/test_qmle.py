@@ -1,4 +1,13 @@
-"""QMLE: closed-form checks, warm starts, domain projection."""
+"""QMLE: closed-form checks, warm starts, domain projection.
+
+Each bit-equality assertion says which kind it is.  Numpy-elementwise
+(portable): both sides run numpy's own elementwise and reduction loops,
+which give the same bits on every BLAS kernel.  BLAS/LAPACK-bound: the
+values pass through ``np.linalg.solve``, ``eigh`` or a matmul sum, whose
+bits vary between kernels; the assertion holds on each kernel because
+both sides make the same calls on the same inputs, and may break on
+some kernel if one side's calls change shape.
+"""
 
 from __future__ import annotations
 
@@ -104,17 +113,68 @@ class TestBatchedStarts:
     def test_matches_the_scalar_reference(self, monkeypatch, all_specs, name):
         # The scalar reference climbs the same starts one at a time.  Cut
         # short at 3 iterations, the starts end apart, so the best one
-        # must be picked.
+        # must be picked, and a warm climb ends unconverged, so it is
+        # retried cold.
         spec = all_specs[name]
         for s, max_iter in product(range(3), (qmle_module._MAX_ITER, 3)):
             monkeypatch.setattr(qmle_module, "_MAX_ITER", max_iter)
             series = make_series(spec, 500, THETA0[name], seed=(230, s))
             for init in (None, 0.8 * np.asarray(THETA0[name])):
                 got = estimate(spec, series, init=init)
-                want = scalar_ascent.estimate(spec, series, init=init)
+                if init is None:
+                    want = scalar_ascent.estimate(spec, series)
+                else:
+                    want = scalar_ascent.estimate_with_retry(spec, series, init)
                 assert got.converged == want.converged
                 assert_allclose(got.theta_hat, want.theta_hat, rtol=0.0, atol=1e-6)
                 assert_allclose(got.loglik_at_opt, want.loglik_at_opt, rtol=1e-12)
+
+
+class TestOneFitPath:
+    """``estimate`` is one window of ``estimate_windows``, warm or cold."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("name", ["ar", "arch", "garch"])
+    def test_estimate_is_row_zero_of_estimate_windows(self, all_specs, name, warm):
+        # Bit equality, BLAS/LAPACK-bound: both sides run the same climb.
+        spec = all_specs[name]
+        data = make_series(spec, 500, THETA0[name], seed=(260, 0)).data
+        seg = SeriesSegment(data, 41, 460)
+        init = 0.8 * np.asarray(THETA0[name]) if warm else None
+        got = estimate(spec, seg, init)
+        fit = estimate_windows(spec, seg.data, [seg.start], [seg.end], init)
+        assert got.theta_hat.tobytes() == fit.theta[0].tobytes()
+        assert (got.loglik_at_opt, got.grad_norm, got.iterations, got.converged) == (
+            -fit.f[0], fit.grad_norm[0], fit.iterations[0], fit.converged[0])
+
+    @pytest.mark.parametrize("name", ["arch", "garch"])
+    def test_unconverged_warm_fit_is_retried_cold(self, monkeypatch, all_specs, name):
+        # One iteration leaves the warm climb unconverged.  A warm
+        # ``estimate`` then takes the cold multi-start's fit, as the exact
+        # scan's window does, in every field.  Bit equality,
+        # BLAS/LAPACK-bound: the cold fit is the same climb both times.
+        spec = all_specs[name]
+        series = make_series(spec, 500, THETA0[name], seed=(261, 0))
+        real = qmle_module._fit_rows
+        warm_converged = []
+
+        def one_warm_iteration(spec, data, starts, ends, x0, seeds=None):
+            if x0.shape[0] > 1:
+                return real(spec, data, starts, ends, x0, seeds)
+            with monkeypatch.context() as m:
+                m.setattr(qmle_module, "_MAX_ITER", 1)
+                fits = real(spec, data, starts, ends, x0, seeds)
+            warm_converged.append(bool(fits[4][0]))
+            return fits
+
+        cold = estimate(spec, series)
+        monkeypatch.setattr(qmle_module, "_fit_rows", one_warm_iteration)
+        got = estimate(spec, series, init=THETA0[name])
+        assert warm_converged == [False]
+        assert got.converged
+        assert got.theta_hat.tobytes() == cold.theta_hat.tobytes()
+        assert (got.loglik_at_opt, got.grad_norm, got.iterations, got.boundary_active) == (
+            cold.loglik_at_opt, cold.grad_norm, cold.iterations, cold.boundary_active)
 
 
 class TestFullStepReuse:
@@ -143,6 +203,7 @@ class TestFullStepReuse:
             # the projected full step: had that point failed the Armijo
             # test at alpha = 1, it would fail it again at any later alpha.
             first = qmle_module._project_rows(spec, x + direction)
+            # Bit equality of points, numpy-elementwise: a projection.
             np.testing.assert_array_equal(full, acc & np.all(points == first, axis=1))
             accepted.append((len(calls), {theta.tobytes() for theta in points[full]}))
             return acc, points, full if reuse else np.zeros_like(full)
@@ -177,11 +238,14 @@ class TestFullStepReuse:
         init = estimate(arch_spec, series).theta_hat
         got, want = self.check(monkeypatch, lambda: estimate_windows(
             arch_spec, series.data, starts, ends, init))
+        # Bit equality, BLAS/LAPACK-bound: the same climbs, with and
+        # without re-evaluating accepted full steps.
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
     def test_cold_fit(self, monkeypatch, garch_spec, garch_series):
         got, want = self.check(monkeypatch, lambda: estimate(garch_spec, garch_series))
+        # Bit equality, BLAS/LAPACK-bound, as above.
         np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
         assert (got.loglik_at_opt, got.grad_norm, got.iterations, got.converged,
                 got.boundary_active) == (want.loglik_at_opt, want.grad_norm,
@@ -223,7 +287,12 @@ def _hessian_stack(d, seed, kinds):
 
 class TestRepairScreen:
     """``_psd_repair`` returns the matrices its screen clears as they are,
-    and repairs only the others, through ``eigh``, as it always did."""
+    and repairs only the others, through ``eigh``, as it always did.
+
+    Bit equalities: a cleared matrix returned as it is is portable (no
+    arithmetic); repaired rows and their directions, and the non-finite
+    outcomes, are BLAS/LAPACK-bound (both sides call ``eigh`` and
+    ``solve`` on the same matrices)."""
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("seed", range(5))
@@ -341,7 +410,7 @@ class TestNewtonDirections:
                 normal = np.sign(xr)
             else:
                 normal = np.r_[0.0, np.ones(spec.d - 1)]
-            assert np.all(step[r, frozen] == 0.0)
+            assert np.all(step[r, frozen] == 0.0)  # portable: set, not computed
             free = ~frozen
             if not np.any(free):
                 continue
@@ -367,7 +436,9 @@ class TestNewtonDirections:
         it was.  Interior rows take the plain repaired Newton step, as
         the bordered system with a unit pivot gives it: that solve, one
         row at a time, is the reference, since a solve of the d x d block
-        alone may round differently under another BLAS kernel."""
+        alone may round differently under another BLAS kernel.  Both bit
+        equalities are BLAS/LAPACK-bound: ``eigh`` and ``solve`` on the
+        same matrices, stacked differently."""
         spec = _face_spec(name)
         lo, hi = spec.domain.as_arrays()
         rng = np.random.default_rng(seed)
@@ -409,6 +480,8 @@ class TestNewtonDirections:
         # an AR(2) row on its face at its upper bound, with the zero
         # coordinate frozen by the face: neither row has a free coordinate.
         # Each stack also holds an interior row, which takes -g under H = I.
+        # Bit equality, BLAS/LAPACK-bound but exact on every kernel: the
+        # solve multiplies by 0 and divides by 1 only.
         ar2 = ModelSpec(family=ModelFamily.AR, p=2)
         cases = ((garch_spec, [1e-4, 0.0, 0.0], THETA0["garch"], [1.0, 2.0, 3.0]),
                  (ar2, [0.98, 0.0], [0.2, -0.3], [-1.0, 5.0]))
@@ -423,7 +496,8 @@ class TestNewtonDirections:
         # An interior row and a row whose last coordinate is pressed
         # against its lower bound: under H = I each takes -g on its free
         # coordinates.  From d = 64 a free-set key packed into an int64
-        # overflows and would mix the two rows up.
+        # overflows and would mix the two rows up.  Bit equality exact on
+        # every kernel, as in ``test_fully_frozen_rows_take_no_step``.
         spec = _ar_box_spec((-0.001,) * p, (0.5,) * p)
         x = np.full((2, p), 0.005)
         x[1, -1] = -0.001
@@ -473,7 +547,8 @@ class TestEstimateContract:
     def test_earliest_converged_start_wins_a_tie(self, garch_spec, garch_series):
         # All five starts reach one optimum, with f equal to round-off;
         # start 1's f is the least, but start 0, the domain centre, is
-        # kept: the cold fit is that start's warm climb, bit for bit.
+        # kept: the cold fit is that start's warm climb, bit for bit
+        # (BLAS/LAPACK-bound: one climb, in stacks of 5 rows and of 1).
         cold = estimate(garch_spec, garch_series)
         warm = estimate(garch_spec, garch_series, init=qmle_module._default_starts(garch_spec)[0])
         assert cold.converged
@@ -512,7 +587,8 @@ class TestEstimateContract:
 def _assert_stack_matches_rows(spec, raws, seed):
     """``_project_rows`` on a shuffled stack of the raw rows, their box
     clips and their projections (feasible rows) gives every row what
-    ``project_to_domain`` gives it alone, bit for bit."""
+    ``project_to_domain`` gives it alone, bit for bit (numpy-elementwise,
+    portable: the projection sorts, clips and sums along rows)."""
     lo, hi = spec.domain.as_arrays()
     rows = np.concatenate((raws, np.clip(raws, lo, hi),
                            [project_to_domain(spec, raw) for raw in raws]))

@@ -570,7 +570,8 @@ class TestWindowBatch:
         # One warm iteration leaves every window unconverged.  The retry
         # climbs every (start, window) row of a few hundred windows, whose
         # spans fall in several span classes, in one climb, and each window
-        # gets the cold fit that a retry of that window alone gives it.
+        # gets the cold fit that a retry of that window alone gives it, in
+        # every field.
         series = make_series(arch_spec, 600, THETA0["arch"], seed=(425, 1))
         ks = ScanWindow(n=600, v_n=40).indices
         theta_full = estimate(arch_spec, series).theta_hat
@@ -599,16 +600,16 @@ class TestWindowBatch:
         assert climbs == [starts.size, qmle_module._N_STARTS * starts.size]
         # One window's best cold start stalls just short of the tolerance,
         # beside four converged starts at the same optimum; check it too.
-        assert np.count_nonzero(got[1]) >= 0.99 * starts.size
-        for r in sorted({*range(0, starts.size, 37), *np.flatnonzero(~got[1])}):
+        assert np.count_nonzero(got.converged) >= 0.99 * starts.size
+        for r in sorted({*range(0, starts.size, 37), *np.flatnonzero(~got.converged)}):
             one = slice(r, r + 1)
             alone = estimate_windows(arch_spec, series.data, starts[one], ends[one],
                                      theta_full)
-            np.testing.assert_array_equal(got[0][r], alone[0][0])
-            assert got[1][r] == alone[1][0]
+            for field, alone_field in zip(got, alone):
+                np.testing.assert_array_equal(field[r], alone_field[0])
             want = scalar_ascent.estimate(
                 arch_spec, SeriesSegment(series.data, int(starts[r]), int(ends[r])))
-            assert_allclose(got[0][r], want.theta_hat, rtol=0.0, atol=1e-6)
+            assert_allclose(got.theta[r], want.theta_hat, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("name, theta0", [
         ("arch", THETA0["arch"]),
@@ -633,7 +634,8 @@ class TestWindowBatch:
 
         def recording(spec, data, starts, ends, init, seeds):
             calls.append((starts, ends, seeds))
-            return np.tile(init, (starts.size, 1)), np.ones(starts.size, dtype=bool)
+            return qmle_module._Fits(np.tile(init, (starts.size, 1)), None, None, None,
+                                     np.ones(starts.size, dtype=bool))
 
         monkeypatch.setattr(scan_stat_module, "_ar_window_steps",
                             lambda spec, theta_full, hessian, scores: (

@@ -30,12 +30,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .critical_values import CriticalTable, calibrate
 from .models import (
     CalibrationRequiredError,
     DomainError,
     ExperimentError,
+    ModelFamily,
     ScanError,
     SeriesParseError,
     SeriesSegment,
@@ -49,7 +51,7 @@ from .scan_stat import ScanResult, scan
 if TYPE_CHECKING:
     from .simulate import SimPlan
 
-_FAMILIES = ("ar", "arch", "garch")
+_FAMILIES = tuple(family.value for family in ModelFamily)
 
 
 def read_series(path: str | Path) -> SeriesSegment:
@@ -231,7 +233,7 @@ def cmd_calibrate(ds: tuple[int, ...], alpha: float, grid: int, reps: int,
 @cli.command("experiment")
 @click.option("--config", "config_path",
               type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Key=value experiment file (overrides the flags below).")
+              help="Key=value experiment file; combines only with --table and --out.")
 @click.option("--model", type=click.Choice(_FAMILIES), default=None)
 @click.option("--order", type=int, default=1, show_default=True)
 @click.option("--n", type=int, default=None)
@@ -255,6 +257,15 @@ def cmd_experiment(config_path: str | None, model: str | None, order: int,
     from .experiments import ExperimentConfig, run_experiment
 
     if config_path is not None:
+        # The file is the whole design: a design flag beside it would be
+        # silently ignored.  Defaults are not typed, so they do not count.
+        ctx = click.get_current_context()
+        typed = [param.opts[0] for param in ctx.command.params
+                 if param.name not in ("config_path", "table_path", "out")
+                 and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+        if typed:
+            raise click.UsageError(
+                f"--config sets the whole design; drop {', '.join(typed)}")
         config = ExperimentConfig.from_file(config_path)
         if table_path is not None:
             config = replace(config, table=_load_table(table_path))

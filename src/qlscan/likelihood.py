@@ -272,14 +272,15 @@ class _Terms:
     d2m: dict[tuple[int, int], _Slot] = field(default_factory=dict)
     dmdm: dict[tuple[int, int], _Slot] = field(default_factory=dict)
 
-    def entry(self, slot: _Slot) -> NDArray[np.float64]:
-        """A ``dm`` or ``d2m`` entry: (end,), (R, end), or (R, 1) when
-        constant in t (its factor sits on the row of ones)."""
+    def on_window(self, slot: _Slot, sl: slice) -> NDArray[np.float64] | float:
+        """A ``dm`` or ``d2m`` entry of one parameter row on the window
+        ``sl``: a view of its stack row, or the scalar factor of an entry
+        constant in t, so that no array of a constant is built."""
         row, value = slot
         if value is not None:
-            return value
+            return value[0, 0]
         assert self.stack is not None
-        return self.stack[..., row, :]
+        return self.stack[..., row, sl].reshape(-1)
 
 
 def _products(
@@ -396,12 +397,6 @@ def _terms(
                   b_rows=b_rows, dm=dm, d2m=d2m, dmdm=dmdm)
 
 
-def _on_window(entry: NDArray[np.float64], sl: slice) -> NDArray[np.float64] | float:
-    """A one-row kernel entry on the window ``sl``; a scalar if constant in t."""
-    row = entry[0] if entry.ndim == 2 else entry
-    return row[sl] if row.size > 1 else row[0]
-
-
 def _distinct_entries(
     d: int,
 ) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.intp]]:
@@ -433,8 +428,8 @@ def _per_t(
     terms = _terms(spec, theta[None, :], data, end, order=2)
     assert terms.a is not None and terms.b is not None
     sl = slice(start - 1, end)
-    a, b = terms.a[0, sl], _on_window(terms.b, sl)
-    dm = [_on_window(terms.entry(slot), sl) for slot in terms.dm]
+    a, b = terms.a[0, sl], terms.b[0, sl]
+    dm = [terms.on_window(slot, sl) for slot in terms.dm]
     iu, ju, _ = _distinct_entries(spec.d)
     dq, d2q = np.empty((a.size, spec.d)), np.empty((a.size, iu.size))
     for i, dm_i in enumerate(dm):
@@ -443,7 +438,7 @@ def _per_t(
         np.multiply(dm[i], dm[j], out=d2q[:, e])
         d2q[:, e] *= b
         if (i, j) in terms.d2m:
-            d2q[:, e] += a * _on_window(terms.entry(terms.d2m[i, j]), sl)
+            d2q[:, e] += a * terms.on_window(terms.d2m[i, j], sl)
     return terms.q[0, sl], dq, d2q
 
 
@@ -463,9 +458,9 @@ def volatility_path(
     if spec.family is ModelFamily.AR:
         return VolatilityPath(f_hat=moment, h_hat=np.ones(m), dh=dh, d2h=d2h)
     for i, slot in enumerate(terms.dm):
-        dh[i] = _on_window(terms.entry(slot), sl)
+        dh[i] = terms.on_window(slot, sl)
     for (i, j), slot in terms.d2m.items():
-        d2h[i, j] = d2h[j, i] = _on_window(terms.entry(slot), sl)
+        d2h[i, j] = d2h[j, i] = terms.on_window(slot, sl)
     return VolatilityPath(f_hat=np.zeros(m), h_hat=moment, dh=dh, d2h=d2h)
 
 

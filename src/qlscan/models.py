@@ -152,21 +152,14 @@ class ParamDomain:
         return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
 
 
-def _default_domain(family: ModelFamily, p: int, margin: float) -> ParamDomain:
-    c = 1.0 - margin
+def _default_domain(family: ModelFamily, p: int) -> ParamDomain:
+    c = 1.0 - DEFAULT_MARGIN
     if family is ModelFamily.AR:
-        return ParamDomain(lower=(-c,) * p, upper=(c,) * p, margin=margin)
+        return ParamDomain(lower=(-c,) * p, upper=(c,) * p)
     if family is ModelFamily.ARCH:
-        return ParamDomain(
-            lower=(DEFAULT_ALPHA0_LOWER, 0.0),
-            upper=(DEFAULT_ALPHA0_UPPER, c),
-            margin=margin,
-        )
-    return ParamDomain(
-        lower=(DEFAULT_ALPHA0_LOWER, 0.0, 0.0),
-        upper=(DEFAULT_ALPHA0_UPPER, c, c),
-        margin=margin,
-    )
+        return ParamDomain(lower=(DEFAULT_ALPHA0_LOWER, 0.0), upper=(DEFAULT_ALPHA0_UPPER, c))
+    return ParamDomain(lower=(DEFAULT_ALPHA0_LOWER, 0.0, 0.0),
+                       upper=(DEFAULT_ALPHA0_UPPER, c, c))
 
 
 @dataclass(frozen=True)
@@ -181,12 +174,15 @@ class ModelSpec:
         Autoregression order.  Must be 1 for ARCH and GARCH, where the
         conditional variance looks one step back.
     domain
-        Feasible parameter set.  Defaults to a symmetric box for AR and
-        to ``alpha_0 in [1e-4, 10], alpha_1, beta_1 in [0, 1 - margin]``
-        for the volatility families.  A box that misses the stationarity
-        constraint altogether raises ``DomainError``, as does a volatility
-        box that lets h_t reach 0: alpha_0 needs a lower bound > 0, and
-        alpha_1 and beta_1 lower bounds >= 0.
+        Feasible parameter set.  Defaults to the box |phi_k| <= 1 - margin
+        for AR and to ``alpha_0 in [1e-4, 10], alpha_1, beta_1 in
+        [0, 1 - margin]`` for the volatility families, with the default
+        margin 0.02.  Any other box or margin is a ``ParamDomain`` passed
+        here: ``ModelSpec(family, p, ParamDomain(lower, upper, margin))``.
+        A box that misses the stationarity constraint altogether raises
+        ``DomainError``, as does a volatility box that lets h_t reach 0:
+        alpha_0 needs a lower bound > 0, and alpha_1 and beta_1 lower
+        bounds >= 0.
 
     Attributes
     ----------
@@ -202,11 +198,11 @@ class ModelSpec:
         if self.p < 1:
             raise ShapeError(f"order p must be >= 1, got {self.p}")
         if self.family is not ModelFamily.AR and self.p != 1:
-            raise ShapeError(f"{self.family.value} supports p=1 only, got {self.p}")
-        if self.domain is None:
-            object.__setattr__(
-                self, "domain", _default_domain(self.family, self.p, DEFAULT_MARGIN)
+            raise ShapeError(
+                f"order applies to AR only (got {self.p} for {self.family.value})"
             )
+        if self.domain is None:
+            object.__setattr__(self, "domain", _default_domain(self.family, self.p))
         if self.domain.dim != self.d:
             raise ShapeError(
                 f"domain dimension {self.domain.dim} does not match d={self.d}"
@@ -248,36 +244,30 @@ class ModelSpec:
         return arr
 
 
-def ar_spec(p: int = 1, margin: float = DEFAULT_MARGIN) -> ModelSpec:
-    """AR(p) spec with the default symmetric domain."""
-    return ModelSpec(ModelFamily.AR, p, _default_domain(ModelFamily.AR, p, margin))
+def ar_spec(p: int = 1) -> ModelSpec:
+    """``ModelSpec(ModelFamily.AR, p)``: AR(p) on the default domain."""
+    return ModelSpec(ModelFamily.AR, p)
 
 
-def arch_spec(margin: float = DEFAULT_MARGIN) -> ModelSpec:
-    """ARCH(1) spec with the default domain."""
-    return ModelSpec(ModelFamily.ARCH, 1, _default_domain(ModelFamily.ARCH, 1, margin))
+def arch_spec() -> ModelSpec:
+    """``ModelSpec(ModelFamily.ARCH)``: ARCH(1) on the default domain."""
+    return ModelSpec(ModelFamily.ARCH)
 
 
-def garch_spec(margin: float = DEFAULT_MARGIN) -> ModelSpec:
-    """GARCH(1,1) spec with the default domain."""
-    return ModelSpec(
-        ModelFamily.GARCH, 1, _default_domain(ModelFamily.GARCH, 1, margin)
-    )
+def garch_spec() -> ModelSpec:
+    """``ModelSpec(ModelFamily.GARCH)``: GARCH(1,1) on the default domain."""
+    return ModelSpec(ModelFamily.GARCH)
 
 
 def make_spec(model: str, order: int = 1) -> ModelSpec:
-    """The default spec of the family named ``model`` ("ar", "arch", "garch").
-
-    ``order`` is the AR order p: ARCH/GARCH raise ``ShapeError`` unless it
-    is 1, and an unknown name raises ``ValueError``.
-    """
-    if model not in [family.value for family in ModelFamily]:
-        raise ValueError(f"unknown model {model!r}")
-    if model == "ar":
-        return ar_spec(order)
-    if order != 1:
-        raise ShapeError(f"order applies to AR only (got {order} for {model})")
-    return arch_spec() if model == "arch" else garch_spec()
+    """``ModelSpec(family, order)`` for the ``ModelFamily`` whose value is
+    ``model``: an unknown name raises ``ValueError``, and ``ModelSpec``
+    rejects an order other than 1 for ARCH/GARCH (``ShapeError``)."""
+    try:
+        family = ModelFamily(model)
+    except ValueError:
+        raise ValueError(f"unknown model {model!r}") from None
+    return ModelSpec(family, order)
 
 
 def in_domain(spec: ModelSpec, theta: ArrayLike) -> bool:

@@ -292,6 +292,30 @@ class TestExperimentCommand:
         assert code == 0
         assert f"C_alpha       {table.lookup(1, 0.05):.6g}" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--reps", "7", "--alpha", "0.1", "--n", "999", "--model", "garch"],
+        ["--break", "3", "--seed", "0", "--order", "1", "--vn", "5"],
+        ["--theta", "0.2", "--theta2", "0.4"],
+    ])
+    def test_config_rejects_design_flags(self, tmp_path, capsys, flags):
+        # The file sets the whole design, so a design flag beside it would
+        # be ignored.  A flag typed with its default value counts too.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = ar\nn = 120\ntheta0 = 0.5\nreps = 2\nbase_seed = 4\n")
+        code, out, err = run_cli(["experiment", "--config", str(cfg), *flags], capsys)
+        assert code == 1
+        assert "rejection" not in out
+        dropped = err.split("drop ")[1].split()
+        assert sorted(flag.rstrip(",") for flag in dropped) == sorted(flags[::2])
+
+    def test_config_takes_the_out_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = ar\nn = 120\ntheta0 = 0.5\nreps = 2\nbase_seed = 4\n")
+        csv = tmp_path / "reps.csv"
+        code, _, _ = run_cli(["experiment", "--config", str(cfg), "--out", str(csv)], capsys)
+        assert code == 0
+        assert csv.read_text().count("\n") == 3  # header + 2 rows
+
     def test_config_order_on_volatility_model_fails(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model = arch\norder = 3\nn = 300\ntheta0 = 1.0, 0.3\nreps = 2\n")

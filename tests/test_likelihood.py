@@ -4,6 +4,15 @@ The frozen scalar oracles below were derived by hand from the model
 definitions (conditional mean/variance with observations before X_1
 treated as zero) and are computed here with independent loop-and-sum
 arithmetic, not with the package's vectorised recursions.
+
+Each bit-equality assertion says which kind it is.  Numpy-elementwise
+(portable): both sides run numpy's own elementwise and reduction loops,
+such as the kernel's per-observation terms and the pairwise value sums,
+which give the same bits on every BLAS kernel.  BLAS/LAPACK-bound: the
+values pass through a matmul sum, as every gradient and hessian of
+``loglik_rows`` does, whose bits vary between kernels; the assertion
+holds on each kernel because both sides make the same calls on the same
+inputs, and may break on some kernel if one side's calls change shape.
 """
 
 from __future__ import annotations
@@ -123,6 +132,7 @@ class TestHandOracles:
         vp = volatility_path(spec, phi, SeriesSegment(x, 3, 6))
         lagged = [phi[0] * x[t - 2] + phi[1] * x[t - 3] for t in range(3, 7)]
         assert_allclose(vp.f_hat, lagged, rtol=1e-15)
+        # Portable: set, not computed.
         np.testing.assert_array_equal(vp.h_hat, np.ones(4))
         np.testing.assert_array_equal(vp.dh, np.zeros((2, 4)))
         np.testing.assert_array_equal(vp.d2h, np.zeros((2, 2, 4)))
@@ -243,11 +253,12 @@ class TestValidation:
                 for got, ref in ((kept.per_t_values, want.per_t_values),
                                  (kept.per_t_grads, want.per_t_grads),
                                  (kept.per_t_hessians, want.per_t_hessians)):
-                    assert np.array_equal(got, ref)
-                assert kept.value == sums.value
+                    assert np.array_equal(got, ref)  # portable: elementwise terms
+                assert kept.value == sums.value  # portable: a pairwise sum
                 for got, ref in ((kept.gradient, sums.gradient),
                                  (kept.hessian, sums.hessian)):
                     assert (got is None) == (ref is None)
+                    # BLAS/LAPACK-bound: the same matmul sums both times.
                     assert got is None or np.array_equal(got, ref)
         seg = SeriesSegment.full([1.0, 2.0, 3.0])
         # An order outside {0, 1, 2} once gave a bare value (-1), acted as
@@ -276,7 +287,8 @@ class TestValidation:
             ev1 = loglik(garch_spec, [1.0, 0.3, 0.5], seg, order=1)
             ev2 = loglik(garch_spec, [1.0, 0.3, 0.5], seg, order=2)
             assert ev1.hessian is None
-            assert ev1.value == ev2.value
+            assert ev1.value == ev2.value  # portable: a pairwise sum
+            # BLAS/LAPACK-bound: order 1 runs order 2's matmul sums.
             np.testing.assert_array_equal(ev1.gradient, ev2.gradient)
 
     def test_hessian_is_symmetric(self, garch_spec, garch_series):
@@ -328,12 +340,14 @@ class TestPerObservation:
                 ev = loglik(spec, theta, seg, order=order)
                 row = loglik_rows(spec, theta[None, :], series.data, np.array([start]),
                                   np.array([end]), order=order)
-                assert ev.value == row[0][0]
+                assert ev.value == row[0][0]  # portable: a pairwise sum
                 for got, want in ((ev.gradient, row[1]), (ev.hessian, row[2])):
                     assert (got is None) == (want is None)
+                    # BLAS/LAPACK-bound: the same one-row matmul sums.
                     assert got is None or np.array_equal(got, want[0])
             kept = loglik(spec, theta, seg, keep_per_t=True)
-            assert kept.value == ev.value
+            assert kept.value == ev.value  # portable: a pairwise sum
+            # BLAS/LAPACK-bound, as above.
             assert np.array_equal(kept.gradient, ev.gradient)
             assert np.array_equal(kept.hessian, ev.hessian)
 
@@ -398,6 +412,8 @@ class TestLoglikRows:
             alone = loglik_rows(spec, thetas[r:r + 1], series.data, starts[r:r + 1],
                                 ends[r:r + 1], order=order)
             for got, want in zip(stacked[: order + 1], alone[: order + 1]):
+                # The value is portable (a pairwise sum); the derivatives
+                # are BLAS/LAPACK-bound: one matmul per row, stacked or alone.
                 assert np.array_equal(got[r], want[0])
 
     # 2^12 values split the span classes into chunks (16 rows at span
@@ -430,7 +446,7 @@ class TestLoglikRows:
             alone = loglik_rows(spec, thetas[r:r + 1], series.data, starts[r:r + 1],
                                 ends[r:r + 1], order=order)
             for got, want in zip(stacked[: order + 1], alone[: order + 1]):
-                assert np.array_equal(got[r], want[0])
+                assert np.array_equal(got[r], want[0])  # as in the test above
             segment = SeriesSegment(series.data, int(starts[r]), int(ends[r]))
             want = loglik(spec, thetas[r], segment, order=0).value
             assert_allclose(stacked[0][r], want, rtol=1e-12)
@@ -531,6 +547,7 @@ class TestFilterEarlyStop:
             x[rng.random(n) < 0.05] *= -1.0
         beta = np.array(betas) if vector else betas[0]
         got = _first_order_filter(x, beta)
+        # Portable: both filters are numpy elementwise passes.
         assert np.array_equal(got, iteration_reference.first_order_filter(x, beta))
 
     def test_no_subnormal_coefficient(self):
@@ -543,6 +560,7 @@ class TestFilterEarlyStop:
         assert _Recorder.scalars
         tiny = np.finfo(float).tiny
         assert all(c == 0.0 or abs(c) >= tiny for c in _Recorder.scalars)
+        # Portable, as above.
         assert np.array_equal(got.view(np.ndarray),
                               iteration_reference.first_order_filter(x, 0.5))
 

@@ -48,22 +48,29 @@ b_t = (2 X_t^2 / h_t - 1) / h_t^2,
     d2q_t/dtheta_i d_j = b_t * dh_i * dh_j + a_t * d2h_ij.
 
 AR takes the same form with f_t in place of h_t: a_t = -2 (X_t - f_t),
-b_t = 2 and d2f = 0.  One kernel (``_terms``) computes these terms for
-each family once, on t = 1..end for a stack of parameter rows.  No term
+b_t = 2 and d2f = 0.  One kernel computes these terms for each family
+once, for a stack of parameter rows, in two parts: the order-0 part
+(``_values``: the s recursion, m_t and q_t) and the derivative part
+(``_derivative_terms``: the u and w recursions, a_t, b_t and the stack
+of dm and d2m entries), which goes on from the order-0 arrays.  No term
 depends on the window, so ``loglik_rows`` takes window bounds and
-evaluates each window's row only up to its own span, the window's end
-rounded up to a multiple of 128 observations, with 0/1 weights
-selecting the window.  ``loglik`` is one row of it.  The
-per-observation arrays (``_per_t``: q_t, dq_t and the d(d+1)/2 distinct
-entries of d2q_t, in ``_distinct_entries`` order) and
-``volatility_path`` slice one row of ``_terms`` to their window.
+evaluates each window's row over its class, with 0/1 weights selecting
+the window: up to its end rounded up to a multiple of 128 observations
+and, for AR and ARCH, whose terms read at most p observations back,
+from the first observation of its start's block of 128; GARCH rows run
+from t = 1.  A row
+whose trial value fails its Armijo test skips the derivative part.
+``loglik`` is one row of it.  The per-observation arrays (``_per_t``:
+q_t, dq_t and the d(d+1)/2 distinct entries of d2q_t, in
+``_distinct_entries`` order) and ``volatility_path`` slice one row of
+both parts (``_terms``, on t = 1..end) to their window.
 
 Every sum accumulates in float64, whatever the window length, so no
 result depends on the platform's extended-precision type.  Values are
 pairwise sums, which the optimizer's Armijo tests compare; derivative
 sums are per-row BLAS matrix-vector products with the kernel's stack of
 the entries of dm_t, d2m_t and dm_t dm_t' that vary in t.  Each row is
-reduced on its own, over a span fixed by its own window, so a row's
+reduced on its own, over a class fixed by its own window, so a row's
 bits never depend on the other rows.
 """
 
@@ -134,10 +141,12 @@ class LikelihoodEval:
     per_t_hessians: NDArray[np.float64] | None = None
 
 
-def _ar_lags(x: NDArray[np.float64], p: int, end: int) -> NDArray[np.float64]:
-    """(p, end) lags: row k-1 holds X_{t-k} on t = 1..end, zero pre-sample."""
-    padded = np.concatenate((np.zeros(p), x[:end]))
-    return np.stack([padded[p - k : p - k + end] for k in range(1, p + 1)])
+def _ar_lags(x: NDArray[np.float64], p: int, begin: int, end: int) -> NDArray[np.float64]:
+    """(p, end - begin) lags: row k-1 holds X_{t-k} on t = begin+1..end,
+    zero pre-sample."""
+    lo = begin - p
+    history = x[lo:end] if lo >= 0 else np.concatenate((np.zeros(-lo), x[:end]))
+    return np.stack([history[p - k : p - k + end - begin] for k in range(1, p + 1)])
 
 
 # An addition below this fraction of a positive float64 target is below a
@@ -202,37 +211,35 @@ def _first_order_filter(
     return y
 
 
-def _garch_states(
-    x2: NDArray[np.float64],
+def _garch_state(
+    x: NDArray[np.float64],
     beta: float | NDArray[np.float64],
-    order: int,
-    out: list[NDArray[np.float64]] | None = None,
-) -> tuple[NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None]:
-    """Run the s/u/w recursions over t = 1..len(x2).
+    out: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """state_1 = 0, state_{t+1} = beta * state_t + x_t on t = 1..len: the
+    recursion of each of s, u and w (module docstring), written into
+    ``out``, one row per coefficient for a beta of shape (R,)."""
+    out[..., 0] = 0.0
+    _first_order_filter(x[..., :-1], beta, out=out[..., 1:])
+    return out
 
-    ``order`` controls how many derivative states are produced: 0 gives
-    only s, 1 adds u, 2 adds w.  A beta of shape (R,) gives states of
-    shape (R, len(x2)), one row per coefficient.  ``out``, if given,
-    holds an array for each state produced, to write it into.
+
+@dataclass(frozen=True)
+class _Values:
+    """The order-0 part of the kernel on t = begin+1..end for R rows.
+
+    ``m`` is the moment theta enters (f_t for AR, h_t otherwise); ``m``
+    and ``q`` are (R, L), L = end - begin.  ``z`` and ``state`` are what
+    the derivative part (``_derivative_terms``) goes on from: for AR the
+    residual X_t - f_t (R, L) and the lags (p, L); otherwise X_t^2 / h_t
+    (R, L) and s_t, (L,) for ARCH, where every row shares it, (R, L) for
+    GARCH.
     """
-    rows = () if np.ndim(beta) == 0 else (np.size(beta),)
-    if out is None:
-        out = [np.empty(rows + x2.shape) for _ in range(order + 1)]
 
-    def shifted(inp: NDArray[np.float64], dest: NDArray[np.float64]) -> NDArray[np.float64]:
-        # state_{t+1} = beta * state_t + inp_t with state_1 = 0.
-        dest[..., 0] = 0.0
-        _first_order_filter(inp[..., :-1], beta, out=dest[..., 1:])
-        return dest
-
-    s = shifted(x2, out[0])
-    if order < 1:
-        return s, None, None
-    u = shifted(s, out[1])
-    if order < 2:
-        return s, u, None
-    w = shifted(2.0 * u, out[2])
-    return s, u, w
+    m: NDArray[np.float64]
+    q: NDArray[np.float64]
+    z: NDArray[np.float64]
+    state: NDArray[np.float64]
 
 
 # An entry of dm_t, d2m_t or dm_t dm_t': a row of the kernel's stack and
@@ -243,15 +250,13 @@ _Slot = tuple[int, "NDArray[np.float64] | None"]
 
 @dataclass(frozen=True)
 class _Terms:
-    """Per-observation terms on t = 1..end for R parameter rows.
+    """The derivative part of the kernel, for R parameter rows.
 
-    ``m`` is the moment theta enters (f_t for AR, h_t otherwise), so
-    dq_t = a_t dm_t and d2q_t = b_t dm_t dm_t' + a_t d2m_t.  ``m``,
-    ``q``, ``a`` and ``b`` are (R, end); the last two, like the rest,
-    only at order 2.
+    dq_t = a_t dm_t and d2q_t = b_t dm_t dm_t' + a_t d2m_t, with m the
+    moment of ``_Values``; ``a`` and ``b`` are (R, L).
 
-    ``stack`` holds every entry that varies in t, as (k, end) when all
-    rows share it, else (R, k, end): the nonzero entries of d2m_t, a row
+    ``stack`` holds every entry that varies in t, as (k, L) when all
+    rows share it, else (R, k, L): the nonzero entries of d2m_t, a row
     of ones when some entry is constant in t, the entries of dm_t, then,
     when asked for, the products dm_i dm_j, i <= j, of the entries of
     dm_t that vary in t.  So the rows that a_t multiplies (``a_rows``)
@@ -261,14 +266,12 @@ class _Terms:
     products), each as a ``_Slot``.
     """
 
-    m: NDArray[np.float64]
-    q: NDArray[np.float64]
-    a: NDArray[np.float64] | None = None
-    b: NDArray[np.float64] | None = None
-    stack: NDArray[np.float64] | None = None
-    a_rows: slice | None = None
-    b_rows: slice | None = None
-    dm: list[_Slot] = field(default_factory=list)
+    a: NDArray[np.float64]
+    b: NDArray[np.float64]
+    stack: NDArray[np.float64]
+    a_rows: slice
+    b_rows: slice | None
+    dm: list[_Slot]
     d2m: dict[tuple[int, int], _Slot] = field(default_factory=dict)
     dmdm: dict[tuple[int, int], _Slot] = field(default_factory=dict)
 
@@ -279,7 +282,6 @@ class _Terms:
         row, value = slot
         if value is not None:
             return value[0, 0]
-        assert self.stack is not None
         return self.stack[..., row, sl].reshape(-1)
 
 
@@ -305,78 +307,104 @@ def _products(
     return dmdm, slice(used, row)
 
 
-def _terms(
+def _values(
     spec: ModelSpec,
     thetas: NDArray[np.float64],
     data: NDArray[np.float64],
+    begin: int,
     end: int,
-    order: int,
-    products: bool = False,
-) -> _Terms:
-    """Each family's per-observation terms: q_t and m_t at ``order`` 0,
-    every term at order 2.
-
-    ``products`` adds the products dm_i dm_j to the stack; only
-    ``loglik_rows`` sums them.
-    """
+) -> _Values:
+    """Each family's q_t and m_t on t = begin+1..end, the order-0 part of
+    the kernel.  AR and ARCH read the observations before begin + 1 that
+    their lags need as history; GARCH takes begin = 0, since its
+    recursion starts at t = 1."""
     rows = thetas.shape[0]
     if spec.family is ModelFamily.AR:
-        p = spec.p
-        lags = _ar_lags(data, p, end)
+        lags = _ar_lags(data, spec.p, begin, end)
         f = np.einsum("rp,pt->rt", thetas, lags)
-        resid = data[:end] - f
-        if order == 0:
-            # Line searches evaluate many rows at order 0: square in place.
-            return _Terms(m=f, q=np.square(resid, out=resid))
-        q = resid * resid
-        a = resid
-        a *= -2.0
-        # Shared by every row of thetas: the lags, after a row of ones for
-        # AR(1) only, so that a_t multiplies two rows.
-        ones = int(p == 1)
-        first = ones + p
-        stack = np.empty((first + (p * (p + 1) // 2 if products else 0), end))
-        stack[:ones] = 1.0
-        stack[ones:first] = lags
-        dm: list[_Slot] = [(ones + i, None) for i in range(p)]
-        dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
-        return _Terms(m=f, q=q, a=a, b=np.full(f.shape, 2.0), stack=stack,
-                      a_rows=slice(0, first), b_rows=b_rows, dm=dm, dmdm=dmdm)
+        resid = data[begin:end] - f
+        return _Values(m=f, q=resid * resid, z=resid, state=lags)
 
     # ARCH(1) and GARCH(1,1): f = 0, h from the truncated representation.
     garch = spec.family is ModelFamily.GARCH
     alpha0, alpha1 = thetas[:, :1], thetas[:, 1:2]
-    x2 = data[:end] ** 2
-    # One row takes the filter's scalar path; its (end,) states serve that row.
-    beta = (thetas[:, 2] if rows > 1 else thetas[0, 2]) if garch else 0.0
-    one_minus_beta = 1.0 - thetas[:, 2:3] if garch else np.ones((rows, 1))
-    if order == 0:
-        s = _garch_states(x2, beta, 0)[0]
+    x2 = data[begin:end] ** 2
+    if garch:
+        # One row takes the filter's scalar path.
+        s = _garch_state(x2, thetas[:, 2] if rows > 1 else thetas[0, 2],
+                         out=np.empty((rows, x2.size)))
+        one_minus_beta = 1.0 - thetas[:, 2:3]
     else:
-        # The stack (ARCH: shared by every row of thetas): ARCH has rows
-        # ones and s = dh/dalpha1; GARCH has u = d2h/dalpha1 dbeta,
-        # d2h/dbeta^2 (from w), ones, s and dh/dbeta; then come the
-        # products.  The states are written straight into their rows.
-        if garch:
-            first = 5
-            stack = np.empty((rows, first + (3 if products else 0), end))
-            dm = [(2, 1.0 / one_minus_beta), (3, None), (4, None)]
-            stack[:, 2] = 1.0
-            s, u, w = _garch_states(x2, beta, 2,
-                                    out=[stack[:, 3], stack[:, 0], stack[:, 1]])
-        else:
-            first = 2
-            stack = np.empty((first + (1 if products else 0), end))
-            dm = [(0, 1.0 / one_minus_beta), (1, None)]
-            stack[0] = 1.0
-            s = _garch_states(x2, beta, 0, out=[stack[1]])[0]
+        s = np.empty(end - begin)
+        s[0] = data[begin - 1] ** 2 if begin else 0.0
+        s[1:] = x2[:-1]
+        one_minus_beta = np.ones((rows, 1))
     h = alpha1 * s
     h += alpha0 / one_minus_beta
     z_over_h = x2 / h
     q = np.log(h)
     q += z_over_h
-    if order == 0:
-        return _Terms(m=h, q=q)
+    return _Values(m=h, q=q, z=z_over_h, state=s)
+
+
+def _derivative_terms(
+    spec: ModelSpec,
+    thetas: NDArray[np.float64],
+    values: _Values,
+    keep: slice | NDArray[np.intp] = slice(None),
+    products: bool = False,
+) -> _Terms:
+    """The derivative part of the kernel for the rows ``keep`` of
+    ``values`` and of their parameters ``thetas``: the u and w
+    recursions, a_t, b_t and the stack.  It reuses (and overwrites) the
+    arrays of ``values``, so no order-0 part runs twice.
+
+    ``products`` adds the products dm_i dm_j to the stack; only
+    ``loglik_rows`` sums them.
+    """
+    thetas = thetas[keep]
+    rows = thetas.shape[0]
+    if spec.family is ModelFamily.AR:
+        p, lags = spec.p, values.state
+        a = values.z[keep]
+        a *= -2.0
+        # Shared by every row of thetas: the lags, after a row of ones for
+        # AR(1) only, so that a_t multiplies two rows.
+        ones = int(p == 1)
+        first = ones + p
+        stack = np.empty((first + (p * (p + 1) // 2 if products else 0), lags.shape[1]))
+        stack[:ones] = 1.0
+        stack[ones:first] = lags
+        dm: list[_Slot] = [(ones + i, None) for i in range(p)]
+        dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
+        return _Terms(a=a, b=np.full(a.shape, 2.0), stack=stack, a_rows=slice(0, first),
+                      b_rows=b_rows, dm=dm, dmdm=dmdm)
+
+    # The stack (ARCH: shared by every row of thetas): ARCH has rows ones
+    # and s = dh/dalpha1; GARCH has u = d2h/dalpha1 dbeta, d2h/dbeta^2
+    # (from w), ones, s and dh/dbeta; then come the products.  u and w
+    # are written straight into their rows, s is copied from ``values``.
+    garch = spec.family is ModelFamily.GARCH
+    alpha0, alpha1 = thetas[:, :1], thetas[:, 1:2]
+    h, z_over_h = values.m[keep], values.z[keep]
+    length = h.shape[1]
+    if garch:
+        first = 5
+        one_minus_beta = 1.0 - thetas[:, 2:3]
+        beta = thetas[:, 2] if rows > 1 else thetas[0, 2]
+        stack = np.empty((rows, first + (3 if products else 0), length))
+        dm = [(2, 1.0 / one_minus_beta), (3, None), (4, None)]
+        stack[:, 2] = 1.0
+        stack[:, 3] = values.state[keep]
+        u = _garch_state(stack[:, 3], beta, out=stack[:, 0])
+        w = _garch_state(2.0 * u, beta, out=stack[:, 1])
+    else:
+        first = 2
+        one_minus_beta = np.ones((rows, 1))
+        stack = np.empty((first + (1 if products else 0), length))
+        dm = [(0, 1.0 / one_minus_beta), (1, None)]
+        stack[0] = 1.0
+        stack[1] = values.state
     a = 1.0 - z_over_h
     a /= h
     b = z_over_h
@@ -393,8 +421,19 @@ def _terms(
         w += 2.0 * alpha0 / one_minus_beta**3
         d2m = {(0, 2): (2, 1.0 / one_minus_beta**2), (1, 2): (0, None), (2, 2): (1, None)}
     dmdm, b_rows = _products(stack, dm, first) if products else ({}, None)
-    return _Terms(m=h, q=q, a=a, b=b, stack=stack, a_rows=slice(0, first),
-                  b_rows=b_rows, dm=dm, d2m=d2m, dmdm=dmdm)
+    return _Terms(a=a, b=b, stack=stack, a_rows=slice(0, first), b_rows=b_rows, dm=dm,
+                  d2m=d2m, dmdm=dmdm)
+
+
+def _terms(
+    spec: ModelSpec, theta: NDArray[np.float64], data: NDArray[np.float64], end: int
+) -> tuple[NDArray[np.float64], NDArray[np.float64], _Terms]:
+    """m_t, q_t (1, end) and the derivative terms of one theta on
+    t = 1..end: both parts of the kernel.  The order-0 arrays that only
+    the derivative part needs are not kept."""
+    thetas = theta[None, :]
+    values = _values(spec, thetas, data, 0, end)
+    return values.m, values.q, _derivative_terms(spec, thetas, values)
 
 
 def _distinct_entries(
@@ -425,8 +464,7 @@ def _per_t(
     order.  dq_t = a_t dm_t; entry (i, j) of d2q_t is the product
     dm_i dm_j, times b_t, plus a_t d2m_ij, in that order.
     """
-    terms = _terms(spec, theta[None, :], data, end, order=2)
-    assert terms.a is not None and terms.b is not None
+    _, q, terms = _terms(spec, theta, data, end)
     sl = slice(start - 1, end)
     a, b = terms.a[0, sl], terms.b[0, sl]
     dm = [terms.on_window(slot, sl) for slot in terms.dm]
@@ -439,7 +477,7 @@ def _per_t(
         d2q[:, e] *= b
         if (i, j) in terms.d2m:
             d2q[:, e] += a * terms.on_window(terms.d2m[i, j], sl)
-    return terms.q[0, sl], dq, d2q
+    return q[0, sl], dq, d2q
 
 
 def volatility_path(
@@ -452,9 +490,9 @@ def volatility_path(
     """
     arr = spec.check_theta(theta, "theta")
     end, d, m = segment.end, spec.d, segment.card
-    terms = _terms(spec, arr[None, :], segment.data, end, order=2)
+    moment, _, terms = _terms(spec, arr, segment.data, end)
     sl = slice(segment.start - 1, end)
-    moment, dh, d2h = terms.m[0, sl], np.zeros((d, m)), np.zeros((d, d, m))
+    moment, dh, d2h = moment[0, sl], np.zeros((d, m)), np.zeros((d, d, m))
     if spec.family is ModelFamily.AR:
         return VolatilityPath(f_hat=moment, h_hat=np.ones(m), dh=dh, d2h=d2h)
     for i, slot in enumerate(terms.dm):
@@ -497,9 +535,9 @@ def loglik(
     ----------
     order
         0 for the value only, 1 to add the gradient, 2 to add the
-        hessian.  Order 0 skips the derivative recursions entirely,
-        which matters inside line searches; order 1 runs them all and
-        drops the hessian, so its gradient is order 2's bit for bit.
+        hessian.  Order 0 skips the kernel's derivative part entirely;
+        order 1 runs it all and drops the hessian, so its gradient is
+        order 2's bit for bit.
     keep_per_t
         Also return the per-observation terms q_t, gradient rows
         dq_t/dtheta and distinct hessian entries of d2q_t/dtheta2
@@ -527,10 +565,12 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
 
 
-# Row r of a batched evaluation runs on t = 1..span, where span is the
-# end of its window rounded up to a multiple of this many observations,
-# at most n.  Rows of one span form a class and share chunks, and since
-# a row's span depends only on its own window, so do its bits.
+# Row r of a batched evaluation runs on t = begin+1..span: span is the end
+# of its window rounded up to a multiple of this many observations, at
+# most n, and begin, for AR and ARCH, its start minus one rounded down
+# to such a multiple (GARCH takes begin = 0).  Rows of one (begin, span) pair form a class
+# and share chunks, and since a row's class depends only on its own
+# window, so do its bits.
 _SPAN_STEP = 128
 
 # Largest (row x observation) chunk that ``loglik_rows`` evaluates at
@@ -556,6 +596,7 @@ def loglik_rows(
     ends: NDArray[np.int64],
     *,
     order: int = 2,
+    floor: NDArray[np.float64] | None = None,
 ) -> tuple[
     NDArray[np.float64], NDArray[np.float64] | None, NDArray[np.float64] | None
 ]:
@@ -565,27 +606,37 @@ def loglik_rows(
     ..., ends[r]} of ``data`` (n observations).  Because q_t never
     depends on the window (module docstring), every window is a weighted
     sum of per-observation terms: q_t, a_t dh_t and b_t dh_t dh_t' +
-    a_t d2h_t.  Row r is evaluated on t = 1..span_r, its end rounded up
-    to a multiple of ``_SPAN_STEP`` and capped at n, with 0/1 weights
-    that select its window.  Rows of one span (a span class) are
+    a_t d2h_t.  Row r is evaluated on t = begin_r+1..span_r, its class:
+    span_r is its end rounded up to a multiple of ``_SPAN_STEP`` and
+    capped at n, begin_r its start minus one rounded down to a multiple
+    of it for AR and ARCH, whose terms read at most p observations
+    before begin_r + 1, and 0 for GARCH, whose recursion starts at
+    t = 1.  0/1 weights select the window.  Rows of one class are
     evaluated together, in chunks of at most ``_CHUNK_VALUES`` (row,
     observation) values, so that a chunk's arrays stay in cache.  A
-    chunk's weights are the mask starts[r] <= t <= ends[r] over
-    t = 1..span; a chunk whose windows all cover their span, like the
-    rows of a full-sample fit, is summed unweighted.  The s/u/w
-    recursions run once per row for GARCH and are shared by the rows of
-    a chunk for ARCH and AR.
+    chunk's weights are the mask starts[r] <= t <= ends[r] over its
+    class; a chunk whose windows all cover their class, like the rows
+    of a full-sample fit, is summed unweighted.  The s/u/w recursions
+    run once per row for GARCH and are shared by the rows of a chunk
+    for ARCH and AR.
+
+    Each chunk runs the kernel's order-0 part (the s recursion, h_t or
+    f_t, q_t) and sums the values first.  With ``floor`` (R,), a row
+    gets its derivatives only when its value is at least floor[r], as
+    an Armijo test asks of an accepted trial; the derivative part (the
+    u and w recursions, a_t, b_t and the BLAS sums) runs only for those
+    rows, on the order-0 arrays, and the other rows' gradient and
+    hessian are NaN.
 
     Returns (value (R,), gradient (R, d), hessian (R, d, d)); entries
     beyond ``order`` are None.  Order 1 is evaluated at order 2 and
-    drops the hessian, so the kernel runs at orders 0 and 2 only.  A
-    value is a pairwise sum along its weighted row (sequential value
-    sums were too coarse for Armijo tests near an optimum).  The
-    derivatives are per-row matrix-vector products (``_weighted_sums``),
-    with factors constant in t pulled out.  A row's result therefore
-    depends only on its own window and parameters, bit for bit, not on
-    the other rows of the call or on the chunking (both are tested);
-    ``loglik`` is such a row.
+    drops the hessian.  A value is a pairwise sum along its weighted
+    row (sequential value sums were too coarse for Armijo tests near an
+    optimum).  The derivatives are per-row matrix-vector products
+    (``_weighted_sums``), with factors constant in t pulled out.  A
+    row's result therefore depends only on its own window and
+    parameters, bit for bit, not on the other rows of the call, on the
+    chunking or on ``floor`` (all tested); ``loglik`` is such a row.
 
     Raises
     ------
@@ -598,26 +649,31 @@ def loglik_rows(
     if not np.all(in_domain_rows(spec, thetas)):
         raise DomainError("a parameter row lies outside the feasible domain")
     rows, d = thetas.shape
-    evaluated = 2 if order else 0
-    out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: evaluated + 1]
-    spans = np.minimum(data.shape[0], -(-ends // _SPAN_STEP) * _SPAN_STEP)
-    whole = (starts == 1) & (ends == spans)
-    # The classes are runs of the spans in sorted order; callers pass
-    # their rows ordered by window end, so the stable sort is one pass.
-    by_span = np.argsort(spans, kind="stable")
-    ordered = spans[by_span]
+    n = data.shape[0]
+    out = (np.empty(rows), np.empty((rows, d)), np.empty((rows, d, d)))[: 3 if order else 1]
+    spans = np.minimum(n, -(-ends // _SPAN_STEP) * _SPAN_STEP)
+    begins = (np.zeros_like(starts) if spec.family is ModelFamily.GARCH
+              else (starts - 1) // _SPAN_STEP * _SPAN_STEP)
+    whole = (starts == begins + 1) & (ends == spans)
+    # The classes are runs of their keys in sorted order; callers pass
+    # prefixes by end, then suffixes by start, so the stable sort is one
+    # pass.
+    keys = begins * (n + 1) + spans
+    by_class = np.argsort(keys, kind="stable")
+    ordered = keys[by_class]
     bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), rows]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        span = int(ordered[lo])
-        size = max(1, _CHUNK_VALUES // span)
+        begin, span = divmod(int(ordered[lo]), n + 1)
+        size = max(1, _CHUNK_VALUES // (span - begin))
         for first in range(lo, hi, size):
-            r = by_span[first : min(first + size, hi)]
+            r = by_class[first : min(first + size, hi)]
             mask = None
             if not np.all(whole[r]):
-                t = np.arange(1, span + 1)
+                t = np.arange(begin + 1, span + 1)
                 mask = (t >= starts[r, None]) & (t <= ends[r, None])
-            for arr, part in zip(out, _weighted_sums(spec, thetas[r], data, span,
-                                                     mask, evaluated)):
+            sums = _weighted_sums(spec, thetas[r], data, begin, span, mask, order,
+                                  None if floor is None else floor[r])
+            for arr, part in zip(out, sums):
                 arr[r] = part
     return out[: order + 1] + (None,) * (2 - order)
 
@@ -626,48 +682,61 @@ def _weighted_sums(
     spec: ModelSpec,
     thetas: NDArray[np.float64],
     data: NDArray[np.float64],
+    begin: int,
     span: int,
     mask: NDArray[np.bool_] | None,
     order: int,
+    floor: NDArray[np.float64] | None,
 ) -> list[NDArray[np.float64]]:
-    """Value, then at ``order`` 2 both derivatives, of one chunk of rows.
+    """Value, then at ``order`` 1 or 2 both derivatives, of one chunk of
+    rows.
 
-    The rows are evaluated on t = 1..span and their terms multiplied by
-    the 0/1 ``mask`` (rows, span), unless that is None.  The value is a
-    pairwise sum along each row.  The derivative sums are two
-    matrix-vector products per row with the kernel's stack
-    (``_Terms``): its ``a_rows`` times a_t give the gradient and the
-    a_t d2m_t part of the hessian, its ``b_rows`` times b_t the
-    b_t dm_t dm_t' part.  An entry constant in t is pulled out of its
-    sum as a factor on the stack's row of ones.  A row's bits therefore
-    depend only on that row and its span.
+    The rows are evaluated on t = begin+1..span and their terms
+    multiplied by the 0/1 ``mask`` (rows, span - begin), unless that is
+    None.  The value is a pairwise sum along each row.  Only the rows
+    whose value reaches ``floor``, or every row without one, go on to
+    the derivative part; the others' derivatives are NaN.  The
+    derivative sums are two matrix-vector products per row with the
+    kernel's stack (``_Terms``): its ``a_rows`` times a_t give the
+    gradient and the a_t d2m_t part of the hessian, its ``b_rows``
+    times b_t the b_t dm_t dm_t' part.  An entry constant in t is
+    pulled out of its sum as a factor on the stack's row of ones.  A
+    row's bits therefore depend only on that row and its class.
     """
     rows, d = thetas.shape
-    terms = _terms(spec, thetas, data, span, order, products=True)
-
-    def weigh(x: NDArray[np.float64]) -> NDArray[np.float64]:
-        # The kernel's arrays belong to this call: weigh them in place.
-        if mask is not None:
-            x *= mask
-        return x
-
-    sums = [-0.5 * weigh(terms.q).sum(axis=1)]
+    values = _values(spec, thetas, data, begin, span)
+    value = -0.5 * _weigh(values.q, mask).sum(axis=1)
     if order == 0:
-        return sums
+        return [value]
+    grad, hessian = np.full((rows, d), np.nan), np.full((rows, d, d), np.nan)
+    keep: slice | NDArray[np.intp] = slice(None)
+    if floor is not None:
+        keep = np.flatnonzero(value >= floor)
+        if keep.size == 0:
+            return [value, grad, hessian]
+        if keep.size == rows:
+            keep = slice(None)
+    terms = _derivative_terms(spec, thetas, values, keep, products=True)
+    assert terms.b_rows is not None
+    mask = None if mask is None else mask[keep]
     stack = terms.stack
-    assert stack is not None and terms.a is not None and terms.a_rows is not None
-    assert terms.b is not None and terms.b_rows is not None
-    a_sums = (stack[..., terms.a_rows, :] @ weigh(terms.a)[:, :, None])[..., 0]
-    sums.append(-0.5 * np.stack([_pulled(a_sums, 0, slot) for slot in terms.dm], axis=1))
-    b_sums = (stack[..., terms.b_rows, :] @ weigh(terms.b)[:, :, None])[..., 0]
-    hessian = np.empty((rows, d, d))
+    a_sums = (stack[..., terms.a_rows, :] @ _weigh(terms.a, mask)[:, :, None])[..., 0]
+    grad[keep] = -0.5 * np.stack([_pulled(a_sums, 0, slot) for slot in terms.dm], axis=1)
+    b_sums = (stack[..., terms.b_rows, :] @ _weigh(terms.b, mask)[:, :, None])[..., 0]
     for (i, j), slot in terms.dmdm.items():
         hij = _pulled(b_sums, terms.b_rows.start, slot)
         if (i, j) in terms.d2m:
             hij = hij + _pulled(a_sums, 0, terms.d2m[i, j])
-        hessian[:, i, j] = hessian[:, j, i] = -0.5 * hij
-    sums.append(hessian)
-    return sums
+        hessian[keep, i, j] = hessian[keep, j, i] = -0.5 * hij
+    return [value, grad, hessian]
+
+
+def _weigh(x: NDArray[np.float64], mask: NDArray[np.bool_] | None) -> NDArray[np.float64]:
+    """x times the 0/1 mask, unless that is None.  The kernel's arrays
+    belong to their call: they are weighed in place."""
+    if mask is not None:
+        x *= mask
+    return x
 
 
 def _pulled(sums: NDArray[np.float64], first: int, slot: _Slot) -> NDArray[np.float64]:

@@ -6,10 +6,11 @@ projected Newton ascent: analytic gradient and hessian, eigenvalue
 modification to keep the direction well defined, Armijo backtracking
 along the projection arc.  Every fit runs one implementation of it
 (``_run_rows``), which climbs a stack of rows, each on its own window
-from its own start.  A line search evaluates its full step (alpha = 1)
-with the gradient and hessian, so when a row accepts that step, as it
-does near an optimum, the next iteration reuses them instead of
-evaluating the new iterate again.  Every fit is one
+from its own start.  Each trial of a line search is one evaluation that
+passes the rows' Armijo bounds: it computes the gradient and hessian
+only for the trials that pass, so every accepted iterate gets them
+once, from the call that accepted it, and a rejected trial costs its
+value alone.  Every fit is one
 ``estimate_windows`` call on windows of one series.  Cold, a small
 deterministic multi-start (domain centre plus quasi-random points; the
 centre alone for AR, whose quasi-likelihood is concave) climbs as rows
@@ -20,7 +21,7 @@ scan fits its prefixes and suffixes so from theta_full, and
 scan's window fit.  Every climb takes all its rows in one
 ``_run_rows`` call, and each evaluation is one ``loglik_rows`` call on
 the rows' window bounds, so a row is evaluated only over its window's
-span and its bits depend on its window alone.  The steps are batched
+class and its bits depend on its window alone.  The steps are batched
 too: the active-set Newton directions (``_newton_directions``) take
 one masked, bordered solve over every row, and the projection
 (``_project_rows``) finds every row's exact single multiplier at once;
@@ -301,24 +302,29 @@ def _line_search_rows(
     f: NDArray[np.float64],
     grad: NDArray[np.float64],
     direction: NDArray[np.float64],
-    f_at: Callable[[NDArray[np.int64], NDArray[np.float64], bool], NDArray[np.float64]],
-) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.bool_]]:
+    f_at: Callable[[NDArray[np.int64], NDArray[np.float64], NDArray[np.float64]], _Evals],
+) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.float64],
+           NDArray[np.float64], NDArray[np.float64]]:
     """Armijo backtracking along the projection arc for every row.
 
     The inner loop of ``_run_rows``: a row gives the direction up once
     its projected step vanishes, and tests sufficient decrease only
-    where the step descends.  ``f_at(rows, points, full)`` returns
-    f = -L of the given rows at the given points; ``full`` is True for
-    the first trial, the full step (alpha = 1).  Returns the accepted
-    mask, the accepted points (the start point where nothing was
-    accepted) and the mask of rows that accepted the full step.
+    where the step descends.  ``f_at(rows, points, bound)`` returns
+    f = -L of the given rows at the given points, with its gradient and
+    hessian only for the rows whose f is at or below their Armijo bound
+    f + c1 * slope: those rows accept their trial, and only an accepted
+    trial needs derivatives (Nocedal & Wright 2006, section 3.1).
+    Returns the accepted mask, the accepted points (the start point
+    where nothing was accepted), and f, g and H at the accepted points
+    (undefined on the rows that accepted nothing).
     """
-    alpha = np.ones(x.shape[0])
-    accepted = np.zeros(x.shape[0], dtype=bool)
+    n, d = x.shape
+    alpha = np.ones(n)
+    accepted = np.zeros(n, dtype=bool)
     out = x.copy()
-    pending = np.arange(x.shape[0])
-    full = accepted
-    for k in range(_MAX_BACKTRACKS):
+    evals = (np.empty(n), np.empty((n, d)), np.empty((n, d, d)))
+    pending = np.arange(n)
+    for _ in range(_MAX_BACKTRACKS):
         if pending.size == 0:
             break
         trial = _project_rows(spec, x[pending] + alpha[pending, None] * direction[pending])
@@ -328,15 +334,17 @@ def _line_search_rows(
         test = moved & (slope < 0.0)
         ok = np.zeros(pending.size, dtype=bool)
         if np.any(test):
-            f_trial = f_at(pending[test], trial[test], k == 0)
-            ok[test] = f_trial <= f[pending[test]] + _ARMIJO_C1 * slope[test]
+            bound = f[pending[test]] + _ARMIJO_C1 * slope[test]
+            found = f_at(pending[test], trial[test], bound)
+            passed = found[0] <= bound
+            ok[test] = passed
+            for arr, part in zip(evals, found):
+                arr[pending[ok]] = part[passed]
         out[pending[ok]] = trial[ok]
         accepted[pending[ok]] = True
-        if k == 0:
-            full = accepted.copy()
         alpha[pending] *= _BACKTRACK
         pending = pending[moved & ~ok]
-    return accepted, out, full
+    return accepted, out, *evals
 
 
 def _run_rows(
@@ -356,20 +364,19 @@ def _run_rows(
     evaluating x0; otherwise one ``loglik_rows`` call does.  Each
     iteration works on the rows still live: rows meeting the stopping
     rule leave as converged, rows finding no acceptable step along
-    either direction leave as not converged.  Each line search
-    evaluates its full step at order 2, so a row that accepts it
-    already holds f, g and H at its next iterate; only rows that
-    backtracked are evaluated again.  Every evaluation is one
+    either direction leave as not converged.  Every evaluation is one
     ``loglik_rows`` call on the rows' window bounds, which evaluates
-    each row only over its own span.
+    each row only over its own class.  A line search's trial calls pass
+    each row's Armijo bound, so derivatives are computed only for the
+    trials that pass it: every accepted point gets f, g and H once, from
+    the call that accepted it, and a rejected trial costs its value
+    alone.
     """
     n_rows = starts.size
 
-    def evaluate(rows, points, order):
+    def evaluate(rows, points, bound=None):
         value, grad, hess = loglik_rows(spec, points, data, starts[rows], ends[rows],
-                                        order=order)
-        if order == 0:
-            return -value, None, None
+                                        floor=None if bound is None else -bound)
         return -value, -grad, -hess
 
     def stationary(rows):
@@ -377,19 +384,11 @@ def _run_rows(
         pg_norm[rows] = np.linalg.norm(pg, axis=1)
         return pg_norm[rows] <= grad_tol[rows]
 
-    def f_trial(rows, points, full):
-        if not full:
-            return evaluate(rows, points, 0)[0]
-        f_full[rows], g_full[rows], h_full[rows] = evaluate(rows, points, 2)
-        return f_full[rows]
-
     x = np.array(x0, dtype=float)
     if seeds is None:
-        f, g, hess = evaluate(np.arange(n_rows), x, 2)
+        f, g, hess = evaluate(np.arange(n_rows), x)
     else:
         f, g, hess = (-np.asarray(seed, dtype=float) for seed in seeds)
-    # f, g and H at each row's latest full-step trial.
-    f_full, g_full, h_full = np.empty_like(f), np.empty_like(g), np.empty_like(hess)
     pg_norm = np.empty(n_rows)
     iterations = np.zeros(n_rows, dtype=np.int64)
     live = np.ones(n_rows, dtype=bool)
@@ -403,31 +402,24 @@ def _run_rows(
         if rows.size == 0:
             break
         moved = np.zeros(rows.size, dtype=bool)
-        reuse = np.zeros(rows.size, dtype=bool)
-        x_new = x[rows]
         newton = _newton_directions(spec, x[rows], g[rows], hess[rows])
         for direction in (newton, -g[rows]):
             left = np.flatnonzero(~moved)
             if left.size == 0:
                 break
             sub = rows[left]
-            acc, points, full = _line_search_rows(
+            acc, *found = _line_search_rows(
                 spec, x[sub], f[sub], g[sub], direction[left],
-                lambda local, pts, first, sub=sub: f_trial(sub[local], pts, first),
+                lambda local, pts, bound, sub=sub: evaluate(sub[local], pts, bound),
             )
-            x_new[left[acc]] = points[acc]
+            # Rows that move leave the second search, which reads only
+            # the others, so they take their new point and evaluations
+            # at once.
+            for arr, part in zip((x, f, g, hess), found):
+                arr[sub[acc]] = part[acc]
             moved[left[acc]] = True
-            reuse[left[full]] = True
         live[rows[~moved]] = False
-        rows, reuse = rows[moved], reuse[moved]
-        if rows.size == 0:
-            break
-        x[rows] = x_new[moved]
-        iterations[rows] += 1
-        kept, stale = rows[reuse], rows[~reuse]
-        f[kept], g[kept], hess[kept] = f_full[kept], g_full[kept], h_full[kept]
-        if stale.size:
-            f[stale], g[stale], hess[stale] = evaluate(stale, x[stale], 2)
+        iterations[rows[moved]] += 1
     rows = np.flatnonzero(live)
     converged[rows] = stationary(rows)
     return _Fits(x, f, pg_norm, iterations, converged)

@@ -60,8 +60,9 @@ parameter rows (``qmle.estimate_windows``), the fit a warm
 the scan already has: the block's window sums of the derivative pass's
 q_t, scores and hessian entries give every window's likelihood,
 gradient and hessian at th_full, so no window is evaluated at its
-start.  Each window is evaluated only over its own span, its end
-rounded up to a multiple of 128 observations
+start.  Each window is evaluated only over its own class, its end
+rounded up to a multiple of 128 observations and, for AR and ARCH, its
+start rounded down to the first observation of its block of 128
 (``likelihood.loglik_rows``).  The windows the climb leaves
 unconverged get the cold multi-start in one more climb of the same
 call, whose rows are (start x window).  A climbed window's bits depend

@@ -6,10 +6,11 @@ replication r simulates with seed (base seed, r) and scans with the
 built-in table at alpha = 0.05 and the family's default window.  It
 prints each design's rejection count beside the count README's
 measured rate implies, then one sha256 over q1, q2 and ``theta_full``
-of every replication, in design and replication order, and the wall
-time.  Two checkouts whose scans give the same bits print the same
-digest; a BLAS kernel forced through ``OPENBLAS_CORETYPE`` gives that
-kernel's digest.
+of every replication of each family (AR, ARCH, GARCH) and one over all
+1,300, in design and replication order, and the wall time.  Two
+checkouts whose scans give the same bits print the same digests, so a
+change shows which family's bits it moved; a BLAS kernel forced
+through ``OPENBLAS_CORETYPE`` gives that kernel's digests.
 
 Run from the repository root:
 
@@ -52,6 +53,7 @@ DESIGNS = (
 def main() -> int:
     table = CriticalTable.builtin()
     digest = hashlib.sha256()
+    families = {model: hashlib.sha256() for model, *_ in DESIGNS}
     ok = True
     t0 = time.perf_counter()
     for model, n, theta0, theta1, brk, reps, base_seed, rate in DESIGNS:
@@ -69,13 +71,16 @@ def main() -> int:
             rejected += res.reject
             for arr in (res.q1, res.q2, res.theta_full):
                 digest.update(arr.tobytes())
+                families[model].update(arr.tobytes())
         readme = round(rate * reps)
         match = rejected == readme and failed == 0
         ok &= match
         design = f"{model} n={n} {theta0}" + (f" -> {theta1} after {brk}" if theta1 else "")
         print(f"{design:<58} seed {base_seed}: {rejected:>3}/{reps} rejected,"
               f" README {readme:>3}, {failed} failed{'' if match else '  MISMATCH'}")
-    print(f"sha256(q1, q2, theta_full) {digest.hexdigest()}")
+    for model, family in families.items():
+        print(f"sha256(q1, q2, theta_full) {model:<5} {family.hexdigest()}")
+    print(f"sha256(q1, q2, theta_full) all   {digest.hexdigest()}")
     print(f"wall time {time.perf_counter() - t0:.1f} s")
     return 0 if ok else 1
 

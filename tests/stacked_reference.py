@@ -28,7 +28,7 @@ def ar_window_least_squares(spec, data, ks):
     """Closed-form AR estimates for every prefix T_k, then every suffix."""
     n = data.shape[0]
     p = spec.p
-    lags = _ar_lags(data, p, n).T
+    lags = _ar_lags(data, p, 0, n).T
     a = np.cumsum(np.einsum("ti,tj->tij", lags, lags), axis=0)
     b = np.cumsum(data[:, None] * lags, axis=0)
     idx = ks - 1

@@ -35,7 +35,7 @@ from qlscan import (
     volatility_path,
 )
 from qlscan import likelihood as likelihood_module
-from qlscan.likelihood import _first_order_filter, _garch_states, loglik_rows
+from qlscan.likelihood import _first_order_filter, _garch_state, loglik_rows
 from conftest import THETA0, make_series, theta_near
 import iteration_reference
 import per_t_reference
@@ -458,6 +458,70 @@ class TestLoglikRows:
                         np.array([50, 50]))
 
 
+class TestStartClasses:
+    """AR and ARCH rows run from their start's class, t > 128 *
+    floor((start - 1) / 128), and read the observations before it as
+    history; GARCH rows run from t = 1, where their recursion starts."""
+
+    @staticmethod
+    def evaluate(monkeypatch, spec, thetas, data, starts, ends, order):
+        """``loglik_rows`` and the class starts its kernel ran from."""
+        begins = []
+        real = likelihood_module._values
+
+        def recording(spec, thetas, data, begin, end):
+            begins.append(begin)
+            return real(spec, thetas, data, begin, end)
+
+        with monkeypatch.context() as m:
+            m.setattr(likelihood_module, "_values", recording)
+            out = loglik_rows(spec, thetas, data, starts, ends, order=order)
+        return out, sorted(set(begins))
+
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("name, theta0", [("ar2", (0.5, 0.2)), ("arch", THETA0["arch"])])
+    def test_windows_match_the_reference(self, monkeypatch, all_specs, name, theta0, order):
+        spec = all_specs.get(name) or ModelSpec(ModelFamily.AR, p=2)
+        n = 700
+        series = make_series(spec, n, theta0, seed=(450, 0))
+        # 129, 257 and 641 are the first rows of their classes, 128 the
+        # last of the first one; a class's rows may end anywhere.
+        starts = np.array([129, 128, 130, 257, 129, 2, 641, 1])
+        ends = np.array([n, n, 400, 300, 129, 128, n, n])
+        rng = np.random.default_rng(451)
+        thetas = np.array([theta_near(rng, spec, theta0) for _ in starts])
+        stacked, begins = self.evaluate(monkeypatch, spec, thetas, series.data, starts,
+                                        ends, order)
+        assert begins == [0, 128, 256, 640]
+        for r, (start, end) in enumerate(zip(starts, ends)):
+            terms = per_t_reference.per_t_terms(spec, thetas[r], series.data)
+            for got, per_t in zip(stacked[: order + 1], terms):
+                assert_sums_close(got[r], per_t[start - 1 : end], rtol=1e-12)
+            alone = loglik_rows(spec, thetas[r:r + 1], series.data, starts[r:r + 1],
+                                ends[r:r + 1], order=order)
+            for got, want in zip(stacked[: order + 1], alone[: order + 1]):
+                # The value is portable (a pairwise sum); the derivatives
+                # are BLAS/LAPACK-bound: one matmul per row, stacked or alone.
+                assert np.array_equal(got[r], want[0])
+
+    def test_garch_rows_run_from_the_first_observation(self, monkeypatch, garch_spec):
+        # With beta_1 = 0.95 the variance remembers about 20 observations,
+        # so a recursion restarted at t = 129 would miss the reference.
+        n = 700
+        series = make_series(garch_spec, n, THETA0["garch"], seed=(452, 0))
+        theta = np.array([0.2, 0.03, 0.95])
+        starts, ends = np.array([129, 300]), np.array([n, 600])
+        (value, grad, hess), begins = self.evaluate(
+            monkeypatch, garch_spec, np.tile(theta, (2, 1)), series.data, starts, ends, 2)
+        assert begins == [0]
+        terms = per_t_reference.per_t_terms(garch_spec, theta, series.data)
+        restarted = per_t_reference.per_t_terms(garch_spec, theta, series.data[128:])
+        for r, (start, end) in enumerate(zip(starts, ends)):
+            for got, per_t in zip((value, grad, hess), terms):
+                assert_sums_close(got[r], per_t[start - 1 : end], rtol=1e-12)
+        assert abs(value[0] + 0.5 * restarted[0].sum()) > 1e-6 * abs(value[0])
+
+
 def garch_states_loop(x2, beta, order):
     """s/u/w by the sequential recursion, one Python step at a time."""
     n = len(x2)
@@ -495,8 +559,10 @@ class TestGarchStateRecursions:
         rng = np.random.default_rng(17)
         for n in self.LENGTHS:
             x2 = rng.standard_normal(n) ** 2
-            got = [v for v in _garch_states(x2, beta, order) if v is not None]
-            assert len(got) == order + 1
+            # s, u and w as the kernel chains them.
+            got = [_garch_state(x2, beta, out=np.empty(n))]
+            for inp in (lambda s: s, lambda u: 2.0 * u)[:order]:
+                got.append(_garch_state(inp(got[-1]), beta, out=np.empty(n)))
             for ref in (garch_states_loop(x2.tolist(), beta, order),
                         garch_states_lfilter(x2, beta, order)):
                 for g, r in zip(got, ref):

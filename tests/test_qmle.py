@@ -177,58 +177,55 @@ class TestOneFitPath:
             cold.loglik_at_opt, cold.grad_norm, cold.iterations, cold.boundary_active)
 
 
-class TestFullStepReuse:
-    """A full Newton step that the line search accepts is evaluated once."""
+class TestEvaluationContract:
+    """A climb computes derivatives only where it keeps them: at its
+    start points and at each trial that passes its Armijo test, once,
+    in the call that tests it."""
 
     @staticmethod
-    def record(monkeypatch, reuse):
-        """Record every ``loglik_rows`` call and every accepted full step.
+    def check(monkeypatch, fit):
+        """Run ``fit`` with ``qmle.loglik_rows`` and ``qmle._run_rows``
+        wrapped, check the contract and return the fit."""
+        calls, climbs = [], []
+        real_rows, real_run = qmle_module.loglik_rows, qmle_module._run_rows
 
-        ``calls`` holds the parameter rows of each call; ``accepted`` the
-        number of calls made when a line search returned, with the rows
-        that line search accepted at alpha = 1.  With ``reuse`` False the
-        line search reports no full step, so ``_run_rows`` evaluates every
-        accepted point again.
-        """
-        calls, accepted = [], []
-        real_rows, real_search = qmle_module.loglik_rows, qmle_module._line_search_rows
+        def rows(*args, **kwargs):
+            out = real_rows(*args, **kwargs)
+            calls.append((kwargs.get("floor"), out))
+            return out
 
-        def rows(spec, thetas, *args, **kwargs):
-            calls.append({theta.tobytes() for theta in thetas})
-            return real_rows(spec, thetas, *args, **kwargs)
+        def run(*args, **kwargs):
+            climbs.append(real_run(*args, **kwargs))
+            return climbs[-1]
 
-        def search(spec, x, f, grad, direction, f_at):
-            acc, points, full = real_search(spec, x, f, grad, direction, f_at)
-            # A row took the full step exactly when its accepted point is
-            # the projected full step: had that point failed the Armijo
-            # test at alpha = 1, it would fail it again at any later alpha.
-            first = qmle_module._project_rows(spec, x + direction)
-            # Bit equality of points, numpy-elementwise: a projection.
-            np.testing.assert_array_equal(full, acc & np.all(points == first, axis=1))
-            accepted.append((len(calls), {theta.tobytes() for theta in points[full]}))
-            return acc, points, full if reuse else np.zeros_like(full)
-
-        monkeypatch.setattr(qmle_module, "loglik_rows", rows)
-        monkeypatch.setattr(qmle_module, "_line_search_rows", search)
-        return calls, accepted
-
-    @staticmethod
-    def reevaluated(calls, accepted):
-        """How many accepted full steps a later ``loglik_rows`` call evaluates."""
-        return sum(len(points & later) for made, points in accepted
-                   for later in calls[made:])
-
-    def check(self, monkeypatch, fit):
         with monkeypatch.context() as m:
-            calls, accepted = self.record(m, reuse=True)
+            m.setattr(qmle_module, "loglik_rows", rows)
+            m.setattr(qmle_module, "_run_rows", run)
             got = fit()
-        assert sum(len(points) for _, points in accepted) > 0
-        assert self.reevaluated(calls, accepted) == 0
+        derived = rejected = 0
+        for floor, (value, grad, hess) in calls:
+            assert np.all(np.isfinite(value))
+            passed = np.ones(value.size, dtype=bool) if floor is None else value >= floor
+            has = np.all(np.isfinite(grad), axis=1) & np.all(np.isfinite(hess), axis=(1, 2))
+            # A failed trial gets its value and nothing else.
+            np.testing.assert_array_equal(has, passed)
+            assert np.all(np.isnan(grad[~passed])) and np.all(np.isnan(hess[~passed]))
+            derived += has.sum()
+            rejected += (~passed).sum()
+        assert rejected > 0
+        # Every row of a climb's first call, then one row per accepted
+        # step, which is one iteration of its row.
+        assert derived == sum(c.iterations.size + c.iterations.sum() for c in climbs)
+        return got
+
+    @staticmethod
+    def every_derivative(monkeypatch, fit):
+        """``fit`` with every trial evaluated with its derivatives."""
+        real = qmle_module.loglik_rows
         with monkeypatch.context() as m:
-            calls, accepted = self.record(m, reuse=False)
-            want = fit()
-        assert self.reevaluated(calls, accepted) > 0
-        return got, want
+            m.setattr(qmle_module, "loglik_rows",
+                      lambda *args, floor=None, **kwargs: real(*args, **kwargs))
+            return fit()
 
     def test_warm_window_batch(self, monkeypatch, arch_spec):
         series = make_series(arch_spec, 300, THETA0["arch"], seed=(240, 0))
@@ -236,15 +233,23 @@ class TestFullStepReuse:
         starts = np.concatenate((np.ones(ks.size, dtype=np.int64), ks + 1))
         ends = np.concatenate((ks, np.full(ks.size, series.n)))
         init = estimate(arch_spec, series).theta_hat
-        got, want = self.check(monkeypatch, lambda: estimate_windows(
-            arch_spec, series.data, starts, ends, init))
+
+        def fit():
+            return estimate_windows(arch_spec, series.data, starts, ends, init)
+
+        got = self.check(monkeypatch, fit)
+        want = self.every_derivative(monkeypatch, fit)
         # Bit equality, BLAS/LAPACK-bound: the same climbs, with and
-        # without re-evaluating accepted full steps.
+        # without the derivatives of rejected trials.
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
     def test_cold_fit(self, monkeypatch, garch_spec, garch_series):
-        got, want = self.check(monkeypatch, lambda: estimate(garch_spec, garch_series))
+        def fit():
+            return estimate(garch_spec, garch_series)
+
+        got = self.check(monkeypatch, fit)
+        want = self.every_derivative(monkeypatch, fit)
         # Bit equality, BLAS/LAPACK-bound, as above.
         np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
         assert (got.loglik_at_opt, got.grad_norm, got.iterations, got.converged,

@@ -9,6 +9,16 @@ Key oracles:
 * brute-force cold-started window estimates (warm == cold);
 * frozen seed-locked values and Monte Carlo rates recorded in the
   repository notes before the thresholds were set.
+
+Each bit-equality assertion says which kind it is.  Numpy-elementwise
+(portable): both sides run numpy's own elementwise and reduction loops,
+which give the same bits on every BLAS kernel.  BLAS/LAPACK-bound: the
+values pass through a matmul sum, ``np.linalg.solve``, ``cond`` or
+``eigh``, as every window fit and every uncleared stack does, whose bits
+vary between kernels; the assertion holds on each kernel because both
+sides make the same calls on the same inputs, and may break on some
+kernel if one side's calls change shape.  Masks compared exactly are
+decisions, not bits: they say which kind of computation decides them.
 """
 
 from __future__ import annotations
@@ -449,6 +459,8 @@ class TestWindowBatch:
         sums, got = _one_block(spec, series, ks, theta_full)
         want = _scalar_window_fits(spec, series.data, ks, theta_full)
         assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
+        # A mask of the windows fitted, not bits: the scalar climbs and the
+        # batch must settle the same windows.
         np.testing.assert_array_equal(got[1], want[1])
         theta = got[0] + theta_full[:, None]
         if name == "ar2":
@@ -507,6 +519,8 @@ class TestWindowBatch:
         monkeypatch.setattr(qmle_module, "_fit_rows", stalled)
         theta, ok = _warm_fits(garch_spec, data, starts, ends, theta_full)
         assert not ok.any()
+        # Bit equality, portable: a stalled window hands back its start
+        # point, a copy.
         np.testing.assert_array_equal(theta, np.tile(theta_full, (starts.size, 1)))
 
         monkeypatch.setattr(qmle_module, "_fit_rows", stalled_warm)
@@ -537,6 +551,7 @@ class TestWindowBatch:
         assert calls == [(starts[~batch_ok].tolist(), ends[~batch_ok].tolist())]
         want = _scalar_window_fits(arch_spec, series.data, ks, theta_full)
         assert_allclose(got[0], want[0], rtol=0.0, atol=1e-6)
+        # A mask, as in test_batch_matches_scalar_fits.
         np.testing.assert_array_equal(got[1], want[1])
 
         # The whole scan under the same iteration limit: in one block, in
@@ -558,6 +573,8 @@ class TestWindowBatch:
         if isinstance(batched, str):
             assert blocked == batched
         else:
+            # Bit equality, BLAS/LAPACK-bound: each window's climb and
+            # each split's solves are the same calls in any block.
             np.testing.assert_array_equal(blocked, batched)
         monkeypatch.setattr(scan_stat_module, "_exact_deltas", _scalar_window_fits)
         scalar = run()
@@ -606,6 +623,8 @@ class TestWindowBatch:
             alone = estimate_windows(arch_spec, series.data, starts[one], ends[one],
                                      theta_full)
             for field, alone_field in zip(got, alone):
+                # Bit equality, BLAS/LAPACK-bound: the same per-row matmul
+                # sums and solves, in a batch or alone.
                 np.testing.assert_array_equal(field[r], alone_field[0])
             want = scalar_ascent.estimate(
                 arch_spec, SeriesSegment(series.data, int(starts[r]), int(ends[r])))
@@ -644,6 +663,7 @@ class TestWindowBatch:
         monkeypatch.setattr(scan_stat_module, "estimate_windows", recording)
         _one_block(spec, series, ks, theta_full)
         [(got_starts, got_ends, seeds)] = calls
+        # Window bounds: integers.
         np.testing.assert_array_equal(got_starts, starts)
         np.testing.assert_array_equal(got_ends, ends)
         want = loglik_rows(spec, np.tile(theta_full, (k.size, 1)), series.data,
@@ -711,6 +731,8 @@ class TestChunkSize:
                 m.setattr(module, name, value)
                 got = scan(spec, series, window_estimator=mode)
             for attr in ("q1", "q2", "theta_full", "argmax_k"):
+                # Bit equality, BLAS/LAPACK-bound: every chunk and block
+                # size makes the same per-row matmul sums and solves.
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_cold_fit_is_bit_identical(self, monkeypatch, garch_spec):
@@ -719,6 +741,7 @@ class TestChunkSize:
         for chunk in self.CHUNKS:
             monkeypatch.setattr(likelihood_module, "_CHUNK_VALUES", chunk)
             got = estimate(garch_spec, series)
+            # Bit equality, BLAS/LAPACK-bound, as above.
             np.testing.assert_array_equal(got.theta_hat, want.theta_hat)
             assert got.iterations == want.iterations
 
@@ -727,19 +750,20 @@ class TestDerivativePass:
     @pytest.mark.parametrize("name", ["ar", "arch", "garch"])
     def test_one_order_two_kernel_evaluation(self, monkeypatch, all_specs, name):
         # The pass reads only the per-observation arrays; it once also
-        # asked loglik for order-2 sums and ran the order-2 kernel twice.
+        # asked loglik for order-2 sums and ran the kernel's derivative
+        # part twice.
         spec = all_specs[name]
         series = make_series(spec, 600, THETA0[name], seed=(448, 0))
-        orders = []
-        real = likelihood_module._terms
+        calls = []
+        real = likelihood_module._derivative_terms
 
-        def counting(spec, thetas, data, end, order, products=False):
-            orders.append(order)
-            return real(spec, thetas, data, end, order, products)
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(likelihood_module, "_terms", counting)
+        monkeypatch.setattr(likelihood_module, "_derivative_terms", counting)
         _derivative_pass(spec, series, np.asarray(THETA0[name], dtype=float))
-        assert orders.count(2) == 1, orders
+        assert calls == [1], calls
 
 
 class TestMemory:
@@ -896,6 +920,9 @@ class TestCholeskyScreen:
             with pytest.raises(np.linalg.LinAlgError):
                 _cholesky_rows(_last(m))
             return
+        # Masks, here and for ok_f and ok_x below, LAPACK-bound: the
+        # screen must clear only rows that the SVD's condition number
+        # passes by a wide margin, and the other rows take that ``cond``.
         np.testing.assert_array_equal(_cholesky_rows(_last(m))[3], ref)
         fgf, ok_f = _batched_fgf(_last(f), _last(m))
         x, ok_x = _solve_rows(_last(m), _last(rhs))
@@ -995,6 +1022,8 @@ class TestStackLastAlgebra:
                     call()
             return
         chol, scale, cleared, ok = _cholesky_rows(_last(m))
+        # Masks: the screen is numpy-elementwise on both sides, and the
+        # rows it leaves take the same LAPACK ``cond`` calls.
         np.testing.assert_array_equal(cleared, want[2])
         np.testing.assert_array_equal(ok, want[3])
         fgf, ok_f = _batched_fgf(_last(f), _last(m))
@@ -1012,6 +1041,9 @@ class TestStackLastAlgebra:
         ]
         for got, ref in pairs:
             if d <= 3:
+                # Bit equality, numpy-elementwise on cleared rows (the
+                # same sums in the same order); the other rows' ``solve``
+                # calls are BLAS/LAPACK-bound, the same on both sides.
                 np.testing.assert_array_equal(got, ref)
             else:
                 _assert_rows_close(got, ref, 1e-13)
@@ -1037,6 +1069,8 @@ class TestStackLastAlgebra:
                                      _window_sums(sums.scores, ks - 1))
         theta_ref, ok_ref = stacked_reference.ar_window_least_squares(
             spec, series.data, ks)
+        # A mask: both screens clear these windows by a margin far wider
+        # than the round-off between their sums.
         np.testing.assert_array_equal(ok, ok_ref)
         assert_allclose(theta[ok], theta_ref[ok], rtol=0.0, atol=1e-12)
 

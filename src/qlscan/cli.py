@@ -58,12 +58,13 @@ def read_series(path: str | Path) -> SeriesSegment:
     """Parse a one-column numeric file into a series.
 
     The first line may be a header; it is skipped iff it does not parse
-    as a number.  Blank lines are ignored.  Any other non-numeric line
-    is an error naming the offending line.
+    as a number.  Blank lines are ignored, and so is a leading UTF-8
+    byte-order mark.  Any other non-numeric line is an error naming the
+    offending line.
     """
     values: list[float] = []
     first_data_line = True
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip().rstrip(",")
             if not line:

@@ -68,6 +68,8 @@ _CHUNK_VALUES = 2**15
 
 
 def _check_dimension(d: int) -> None:
+    if not float(d).is_integer():
+        raise ValueError(f"dimension must be an integer, got {d}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
@@ -264,11 +266,12 @@ class CriticalTable:
         Raises
         ------
         ValueError
-            If alpha lies outside (0, 1], where no calibration can
-            produce an entry.
+            If d is not an integer >= 1 or alpha lies outside (0, 1],
+            where no calibration can produce an entry.
         CalibrationRequiredError
             If the table holds no entry for this (d, alpha).
         """
+        _check_dimension(d)
         _check_alpha(alpha)
         key = (int(d), _alpha_key(alpha))
         if key not in self.entries:
@@ -322,10 +325,11 @@ class CriticalTable:
         as it is built.  Two rows with one (d, alpha)
         key (alpha rounded to 10 decimals, as :meth:`lookup` keys it)
         raise ``ValueError`` rather than the later one silently
-        replacing the earlier.  Every error names the file.
+        replacing the earlier.  A leading UTF-8 byte-order mark is
+        dropped.  Every error names the file.
         """
         entries: dict[tuple[int, float], TableEntry] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -383,7 +387,8 @@ def calibrate(
     """
     entries: dict[tuple[int, float], TableEntry] = {}
     if ds:
-        _check_dimension(min(ds))  # before the simulation indexes by d
+        for d in ds:  # before the simulation indexes by d
+            _check_dimension(d)
         samples = _nested_sup_bb(max(ds), m, reps, seed)
         for d in ds:
             for alpha in alphas:

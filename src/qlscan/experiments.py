@@ -78,8 +78,9 @@ class ExperimentConfig:
         ARCH/GARCH raise ``ShapeError`` unless it is 1),
         ``n``, ``theta0``, ``theta1``, ``break`` (comma-separated values
         for the thetas), ``reps``, ``alpha``, ``vn``, ``base_seed``,
-        ``burn_in``.  Lines starting with ``#`` and blank lines are
-        ignored.  Unknown and repeated keys raise, catching typos early.
+        ``burn_in``.  Lines starting with ``#``, blank lines and a
+        leading UTF-8 byte-order mark are ignored.  Unknown and repeated
+        keys raise, catching typos early.
         Every error names the file, and the line where one key is at
         fault; each keeps its type (``ShapeError``, ``DomainError``, ...).
         """
@@ -90,7 +91,7 @@ class ExperimentConfig:
         kv: dict[str, str] = {}
         lines: dict[str, int] = {}
         for lineno, raw in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+            Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
         ):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -6,11 +6,10 @@ projected Newton ascent: analytic gradient and hessian, eigenvalue
 modification to keep the direction well defined, Armijo backtracking
 along the projection arc.  Every fit runs one implementation of it
 (``_run_rows``), which climbs a stack of rows, each on its own window
-from its own start.  Each trial of a line search is one evaluation that
-passes the rows' Armijo bounds: it computes the gradient and hessian
-only for the trials that pass, so every accepted iterate gets them
-once, from the call that accepted it, and a rejected trial costs its
-value alone.  Every fit is one
+from its own start.  The line search is part of that climb: it reads
+the climb's own points and evaluations and writes each accepted trial
+into them in place, with the gradient and hessian of the one call that
+accepted it; a rejected trial costs its value alone.  Every fit is one
 ``estimate_windows`` call on windows of one series.  Cold, a small
 deterministic multi-start (domain centre plus quasi-random points; the
 centre alone for AR, whose quasi-likelihood is concave) climbs as rows
@@ -62,8 +61,6 @@ from .models import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from numpy.typing import ArrayLike, NDArray
 
     # Per row: L, its gradient and its hessian, as ``loglik_rows`` returns them.
@@ -296,57 +293,6 @@ def _newton_directions(
     return step
 
 
-def _line_search_rows(
-    spec: ModelSpec,
-    x: NDArray[np.float64],
-    f: NDArray[np.float64],
-    grad: NDArray[np.float64],
-    direction: NDArray[np.float64],
-    f_at: Callable[[NDArray[np.int64], NDArray[np.float64], NDArray[np.float64]], _Evals],
-) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.float64],
-           NDArray[np.float64], NDArray[np.float64]]:
-    """Armijo backtracking along the projection arc for every row.
-
-    The inner loop of ``_run_rows``: a row gives the direction up once
-    its projected step vanishes, and tests sufficient decrease only
-    where the step descends.  ``f_at(rows, points, bound)`` returns
-    f = -L of the given rows at the given points, with its gradient and
-    hessian only for the rows whose f is at or below their Armijo bound
-    f + c1 * slope: those rows accept their trial, and only an accepted
-    trial needs derivatives (Nocedal & Wright 2006, section 3.1).
-    Returns the accepted mask, the accepted points (the start point
-    where nothing was accepted), and f, g and H at the accepted points
-    (undefined on the rows that accepted nothing).
-    """
-    n, d = x.shape
-    alpha = np.ones(n)
-    accepted = np.zeros(n, dtype=bool)
-    out = x.copy()
-    evals = (np.empty(n), np.empty((n, d)), np.empty((n, d, d)))
-    pending = np.arange(n)
-    for _ in range(_MAX_BACKTRACKS):
-        if pending.size == 0:
-            break
-        trial = _project_rows(spec, x[pending] + alpha[pending, None] * direction[pending])
-        step = trial - x[pending]
-        slope = np.einsum("ij,ij->i", grad[pending], step)
-        moved = np.max(np.abs(step), axis=1) != 0.0
-        test = moved & (slope < 0.0)
-        ok = np.zeros(pending.size, dtype=bool)
-        if np.any(test):
-            bound = f[pending[test]] + _ARMIJO_C1 * slope[test]
-            found = f_at(pending[test], trial[test], bound)
-            passed = found[0] <= bound
-            ok[test] = passed
-            for arr, part in zip(evals, found):
-                arr[pending[ok]] = part[passed]
-        out[pending[ok]] = trial[ok]
-        accepted[pending[ok]] = True
-        alpha[pending] *= _BACKTRACK
-        pending = pending[moved & ~ok]
-    return accepted, out, *evals
-
-
 def _run_rows(
     spec: ModelSpec,
     data: NDArray[np.float64],
@@ -366,11 +312,20 @@ def _run_rows(
     rule leave as converged, rows finding no acceptable step along
     either direction leave as not converged.  Every evaluation is one
     ``loglik_rows`` call on the rows' window bounds, which evaluates
-    each row only over its own class.  A line search's trial calls pass
-    each row's Armijo bound, so derivatives are computed only for the
-    trials that pass it: every accepted point gets f, g and H once, from
-    the call that accepted it, and a rejected trial costs its value
-    alone.
+    each row only over its own class.
+
+    The line search is part of the climb and works on its state in
+    place: ``line_search`` backtracks the given rows along the
+    projection arc of their direction, halving one step length shared
+    by every row still pending, and a row gives the direction up once
+    its projected step vanishes.  It tests sufficient decrease only
+    where the step descends, with a trial call that passes each row's
+    Armijo bound f + c1 * slope, so derivatives are computed only for
+    the trials that pass it (Nocedal & Wright 2006, section 3.1).  Each
+    accepted trial is written straight into the climb's x, f, g and H,
+    with f, g and H from the call that accepted it, and a rejected trial
+    costs its value alone.  A row that accepts leaves the search, so
+    the search only reads rows it has not written.
     """
     n_rows = starts.size
 
@@ -383,6 +338,32 @@ def _run_rows(
         pg = x[rows] - _project_rows(spec, x[rows] - g[rows])
         pg_norm[rows] = np.linalg.norm(pg, axis=1)
         return pg_norm[rows] <= grad_tol[rows]
+
+    def line_search(rows, direction):
+        accepted = np.zeros(rows.size, dtype=bool)
+        pending = np.arange(rows.size)
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            if pending.size == 0:
+                break
+            at = rows[pending]
+            trial = _project_rows(spec, x[at] + alpha * direction[pending])
+            step = trial - x[at]
+            slope = np.einsum("ij,ij->i", g[at], step)
+            moves = np.max(np.abs(step), axis=1) != 0.0
+            test = moves & (slope < 0.0)
+            ok = np.zeros(pending.size, dtype=bool)
+            if np.any(test):
+                bound = f[at[test]] + _ARMIJO_C1 * slope[test]
+                found = evaluate(at[test], trial[test], bound)
+                passed = found[0] <= bound
+                ok[test] = passed
+                for arr, part in zip((x, f, g, hess), (trial[test], *found)):
+                    arr[at[ok]] = part[passed]
+            accepted[pending[ok]] = True
+            alpha *= _BACKTRACK
+            pending = pending[moves & ~ok]
+        return accepted
 
     x = np.array(x0, dtype=float)
     if seeds is None:
@@ -407,17 +388,7 @@ def _run_rows(
             left = np.flatnonzero(~moved)
             if left.size == 0:
                 break
-            sub = rows[left]
-            acc, *found = _line_search_rows(
-                spec, x[sub], f[sub], g[sub], direction[left],
-                lambda local, pts, bound, sub=sub: evaluate(sub[local], pts, bound),
-            )
-            # Rows that move leave the second search, which reads only
-            # the others, so they take their new point and evaluations
-            # at once.
-            for arr, part in zip((x, f, g, hess), found):
-                arr[sub[acc]] = part[acc]
-            moved[left[acc]] = True
+            moved[left[line_search(rows[left], direction[left])]] = True
         live[rows[~moved]] = False
         iterations[rows[moved]] += 1
     rows = np.flatnonzero(live)

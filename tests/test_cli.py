@@ -431,6 +431,19 @@ class TestReadSeries:
         with pytest.raises(SeriesParseError, match="no numeric data"):
             read_series(f)
 
+    def test_byte_order_mark_keeps_the_first_value(self, tmp_path, capsys):
+        # A UTF-8 byte-order mark once made the first value read as a
+        # header, so the series silently lost its first observation.
+        values = np.random.default_rng(5).standard_normal(50)
+        f = tmp_path / "bom.txt"
+        f.write_text("\n".join(f"{v:.17g}" for v in values) + "\n", encoding="utf-8-sig")
+        assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+        # Bit equality, portable: parsing the printed digits.
+        np.testing.assert_array_equal(read_series(f).data, values)
+        code, out, _ = run_cli(["test", str(f), "--model", "ar"], capsys)
+        assert code in (0, 2)
+        assert "n         50" in out
+
 
 class TestMakeSpec:
     def test_families(self):

@@ -11,6 +11,15 @@ were written (see the repository notes for the derivations):
 
 Finite grids bias the sup downward, so an m=1000 estimate must sit
 below its continuum anchor but within a few hundredths of it.
+
+Each bit-equality assertion says which kind it is.  Numpy-elementwise
+(portable): both sides run numpy's own elementwise and reduction loops
+(``cumsum``, ``max``, ``quantile``, integer arithmetic), which give the
+same bits on every BLAS kernel.  BLAS/LAPACK-bound: the values pass
+through ``np.linalg.solve``, ``eigh`` or a matmul sum, whose bits vary
+between kernels.  Every bit equality here is portable: the bridge
+simulation, its stream keys and the quantiles call no BLAS or LAPACK
+routine, and a saved table round-trips through 17 significant digits.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from qlscan import (
     CalibrationRequiredError,
     CriticalTable,
     calibrate,
+    decide,
     simulate_sup_bb,
     sup_bb_quantile,
 )
@@ -36,6 +46,8 @@ class TestSimulateSupBB:
     def test_deterministic_per_replication(self):
         a = simulate_sup_bb(2, m=50, reps=10, seed=7)
         b = simulate_sup_bb(2, m=50, reps=10, seed=7)
+        # Bit equality, portable: the same draws through the same
+        # elementwise loops.
         np.testing.assert_array_equal(a, b)
 
     def test_streams_do_not_depend_on_rep_count(self):
@@ -43,6 +55,7 @@ class TestSimulateSupBB:
         # longer run extends the sample without changing its prefix.
         short = simulate_sup_bb(1, m=50, reps=10, seed=3)
         long = simulate_sup_bb(1, m=50, reps=700, seed=3)
+        # Bit equality, portable, as above.
         np.testing.assert_array_equal(long[:10], short)
 
     @pytest.mark.parametrize("d, m", [(1, 1000), (3, 1000), (2, 50), (5, 40_000)])
@@ -65,6 +78,9 @@ class TestSimulateSupBB:
             for i in range(1, d):
                 norm = norm + bridge[i] * bridge[i]
                 want[i, r] = norm.max()
+        # Bit equality, portable: cumsum, the bridge, the squares and
+        # the maxima run numpy's elementwise and reduction loops, along
+        # one replication's own axis whatever the chunk.
         for chunk in (1, 2**15, reps * d * m):
             monkeypatch.setattr(critical_values, "_CHUNK_VALUES", chunk)
             np.testing.assert_array_equal(
@@ -84,6 +100,7 @@ class TestSimulateSupBB:
         # more are mixed in afterwards.
         want = np.array([np.random.SeedSequence((seed, r)).generate_state(2, np.uint64)
                          for r in range(3000)])
+        # Bit equality, portable: exact integer arithmetic.
         np.testing.assert_array_equal(critical_values._stream_keys(seed, 3000), want)
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**40), ValueError),
@@ -172,6 +189,27 @@ class TestBuiltinTable:
         with pytest.raises(CalibrationRequiredError):
             builtin_table.lookup(1, 0.033)
 
+    @pytest.mark.parametrize("d", [2.9, 1.5, float("nan"), float("inf")])
+    def test_non_integral_dimension_is_invalid(self, builtin_table, d):
+        # Not a missing entry, and no longer truncated: 2.9 once looked
+        # up C(2, alpha).
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            builtin_table.lookup(d, 0.05)
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            decide(3.0, d, 0.05, builtin_table)
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            CriticalTable(entries={(d, 0.05): builtin_table.entries[(2, 0.05)]})
+        # Between two valid dimensions, d once reached the sample's index.
+        with pytest.raises(ValueError, match=r"^dimension must be an integer, got "):
+            calibrate(ds=(1, d, 3), m=50, reps=10)
+
+    def test_integer_types_look_up_alike(self, builtin_table):
+        # Bit equality, portable: one stored entry read three ways.
+        for d in (1, 2, 3):
+            want = builtin_table.lookup(d, 0.05)
+            assert builtin_table.lookup(np.int64(d), 0.05) == want
+            assert builtin_table.lookup(np.int32(d), 0.05) == want
+
     @pytest.mark.parametrize("alpha", [1.5, 0.0, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_is_invalid(self, builtin_table, alpha):
         # Not a missing entry: no calibration can produce one.
@@ -185,6 +223,7 @@ class TestBuiltinTable:
         entry = builtin_table.entries[(1, 0.05)]
         sample = simulate_sup_bb(1, m=entry.m, reps=50, seed=entry.seed)
         full_like = simulate_sup_bb(1, m=entry.m, reps=120, seed=entry.seed)
+        # Bit equality, portable, as in TestSimulateSupBB.
         np.testing.assert_array_equal(full_like[:50], sample)
 
 
@@ -208,7 +247,8 @@ class TestCalibrate:
     def test_one_simulation_matches_single_dimension_calls(self, ds):
         # Every dimension is read off one simulation at max(ds), in any
         # order and with repeats, and equals a calibration of that
-        # dimension alone, bit for bit.
+        # dimension alone, bit for bit (portable: the same elementwise
+        # loops and numpy quantiles).
         alphas = (0.01, 0.05, 0.10)
         table = calibrate(ds=ds, alphas=alphas, m=70, reps=900, seed=21)
         want = {}
@@ -227,6 +267,7 @@ class TestCalibrate:
     def test_deterministic(self):
         a = calibrate(ds=(2,), alphas=(0.05,), m=60, reps=1500, seed=4)
         b = calibrate(ds=(2,), alphas=(0.05,), m=60, reps=1500, seed=4)
+        # Bit equality, portable: the same calibration twice.
         assert a.lookup(2, 0.05) == b.lookup(2, 0.05)
 
 
@@ -239,8 +280,17 @@ class TestTableIO:
         assert set(loaded.entries) == set(table.entries)
         for key, entry in table.entries.items():
             got = loaded.entries[key]
-            assert got.c == entry.c  # 17 significant digits survive
+            assert got.c == entry.c  # portable: 17 significant digits survive
             assert (got.m, got.reps, got.seed) == (entry.m, entry.reps, entry.seed)
+
+    def test_load_drops_a_byte_order_mark(self, tmp_path):
+        # A UTF-8 byte-order mark once made the first line, a comment,
+        # read as a row of 11 fields.
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        CriticalTable.builtin().save(plain)
+        bom.write_text(plain.read_text(), encoding="utf-8-sig")
+        # Bit equality, portable: the same digits parsed twice.
+        assert CriticalTable.load(bom) == CriticalTable.load(plain)
 
     def test_load_rejects_malformed_rows(self, tmp_path):
         bad = tmp_path / "bad.txt"

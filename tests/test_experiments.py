@@ -215,6 +215,14 @@ class TestConfigFile:
                                              + re.escape(error)):
             ExperimentConfig.from_file(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # A UTF-8 byte-order mark once made the first key unknown.
+        text = "model = garch\nn = 300\ntheta0 = 1.0, 0.4, 0.3\nreps = 2\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text)
+        bom.write_text(text, encoding="utf-8-sig")
+        assert ExperimentConfig.from_file(bom) == ExperimentConfig.from_file(plain)
+
     def test_not_key_value(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("model ar\n")

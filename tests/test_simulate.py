@@ -1,4 +1,14 @@
-"""Simulation: determinism, break mechanics, stationary moments."""
+"""Simulation: determinism, break mechanics, stationary moments.
+
+Each bit-equality assertion says which kind it is.  Numpy-elementwise
+(portable): both sides run numpy's own elementwise and reduction loops,
+or scalar IEEE arithmetic, which give the same bits on every BLAS
+kernel.  BLAS/LAPACK-bound: the values pass through ``np.linalg.solve``,
+``eigh`` or a matmul sum, whose bits vary between kernels.  Every bit
+equality here is portable: ``generate`` draws from numpy's Philox
+generator and runs its recursions on Python floats, and no value it
+returns passes through BLAS or LAPACK.
+"""
 
 from __future__ import annotations
 
@@ -24,12 +34,15 @@ class TestDeterminism:
     def test_same_seed_same_path(self, ar1_spec):
         a = generate(SimPlan(spec=ar1_spec, n=100, theta0=(0.5,), seed=42))
         b = generate(SimPlan(spec=ar1_spec, n=100, theta0=(0.5,), seed=42))
+        # Bit equality, portable: the same draws through the same scalar
+        # recursion.
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_tuple_seeds(self, garch_spec):
         a = generate(SimPlan(spec=garch_spec, n=50, theta0=THETA0["garch"], seed=(7, 1)))
         b = generate(SimPlan(spec=garch_spec, n=50, theta0=THETA0["garch"], seed=(7, 1)))
         c = generate(SimPlan(spec=garch_spec, n=50, theta0=THETA0["garch"], seed=(7, 2)))
+        # Bit equality, portable, as above.
         np.testing.assert_array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
@@ -83,6 +96,8 @@ class TestArLoopMatchesLfilter:
             break_index = 1 + min(int(break_at * (n - 1)), n - 2)
         plan = SimPlan(spec=spec, n=n, theta0=tuple(phi), theta1=theta1,
                        break_index=break_index, burn_in=burn_in, seed=seed)
+        # Bit equality, portable: lfilter is a plain C loop and lfiltic
+        # takes numpy sums; neither calls BLAS.
         np.testing.assert_array_equal(generate(plan).data, ar_path_lfilter(plan))
 
 
@@ -138,13 +153,15 @@ class TestGarchLoopMatchesNumpyScalars:
             break_index = 1 + min(int(break_at * (n - 1)), n - 2)
         plan = SimPlan(spec=spec, n=n, theta0=theta0, theta1=theta1,
                        break_index=break_index, burn_in=burn_in, seed=seed)
+        # Bit equality, portable: scalar IEEE arithmetic on both sides.
         np.testing.assert_array_equal(generate(plan).data, garch_path_numpy(plan))
 
 
 class TestBreakMechanics:
     def test_break_noop_is_exactly_the_null_path(self, all_specs):
         # theta1 == theta0 with any break index must reproduce the
-        # no-break series bit for bit.
+        # no-break series bit for bit (portable: the same scalar
+        # recursion on the same draws).
         for name, spec in all_specs.items():
             base = SimPlan(spec=spec, n=150, theta0=THETA0[name], seed=(50, 0))
             noop = SimPlan(
@@ -170,6 +187,8 @@ class TestBreakMechanics:
                 seed=(51, 0),
             )
             a, b = generate(null).data, generate(broke).data
+            # Bit equality, portable: before the break both paths run the
+            # same recursion on the same draws.
             np.testing.assert_array_equal(a[:80], b[:80])
             assert not np.allclose(a[80:], b[80:])
 
